@@ -20,7 +20,7 @@ Run:  python demos/03_fixing_variables.py
 
 from nullseq.certify import bounding_monomial
 from nullseq.engine import multiply_factors
-from nullseq.factors import build_p, choose_fixes, degree
+from nullseq.factors import build_p, choose_fixes
 from nullseq.quotient import search_quotient, validate_quotient
 
 
@@ -40,7 +40,7 @@ def main():
     fl = build_p(qs)
     bound = bounding_monomial(lam, qs)
     print(f"a = {a}")
-    print(f"unfixed: degree {degree(fl)}, ceiling {bound} "
+    print(f"unfixed: degree {fl.degree}, ceiling {bound} "
           f"(total {sum(bound)})")
 
     fixes = (3, 6)
@@ -48,7 +48,7 @@ def main():
     fbound = bounding_monomial(lam, qs, fixes)
     print(f"pin positions {set(fixes)} to zero:")
     print(f"  factors {len(fl.factors)} -> {len(fixed.factors)}, "
-          f"degree {degree(fl)} -> {degree(fixed)}")
+          f"degree {fl.degree} -> {fixed.degree}")
     print(f"  ceiling becomes {fbound}: its total equals the degree, so "
           f"exactly one\n  candidate monomial remains\n")
 

@@ -18,7 +18,7 @@ Layers, bottom up:
 * :mod:`nullseq.factors` — the difference/window factor lists, the
   reduced variant, and zero-fixing;
 * :mod:`nullseq.engine` — sparse product expansion with divisor pruning,
-  target thresholds, checkpoints and multi-process sharding;
+  target thresholds and checkpoints;
 * :mod:`nullseq.certify` — coefficient certificates, exceptional primes,
   and the per-(k, t) case runner;
 * :mod:`nullseq.oracle` — independent brute-force cross-checks;
@@ -48,7 +48,6 @@ from .engine import (
     OpCapExceeded,
     SparsePolynomial,
     TermCapExceeded,
-    coefficient_of,
     load_checkpoint,
     multiply_factors,
     naive_expand,
@@ -64,7 +63,6 @@ from .factors import (
     build_p,
     build_q,
     choose_fixes,
-    degree,
 )
 from .groups import (
     LINEAR,
@@ -124,8 +122,6 @@ __all__ = [
     "certify_type",
     "choose_fixes",
     "classify_sequencing",
-    "coefficient_of",
-    "degree",
     "enumerate_types",
     "exceptional_primes",
     "factorize",

@@ -275,7 +275,6 @@ class CaseConfig:
     term_cap: int | None = 200_000_000
     op_cap: int | None = None
     max_degree: int = 60
-    workers: int = 1
     seed: int = 0
     variant: str = FULL
     use_greedy_fixes: bool = True
@@ -320,14 +319,52 @@ def candidate_monomials(bound, degree: int, limit: int):
     return out
 
 
-def _checkpoint_path(directory, k, t, lam, a, monomial):
+def _checkpoint_path(directory, qs: QuotientSequencing, monomial):
     name = (
-        f"ckpt_k{k}_t{t}"
-        f"_lam{'-'.join(map(str, lam))}"
-        f"_a{''.join(map(str, a))}"
+        f"ckpt_k{qs.k}_t{qs.t}"
+        f"_lam{'-'.join(map(str, qs.type_vector()))}"
+        f"_a{''.join(map(str, qs.a))}"
         f"_m{'-'.join(map(str, monomial))}.bin"
     )
     return os.path.join(directory, re.sub(r"[^A-Za-z0-9_.\-]", "", name))
+
+
+@dataclass(frozen=True)
+class CoefficientResult:
+    """One target coefficient, or the abort that stopped it (coefficient None)."""
+
+    coefficient: int | None
+    terms: int | None = None
+    note: str = ""
+    checkpoint: str | None = None
+
+
+def compute_coefficient(
+    qs: QuotientSequencing, fl, bound, monomial, config: CaseConfig, resume=None
+) -> CoefficientResult:
+    """Coefficient of monomial in the product fl, within config's caps.
+
+    An abort at term_cap or op_cap is returned, not raised.  With
+    config.checkpoint_dir set, the abort's checkpoint is saved there under a
+    name made from qs and the monomial; the directory is created if missing.
+    """
+    try:
+        poly = multiply_factors(
+            fl,
+            bound=bound,
+            target=monomial,
+            term_cap=config.term_cap,
+            op_cap=config.op_cap,
+            resume=resume,
+        )
+    except EngineAbort as abort:
+        path = None
+        if config.checkpoint_dir:
+            os.makedirs(config.checkpoint_dir, exist_ok=True)
+            path = _checkpoint_path(config.checkpoint_dir, qs, monomial)
+            save_checkpoint(path, abort.checkpoint)
+        return CoefficientResult(None, note=str(abort), checkpoint=path)
+    return CoefficientResult(poly.coefficient(monomial), poly.num_terms())
 
 
 def _attempt(lam, qs, fixes, monomials, config, attempts, t):
@@ -368,26 +405,16 @@ def _attempt(lam, qs, fixes, monomials, config, attempts, t):
         monomials = candidate_monomials(bound, fl.degree, config.max_candidates)
     entries: list[CertificateEntry] = []
     for mono in monomials:
-        try:
-            poly = multiply_factors(
-                fl,
-                bound=bound,
-                target=mono,
-                term_cap=config.term_cap,
-                op_cap=config.op_cap,
-                workers=config.workers,
-            )
-        except EngineAbort as abort:
-            note = str(abort)
-            if config.checkpoint_dir and abort.checkpoint is not None:
-                path = _checkpoint_path(config.checkpoint_dir, k, t, lam, qs.a, mono)
-                save_checkpoint(path, abort.checkpoint)
-                note += f"; checkpoint saved to {path}"
+        result = compute_coefficient(qs, fl, bound, mono, config)
+        if result.coefficient is None:
+            note = result.note
+            if result.checkpoint:
+                note += f"; checkpoint saved to {result.checkpoint}"
             attempts.append(
                 AttemptRecord(qs.a, tuple(sorted(fixes)), mono, "aborted", note=note)
             )
             continue
-        coeff = poly.coefficient(mono)
+        coeff = result.coefficient
         if coeff == 0:
             attempts.append(
                 AttemptRecord(qs.a, tuple(sorted(fixes)), mono, "zero", coefficient=0)

@@ -15,12 +15,17 @@ Output is line-delimited JSON on stdout (or ``--output``).  Exit status:
 
 Settings priority: command-line flags, then the environment variables
 ``NULLSEQ_WORKERS`` and ``NULLSEQ_CHECKPOINT_DIR``, then the JSON config
-file given with ``--config``, then built-in defaults.
+file given with ``--config``, then the defaults of ``CaseConfig``.  The
+worker count (default 1) applies to ``scan`` only.  ``prove``, ``coeff``
+and ``table1`` compute every coefficient through
+``certify.compute_coefficient``, so caps and checkpoints act alike in all
+three.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,14 +33,14 @@ import time
 
 from . import catalog, reports
 from .applicability import applicability
-from .certify import CaseConfig, assemble_case, factorize, _checkpoint_path
-from .engine import (
-    EngineAbort,
-    coefficient_of,
-    load_checkpoint,
-    multiply_factors,
-    save_checkpoint,
+from .certify import (
+    CaseConfig,
+    assemble_case,
+    candidate_monomials,
+    compute_coefficient,
+    factorize,
 )
+from .engine import load_checkpoint
 from .factors import (
     FULL,
     REDUCED,
@@ -43,7 +48,6 @@ from .factors import (
     bounding_monomial,
     build_p,
     build_q,
-    degree,
 )
 from .groups import SymbolicArithmeticError
 from .oracle import (
@@ -69,15 +73,11 @@ _CONFIG_KEYS = {
 
 _DEFAULTS = {
     "workers": 1,
-    "term_cap": 200_000_000,
-    "op_cap": None,
-    "checkpoint_dir": None,
-    "qs_limit": 8,
-    "qs_budget": 10**6,
-    "max_candidates": 24,
-    "max_degree": 60,
-    "seed": 0,
-    "variant": FULL,
+    **{
+        f.name: f.default
+        for f in dataclasses.fields(CaseConfig)
+        if f.name in _CONFIG_KEYS
+    },
 }
 
 
@@ -129,6 +129,13 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _case_config(args, **extra) -> CaseConfig:
+    """The resolved settings, less the worker count, as one CaseConfig."""
+    settings = resolve_settings(args)
+    del settings["workers"]
+    return CaseConfig(**settings, **extra)
+
+
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
     try:
         return reports.parse_exponents(text)
@@ -159,20 +166,7 @@ def _emit(records, args) -> None:
 
 
 def _cmd_prove(args) -> int:
-    settings = resolve_settings(args)
-    config = CaseConfig(
-        qs_limit=settings["qs_limit"],
-        qs_budget=settings["qs_budget"],
-        max_candidates=settings["max_candidates"],
-        term_cap=settings["term_cap"],
-        op_cap=settings["op_cap"],
-        max_degree=settings["max_degree"],
-        workers=settings["workers"],
-        seed=settings["seed"],
-        variant=settings["variant"],
-        use_greedy_fixes=not args.no_greedy_fixes,
-        checkpoint_dir=settings["checkpoint_dir"],
-    )
+    config = _case_config(args, use_greedy_fixes=not args.no_greedy_fixes)
     start = time.monotonic()
     report = assemble_case(args.k, args.t, config)
     _emit(reports.case_records(report, elapsed=time.monotonic() - start), args)
@@ -198,11 +192,33 @@ def _coeff_inputs(args):
     return k, t, lam, a, fixes
 
 
+def _coefficient_record(result, start, split_budget=None, **fields) -> dict:
+    """The coefficient record of a compute_coefficient result, with its outcome.
+
+    fields are the job's coefficient_record keywords (k, t, lam, ...).
+    """
+    value = result.coefficient
+    record = reports.coefficient_record(
+        **fields, coefficient=value or 0,
+        factorization=factorize(value, split_budget=split_budget)
+        if value else None,
+        terms=result.terms, elapsed=time.monotonic() - start,
+    )
+    if value is None:
+        del record["coefficient"]
+        record.update(outcome="aborted", note=result.note)
+        if result.checkpoint:
+            record["checkpoint"] = result.checkpoint
+    else:
+        record["outcome"] = "nonzero" if value else "zero"
+    return record
+
+
 def _cmd_coeff(args) -> int:
-    settings = resolve_settings(args)
+    config = _case_config(args)
     k, t, lam, a, fixes = _coeff_inputs(args)
     qs = validate_quotient(a, lam)
-    build = build_p if settings["variant"] == FULL else build_q
+    build = build_p if config.variant == FULL else build_q
     fl = build(qs, fixes)
     bound = bounding_monomial(lam, qs, fixes)
     if args.monomial:
@@ -210,9 +226,7 @@ def _cmd_coeff(args) -> int:
         if len(monomial) != k:
             raise UsageError(f"--monomial must have {k} entries")
     else:
-        from .certify import candidate_monomials
-
-        candidates = candidate_monomials(bound, degree(fl), 1)
+        candidates = candidate_monomials(bound, fl.degree, 1)
         if not candidates:
             raise UsageError("bounding monomial has smaller degree than the product")
         monomial = candidates[0]
@@ -223,58 +237,26 @@ def _cmd_coeff(args) -> int:
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load checkpoint {args.resume}: {exc}") from exc
     start = time.monotonic()
-    try:
-        poly = multiply_factors(
-            fl,
-            bound=bound,
-            target=monomial,
-            term_cap=settings["term_cap"],
-            op_cap=settings["op_cap"],
-            workers=settings["workers"],
-            resume=resume,
-        )
-    except EngineAbort as exc:
-        record = reports.coefficient_record(
-            k=k, t=t, lam=lam, a=a, fixes=fixes, variant=settings["variant"],
-            monomial=monomial, coefficient=0, degree=degree(fl), bound=bound,
-            elapsed=time.monotonic() - start,
-        )
-        record["outcome"] = "aborted"
-        record["note"] = str(exc)
-        del record["coefficient"]
-        if settings["checkpoint_dir"] and exc.checkpoint is not None:
-            os.makedirs(settings["checkpoint_dir"], exist_ok=True)
-            path = _checkpoint_path(
-                settings["checkpoint_dir"], k, t, lam, a, monomial
-            )
-            save_checkpoint(path, exc.checkpoint)
-            record["checkpoint"] = path
-        _emit([record], args)
-        return 1
-    value = coefficient_of(poly, monomial)
-    record = reports.coefficient_record(
-        k=k, t=t, lam=lam, a=a, fixes=fixes, variant=settings["variant"],
-        monomial=monomial, coefficient=value,
-        factorization=factorize(value, split_budget=args.split_budget)
-        if value else None,
-        degree=degree(fl), bound=bound, terms=poly.num_terms(),
-        elapsed=time.monotonic() - start,
+    result = compute_coefficient(qs, fl, bound, monomial, config, resume=resume)
+    record = _coefficient_record(
+        result, start, split_budget=args.split_budget,
+        k=k, t=t, lam=lam, a=a, fixes=fixes, variant=config.variant,
+        monomial=monomial, degree=fl.degree, bound=bound,
     )
-    record["outcome"] = "nonzero" if value else "zero"
     _emit([record], args)
-    return 0 if value else 1
+    return 0 if result.coefficient else 1
 
 
 def _cmd_qs(args) -> int:
-    settings = resolve_settings(args)
+    config = _case_config(args)
     lam = _parse_vector(args.lam, "lambda")
     start = time.monotonic()
     result = search_quotient(
         lam,
         objective=args.objective,
-        limit=settings["qs_limit"] if args.limit is None else args.limit,
-        budget=settings["qs_budget"],
-        seed=settings["seed"],
+        limit=config.qs_limit if args.limit is None else args.limit,
+        budget=config.qs_budget,
+        seed=config.seed,
     )
     elapsed = time.monotonic() - start
     records = [
@@ -338,7 +320,7 @@ def _cmd_applicable(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    settings = resolve_settings(args)
+    config = _case_config(args)
     if args.name:
         try:
             targets = (catalog.by_name(args.name),)
@@ -360,42 +342,19 @@ def _cmd_table1(args) -> int:
             fl = build_p(qs, fx.fixes)
             bound = bounding_monomial(fx.lam, qs, fx.fixes)
             start = time.monotonic()
-            try:
-                poly = multiply_factors(
-                    fl,
-                    bound=bound,
-                    target=fx.monomial,
-                    term_cap=settings["term_cap"],
-                    op_cap=settings["op_cap"],
-                    workers=settings["workers"],
-                )
-            except EngineAbort as exc:
-                record = reports.coefficient_record(
-                    k=fx.k, t=fx.t, lam=fx.lam, a=fx.a, fixes=fx.fixes,
-                    variant=FULL, monomial=fx.monomial, coefficient=0,
-                    degree=fx.degree, bound=bound,
-                    elapsed=time.monotonic() - start,
-                )
-                del record["coefficient"]
-                record.update(name=fx.name, outcome="aborted", note=str(exc))
-                failures += 1
-                reports.write_records([record], stream)
-                continue
-            value = coefficient_of(poly, fx.monomial)
-            record = reports.coefficient_record(
-                k=fx.k, t=fx.t, lam=fx.lam, a=fx.a, fixes=fx.fixes,
-                variant=FULL, monomial=fx.monomial, coefficient=value,
-                factorization=factorize(value) if value else None,
-                degree=fx.degree, bound=bound,
-                elapsed=time.monotonic() - start,
+            result = compute_coefficient(qs, fl, bound, fx.monomial, config)
+            record = _coefficient_record(
+                result, start,
+                k=fx.k, t=fx.t, lam=fx.lam, a=fx.a, fixes=fx.fixes, variant=FULL,
+                monomial=fx.monomial, degree=fx.degree, bound=bound,
             )
-            record.update(
-                name=fx.name,
-                expected=str(fx.coefficient),
-                match=value == fx.coefficient,
-            )
-            if value != fx.coefficient:
-                failures += 1
+            record["name"] = fx.name
+            if result.coefficient is not None:
+                record.update(
+                    expected=str(fx.coefficient),
+                    match=result.coefficient == fx.coefficient,
+                )
+            failures += result.coefficient != fx.coefficient
             reports.write_records([record], stream)
     finally:
         if close:
@@ -413,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON settings file")
     common.add_argument("--output", default="-", help="write records here ('-' = stdout)")
-    common.add_argument("--workers", type=int, help="parallel worker processes")
     common.add_argument("--term-cap", dest="term_cap", type=int,
                         help="abort when an intermediate exceeds this many terms")
     common.add_argument("--op-cap", dest="op_cap", type=int,
@@ -478,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-reduce", action="store_true",
                    help="scan all subsets, not one per unit-multiple class")
     p.add_argument("--max-failures", dest="max_failures", type=int, default=20)
+    p.add_argument("--workers", type=int, help="parallel worker processes")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", parents=[common],

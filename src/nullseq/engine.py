@@ -26,7 +26,6 @@ provided as an independent cross-check for small instances.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .factors import FactorList
@@ -82,7 +81,7 @@ class EngineCheckpoint:
 
 
 class EngineAbort(RuntimeError):
-    def __init__(self, message: str, checkpoint: EngineCheckpoint | None):
+    def __init__(self, message: str, checkpoint: EngineCheckpoint):
         super().__init__(message)
         self.checkpoint = checkpoint
 
@@ -151,9 +150,9 @@ def _factor_plan(fl: FactorList, bound, target):
     return plans
 
 
-def _run_factors(plans, terms, start, stop, use_target, term_cap, op_cap, on_step):
+def _run_factors(plans, terms, start, k, use_target, term_cap, op_cap, on_step):
     ops = 0
-    for f in range(start, stop):
+    for f in range(start, len(plans)):
         fac = plans[f]
         new: dict[int, int] = {}
         if use_target:
@@ -200,22 +199,17 @@ def _run_factors(plans, terms, start, stop, use_target, term_cap, op_cap, on_ste
         if term_cap is not None and len(new) > term_cap:
             raise TermCapExceeded(
                 f"term count {len(new)} exceeds cap {term_cap} at factor {f}",
-                EngineCheckpoint(0, f, dict(terms)),
+                EngineCheckpoint(k, f, terms),
             )
         if op_cap is not None and ops > op_cap:
             raise OpCapExceeded(
                 f"operation budget {op_cap} exhausted at factor {f}",
-                EngineCheckpoint(0, f + 1, dict(new)),
+                EngineCheckpoint(k, f + 1, new),
             )
         terms = new
         if on_step is not None:
             on_step(f, len(new))
     return terms
-
-
-def _worker_continue(args):
-    plans, shard, start, stop, use_target = args
-    return _run_factors(plans, shard, start, stop, use_target, None, None, None)
 
 
 def multiply_factors(
@@ -224,7 +218,6 @@ def multiply_factors(
     target=None,
     term_cap=200_000_000,
     op_cap=None,
-    workers=1,
     resume: EngineCheckpoint | None = None,
     on_step=None,
 ) -> SparsePolynomial:
@@ -235,10 +228,11 @@ def multiply_factors(
     prunes terms that can no longer reach it.  With neither, the product is
     expanded in full.
 
-    Raises TermCapExceeded / OpCapExceeded carrying a resumable checkpoint
-    (pass it back via resume).  With workers > 1 the term dict is sharded
-    after a sequential warm-up and the shards are merged exactly; caps are
-    then only enforced during the warm-up.
+    Factors are multiplied in one at a time and on_step(f, live_terms) is
+    called after each.  Exceeding term_cap or op_cap raises TermCapExceeded /
+    OpCapExceeded carrying a resumable checkpoint for this factor list (pass
+    it back via resume); the checkpoint holds the engine's term dict itself,
+    not a copy.
     """
     k = fl.k
     n = len(fl.factors)
@@ -266,7 +260,7 @@ def multiply_factors(
         bound = (255,) * k
 
     if resume is not None:
-        if resume.k not in (0, k):
+        if resume.k != k:
             raise ValueError(f"checkpoint is for k={resume.k}, factor list has k={k}")
         start = resume.factor_index
         if not 0 <= start <= n:
@@ -277,44 +271,9 @@ def multiply_factors(
         terms = {0: 1}
 
     plans = _factor_plan(fl, bound, target)
-    use_target = target is not None
-
-    try:
-        if workers <= 1:
-            terms = _run_factors(
-                plans, terms, start, n, use_target, term_cap, op_cap, on_step
-            )
-        else:
-            warm_goal = workers * 64
-            f = start
-            while f < n and len(terms) < warm_goal:
-                terms = _run_factors(
-                    plans, terms, f, f + 1, use_target, term_cap, op_cap, on_step
-                )
-                f += 1
-            if f < n:
-                shards: list[dict[int, int]] = [{} for _ in range(workers)]
-                for key, coef in terms.items():
-                    shards[key % workers][key] = coef
-                jobs = [
-                    (plans, shard, f, n, use_target) for shard in shards if shard
-                ]
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(_worker_continue, jobs))
-                merged: dict[int, int] = {}
-                for part in results:
-                    for key, coef in part.items():
-                        c = merged.get(key, 0) + coef
-                        if c:
-                            merged[key] = c
-                        elif key in merged:
-                            del merged[key]
-                terms = merged
-    except EngineAbort as abort:
-        if abort.checkpoint is not None:
-            abort.checkpoint.k = k
-        raise
-
+    terms = _run_factors(
+        plans, terms, start, k, target is not None, term_cap, op_cap, on_step
+    )
     return SparsePolynomial(k, terms)
 
 
@@ -344,7 +303,3 @@ def naive_expand(fl: FactorList, max_k: int = 8, max_degree: int = 25) -> Sparse
         poly = {key: c for key, c in new.items() if c}
     return SparsePolynomial(fl.k, {pack(exps): c for exps, c in poly.items()})
 
-
-def coefficient_of(poly: SparsePolynomial, monomial) -> int:
-    """Stored coefficient of the monomial, or zero."""
-    return poly.coefficient(monomial)

@@ -94,11 +94,6 @@ class FactorList:
         return tuple(f.label() for f in self.factors)
 
 
-def degree(fl: FactorList) -> int:
-    """Total degree of the product: every factor is homogeneous of degree 1."""
-    return fl.degree
-
-
 def validate_fixes(fixes, k) -> frozenset[int]:
     out = sorted(set(fixes))
     if len(out) != len(list(fixes)):

@@ -23,7 +23,7 @@ from nullseq.engine import (
     naive_expand,
     save_checkpoint,
 )
-from nullseq.factors import build_p, build_q, degree
+from nullseq.factors import build_p, build_q
 from nullseq.groups import enumerate_types
 from nullseq.oracle import scan_group, verify_nonvanishing_conclusion
 from nullseq.quotient import (
@@ -136,7 +136,7 @@ def test_criterion_5_degree_formulas():
                 assert bounding_degree(lam) == sum(v * (v - 1) for v in lam)
                 for a in enumerate_arrangements(lam):
                     qs = QuotientSequencing(a, t)
-                    assert degree(build_p(qs)) == induced_degree(lam, qs.b), (
+                    assert build_p(qs).degree == induced_degree(lam, qs.b), (
                         lam,
                         a,
                     )

@@ -272,6 +272,20 @@ class TestCertifyType:
         assert cp.k == 4
         assert cp.factor_index == 2
 
+    def test_missing_checkpoint_dir_is_created(self, tmp_path):
+        directory = tmp_path / "new"
+        config = CaseConfig(
+            term_cap=2,
+            checkpoint_dir=str(directory),
+            qs_limit=1,
+            max_candidates=1,
+            use_greedy_fixes=False,
+        )
+        res = certify_type((4, 0), 2, config)
+        assert [a.outcome for a in res.attempts] == ["aborted"]
+        (path,) = directory.glob("ckpt_*.bin")
+        assert load_checkpoint(path).k == 4
+
 
 class TestTransfer:
     def test_relabels_only(self):

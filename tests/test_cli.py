@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -6,8 +7,9 @@ import sys
 
 import pytest
 
-from nullseq.certify import assemble_case
+from nullseq.certify import CaseConfig, assemble_case
 from nullseq.cli import main, resolve_settings, build_parser
+from nullseq.engine import load_checkpoint
 from nullseq.reports import case_from_records, loads_record, parse_exponents
 
 
@@ -225,6 +227,17 @@ class TestTable1:
         code, _, err = run_cli(["table1", "--name", "nope"])
         assert code == 2 and "unknown fixture" in err
 
+    def test_abort_writes_checkpoint(self, tmp_path):
+        code, recs, _ = run_cli(
+            ["table1", "--name", "5-5-b", "--term-cap", "50",
+             "--checkpoint-dir", str(tmp_path)]
+        )
+        assert code == 1
+        rec = recs[0]
+        assert rec["outcome"] == "aborted" and "coefficient" not in rec
+        assert rec["checkpoint"].startswith(str(tmp_path))
+        assert load_checkpoint(rec["checkpoint"]).k == rec["k"]
+
 
 class TestUsageAndSettings:
     def test_no_subcommand(self):
@@ -298,6 +311,25 @@ class TestUsageAndSettings:
             ["scan", "--n", "9", "--k", "3", "--workers", "0"]
         )
         assert code == 2
+
+    def test_workers_is_a_scan_flag(self):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["prove", "--k", "4", "--t", "2", "--workers", "2"])
+        assert info.value.code == 2
+        code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3", "--workers", "2"])
+        assert code == 0 and recs[0]["scanned"] == 10
+
+    def test_defaults_are_case_config_defaults(self, monkeypatch):
+        monkeypatch.delenv("NULLSEQ_WORKERS", raising=False)
+        monkeypatch.delenv("NULLSEQ_CHECKPOINT_DIR", raising=False)
+        settings = resolve_settings(
+            build_parser().parse_args(["prove", "--k", "4", "--t", "2"])
+        )
+        assert settings.pop("workers") == 1
+        assert set(settings) == {
+            f.name for f in dataclasses.fields(CaseConfig)
+        } - {"use_greedy_fixes", "overrides"}
+        assert CaseConfig(**settings) == CaseConfig()
 
 
 class TestModuleEntrypoint:

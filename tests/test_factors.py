@@ -14,7 +14,6 @@ from nullseq.factors import (
     build_p,
     build_q,
     choose_fixes,
-    degree,
     fix_counts,
     validate_fixes,
 )
@@ -36,7 +35,7 @@ class TestBuild:
         assert fl.labels() == (
             "x3-x1", "x4-x1", "x5-x2", "x2+x3+x4+x5", "x4-x3", "x3+x4",
         )
-        assert degree(fl) == 6
+        assert fl.degree == 6
         assert fl.variant == FULL and fl.fixed == frozenset()
 
     def test_reduced_drops_gap_two_windows(self):
@@ -55,7 +54,7 @@ class TestBuild:
             "x7-x3", "x3+x4+x5+x6+x7",
             "x5-x4", "x4+x5", "x6-x4", "x4+x5+x6", "x6-x5", "x5+x6",
         )
-        assert degree(fl) == 17
+        assert fl.degree == 17
 
     def test_reduced_is_sublist(self):
         rng = random.Random(11)
@@ -97,7 +96,7 @@ class TestDegreeFormulas:
                     continue
                 for a in enumerate_arrangements(lam):
                     qs = validate_quotient(a, lam)
-                    assert induced_degree(lam, qs.b) == degree(build_p(qs))
+                    assert induced_degree(lam, qs.b) == build_p(qs).degree
 
     def test_bounding_monomial_sums_to_bounding_degree(self):
         rng = random.Random(5)
@@ -136,7 +135,7 @@ class TestFixes:
     def test_worked_fixing(self):
         fl = apply_fixes(build_p(QS52), (3, 6))
         assert fl.fixed == frozenset({3, 6})
-        assert degree(fl) == 12
+        assert fl.degree == 12
         assert fl == build_p(QS52, (3, 6))
         # differences touching positions 3 or 6 are gone
         for f in fl.factors:
@@ -193,7 +192,7 @@ class TestGreedy:
             gamma = bounding_monomial(lam, qs, fixes)
             if fixes:
                 # every accepted fix preserves the degree condition
-                assert degree(fixed) <= sum(gamma)
+                assert fixed.degree <= sum(gamma)
             else:
                 # nothing accepted: the unfixed list is returned unchanged
                 assert fixed is fl
