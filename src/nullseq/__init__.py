@@ -81,7 +81,6 @@ from .oracle import (
     verify_nonvanishing_conclusion,
 )
 from .quotient import (
-    NotQuotientSequencing,
     QuotientSequencing,
     search_quotient,
     validate_quotient,
@@ -104,7 +103,6 @@ __all__ = [
     "GroupConfig",
     "InfeasibleFixing",
     "LINEAR",
-    "NotQuotientSequencing",
     "OpCapExceeded",
     "QuotientSequencing",
     "REDUCED",

@@ -124,16 +124,6 @@ WORKED = (WORKED_3_2, WORKED_5_2_FIXED)
 ALL_FIXTURES = TABLE1 + PRIME11 + PRIME12 + WORKED
 
 
-def fixtures(tier: str | None = None, t: int | None = None) -> tuple[CoefficientFixture, ...]:
-    """All fixtures, optionally filtered by tier and/or quotient order t."""
-    out = ALL_FIXTURES
-    if tier is not None:
-        out = tuple(f for f in out if f.tier == tier)
-    if t is not None:
-        out = tuple(f for f in out if f.t == t)
-    return out
-
-
 def by_name(name: str) -> CoefficientFixture:
     for f in ALL_FIXTURES:
         if f.name == name:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import sympy
 
@@ -32,7 +32,7 @@ from .factors import (
     build_q,
     choose_fixes,
 )
-from .groups import canonical_type, enumerate_types, type_orbit
+from .groups import canonical_type, enumerate_types, rescale_type, type_orbit
 from .quotient import QuotientSequencing, search_quotient, validate_quotient
 
 
@@ -259,15 +259,6 @@ class CaseReport:
 
 
 @dataclass(frozen=True)
-class CaseOverride:
-    """Manual control for one type: pin the arrangement, fixes or monomials."""
-
-    a: tuple[int, ...] | None = None
-    fixes: tuple[int, ...] | None = None
-    monomials: tuple[tuple[int, ...], ...] | None = None
-
-
-@dataclass(frozen=True)
 class CaseConfig:
     qs_limit: int = 8
     qs_budget: int = 10**6
@@ -279,7 +270,6 @@ class CaseConfig:
     variant: str = FULL
     use_greedy_fixes: bool = True
     checkpoint_dir: str | None = None
-    overrides: dict = field(default_factory=dict)
 
 
 def candidate_monomials(bound, degree: int, limit: int):
@@ -367,7 +357,7 @@ def compute_coefficient(
     return CoefficientResult(poly.coefficient(monomial), poly.num_terms())
 
 
-def _attempt(lam, qs, fixes, monomials, config, attempts, t):
+def _attempt(lam, qs, fixes, config, attempts, t):
     """Try one (arrangement, fixes) pair; return a Certificate or None."""
     k = qs.k
     build = build_p if config.variant == FULL else build_q
@@ -401,10 +391,8 @@ def _attempt(lam, qs, fixes, monomials, config, attempts, t):
             )
         )
         return None
-    if monomials is None:
-        monomials = candidate_monomials(bound, fl.degree, config.max_candidates)
     entries: list[CertificateEntry] = []
-    for mono in monomials:
+    for mono in candidate_monomials(bound, fl.degree, config.max_candidates):
         result = compute_coefficient(qs, fl, bound, mono, config)
         if result.coefficient is None:
             note = result.note
@@ -459,30 +447,23 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     attempts: list[AttemptRecord] = []
     best: Certificate | None = None
 
-    override: CaseOverride | None = config.overrides.get(lam)
-    if override is not None and override.a is not None:
-        ranked = [validate_quotient(override.a, lam)]
-    else:
-        ranked = [
-            s.qs
-            for s in search_quotient(
-                lam, "min-degree", limit=config.qs_limit,
-                budget=config.qs_budget, seed=config.seed,
-            ).candidates
-        ]
+    ranked = [
+        s.qs
+        for s in search_quotient(
+            lam, "min-degree", limit=config.qs_limit,
+            budget=config.qs_budget, seed=config.seed,
+        ).candidates
+    ]
 
     for qs in ranked:
         build = build_p if config.variant == FULL else build_q
-        if override is not None and override.fixes is not None:
-            fix_plans = [tuple(override.fixes)]
-        elif config.use_greedy_fixes:
+        if config.use_greedy_fixes:
             greedy = tuple(sorted(choose_fixes(build(qs), lam, qs)))
             fix_plans = [greedy, ()] if greedy else [()]
         else:
             fix_plans = [()]
-        monos = override.monomials if override is not None else None
         for fixes in fix_plans:
-            cert = _attempt(lam, qs, fixes, monos, config, attempts, t)
+            cert = _attempt(lam, qs, fixes, config, attempts, t)
             if cert is not None:
                 if not cert.exceptional:
                     return TypeResult(
@@ -507,14 +488,6 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     )
 
 
-def _rescale_type(lam, u: int) -> tuple[int, ...]:
-    t = len(lam)
-    out = [0] * t
-    for v, c in enumerate(lam):
-        out[(u * v) % t] = c
-    return tuple(out)
-
-
 def transfer_certificate(cert: Certificate, u: int) -> Certificate:
     """Certificate for the unit-rescaled type u * lam.
 
@@ -527,7 +500,7 @@ def transfer_certificate(cert: Certificate, u: int) -> Certificate:
         raise ValueError(f"{u} is not a unit modulo {cert.t}")
     return replace(
         cert,
-        lam=_rescale_type(cert.lam, u),
+        lam=rescale_type(cert.lam, u),
         a=tuple((u * v) % cert.t for v in cert.a),
     )
 
@@ -559,7 +532,7 @@ def assemble_case(k: int, t: int, config: CaseConfig | None = None) -> CaseRepor
         unit = next(
             u
             for u in range(1, t)
-            if math.gcd(u, t) == 1 and _rescale_type(rep, u) == lam
+            if math.gcd(u, t) == 1 and rescale_type(rep, u) == lam
         )
         results.append(
             TypeResult(

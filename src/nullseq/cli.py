@@ -44,19 +44,16 @@ from .engine import load_checkpoint
 from .factors import (
     FULL,
     REDUCED,
-    InfeasibleFixing,
     bounding_monomial,
     build_p,
     build_q,
 )
-from .groups import SymbolicArithmeticError
 from .oracle import (
     AUTO,
-    InfeasibleVerification,
     scan_group,
     verify_nonvanishing_conclusion,
 )
-from .quotient import NotQuotientSequencing, search_quotient, validate_quotient
+from .quotient import search_quotient, validate_quotient
 
 _CONFIG_KEYS = {
     "workers": int,
@@ -143,22 +140,17 @@ def _parse_vector(text: str, name: str) -> tuple[int, ...]:
         raise UsageError(f"--{name} must be comma-separated integers: {text!r}") from exc
 
 
-def _writer(args):
+def _emit(records, args) -> None:
+    """Write records (any iterable, consumed lazily) to --output or stdout."""
     path = getattr(args, "output", None)
     if path and path != "-":
-        return open(path, "w", encoding="utf-8"), True
-    return sys.stdout, False
-
-
-def _emit(records, args) -> None:
-    stream, close = _writer(args)
-    try:
-        reports.write_records(records, stream)
-    finally:
-        if close:
-            stream.close()
-        else:
-            stream.flush()
+        with open(path, "w", encoding="utf-8") as stream:
+            reports.write_records(records, stream)
+    else:
+        try:
+            reports.write_records(records, sys.stdout)
+        finally:
+            sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +327,9 @@ def _cmd_table1(args) -> int:
         }[args.tier]
         targets = tuple(f for f in pool if f.tier in tiers)
     failures = 0
-    stream, close = _writer(args)
-    try:
+
+    def rows():
+        nonlocal failures
         for fx in targets:
             qs = validate_quotient(fx.a, fx.lam)
             fl = build_p(qs, fx.fixes)
@@ -355,12 +348,9 @@ def _cmd_table1(args) -> int:
                     match=result.coefficient == fx.coefficient,
                 )
             failures += result.coefficient != fx.coefficient
-            reports.write_records([record], stream)
-    finally:
-        if close:
-            stream.close()
-        else:
-            stream.flush()
+            yield record
+
+    _emit(rows(), args)
     return 0 if failures == 0 else 1
 
 
@@ -479,16 +469,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"nullseq: error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        NotQuotientSequencing,
-        InfeasibleFixing,
-        InfeasibleVerification,
-        SymbolicArithmeticError,
-        ValueError,
-    ) as exc:
+    except (UsageError, ValueError) as exc:
+        # bad input: InfeasibleFixing, InfeasibleVerification and a rejected
+        # checkpoint are ValueErrors too
         print(f"nullseq: error: {exc}", file=sys.stderr)
         return 2
 

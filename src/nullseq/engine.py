@@ -25,12 +25,15 @@ provided as an independent cross-check for small instances.
 
 from __future__ import annotations
 
+import hashlib
+import os
 import struct
 from dataclasses import dataclass, field
 
 from .factors import FactorList
 
-CHECKPOINT_MAGIC = b"NSEQCKP1"
+CHECKPOINT_MAGIC = b"NSEQCKP2"
+_OLD_MAGIC = b"NSEQCKP1"  # before plan_hash; refused on load
 
 
 def pack(exponents) -> int:
@@ -73,11 +76,16 @@ class SparsePolynomial:
 
 @dataclass
 class EngineCheckpoint:
-    """Resumable state: the accumulated terms before factor factor_index."""
+    """Resumable state: the accumulated terms before factor factor_index.
+
+    plan_hash identifies the computation (k and the per-factor plan: factor
+    terms, exponent caps, target thresholds); a resume must match it.
+    """
 
     k: int
     factor_index: int
     terms: dict[int, int] = field(repr=False)
+    plan_hash: bytes = b""
 
 
 class EngineAbort(RuntimeError):
@@ -95,32 +103,66 @@ class OpCapExceeded(EngineAbort):
 
 
 def save_checkpoint(path, cp: EngineCheckpoint) -> None:
-    """Binary, deterministic (keys sorted), round-trips bit-exactly."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<BIQ", cp.k, cp.factor_index, len(cp.terms)))
-        for key in sorted(cp.terms):
-            coef = cp.terms[key]
-            mag = abs(coef)
-            mb = mag.to_bytes(max(1, (mag.bit_length() + 7) // 8), "little")
-            fh.write(key.to_bytes(cp.k, "little"))
-            fh.write(struct.pack("<BI", 1 if coef < 0 else 0, len(mb)))
-            fh.write(mb)
+    """Binary, deterministic (keys sorted), round-trips bit-exactly.
+
+    The file is written next to path and renamed into place, so a crash
+    leaves either the old file or the complete new one.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<BIQB", cp.k, cp.factor_index, len(cp.terms),
+                                 len(cp.plan_hash)))
+            fh.write(cp.plan_hash)
+            for key in sorted(cp.terms):
+                coef = cp.terms[key]
+                mag = abs(coef)
+                mb = mag.to_bytes(max(1, (mag.bit_length() + 7) // 8), "little")
+                fh.write(key.to_bytes(cp.k, "little"))
+                fh.write(struct.pack("<BI", 1 if coef < 0 else 0, len(mb)))
+                fh.write(mb)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> EngineCheckpoint:
+    """Read a checkpoint; a wrong magic, a short read or trailing bytes raise ValueError."""
     with open(path, "rb") as fh:
+
+        def read(n: int) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path} is truncated")
+            return data
+
         magic = fh.read(len(CHECKPOINT_MAGIC))
+        if magic == _OLD_MAGIC:
+            raise ValueError(
+                f"{path} is a {magic.decode()} checkpoint, which does not record "
+                f"the computation it belongs to; recompute it"
+            )
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not an engine checkpoint")
-        k, factor_index, count = struct.unpack("<BIQ", fh.read(13))
+        k, factor_index, count, hash_len = struct.unpack("<BIQB", read(14))
+        plan_hash = read(hash_len)
         terms: dict[int, int] = {}
         for _ in range(count):
-            key = int.from_bytes(fh.read(k), "little")
-            neg, mlen = struct.unpack("<BI", fh.read(5))
-            mag = int.from_bytes(fh.read(mlen), "little")
+            key = int.from_bytes(read(k), "little")
+            neg, mlen = struct.unpack("<BI", read(5))
+            mag = int.from_bytes(read(mlen), "little")
             terms[key] = -mag if neg else mag
-        return EngineCheckpoint(k, factor_index, terms)
+        if fh.read(1):
+            raise ValueError(f"{path} has trailing bytes after {count} terms")
+        return EngineCheckpoint(k, factor_index, terms, plan_hash)
+
+
+def _plan_hash(k: int, plans) -> bytes:
+    """Digest of what the engine multiplies; computed only for checkpoints."""
+    return hashlib.sha256(repr((k, plans)).encode()).digest()
 
 
 def _factor_plan(fl: FactorList, bound, target):
@@ -199,12 +241,12 @@ def _run_factors(plans, terms, start, k, use_target, term_cap, op_cap, on_step):
         if term_cap is not None and len(new) > term_cap:
             raise TermCapExceeded(
                 f"term count {len(new)} exceeds cap {term_cap} at factor {f}",
-                EngineCheckpoint(k, f, terms),
+                EngineCheckpoint(k, f, terms, _plan_hash(k, plans)),
             )
         if op_cap is not None and ops > op_cap:
             raise OpCapExceeded(
                 f"operation budget {op_cap} exhausted at factor {f}",
-                EngineCheckpoint(k, f + 1, new),
+                EngineCheckpoint(k, f + 1, new, _plan_hash(k, plans)),
             )
         terms = new
         if on_step is not None:
@@ -232,7 +274,8 @@ def multiply_factors(
     called after each.  Exceeding term_cap or op_cap raises TermCapExceeded /
     OpCapExceeded carrying a resumable checkpoint for this factor list (pass
     it back via resume); the checkpoint holds the engine's term dict itself,
-    not a copy.
+    not a copy.  A resume is rejected unless the checkpoint's plan_hash
+    matches this call's k, factors, caps and target.
     """
     k = fl.k
     n = len(fl.factors)
@@ -259,18 +302,23 @@ def multiply_factors(
     if bound is None and target is None:
         bound = (255,) * k
 
+    plans = _factor_plan(fl, bound, target)
     if resume is not None:
         if resume.k != k:
             raise ValueError(f"checkpoint is for k={resume.k}, factor list has k={k}")
         start = resume.factor_index
         if not 0 <= start <= n:
             raise ValueError(f"checkpoint factor index {start} out of range 0 .. {n}")
+        if resume.plan_hash != _plan_hash(k, plans):
+            raise ValueError(
+                "checkpoint was saved from a different computation (factors, "
+                "bound or target monomial differ)"
+            )
         terms = dict(resume.terms)
     else:
         start = 0
         terms = {0: 1}
 
-    plans = _factor_plan(fl, bound, target)
     terms = _run_factors(
         plans, terms, start, k, target is not None, term_cap, op_cap, on_step
     )

@@ -1,10 +1,9 @@
 """Groups, orderings and partial sums for the sequenceability machinery.
 
 Everything downstream works either in a plain cyclic group Z_n or in a
-two-coordinate group Z_p x Z_t with p prime and gcd(p, t) = 1.  The second
-kind may be "symbolic": p left unspecified, standing for an arbitrary
-admissible prime.  Symbolic groups carry structure (t, coset bookkeeping)
-but refuse concrete arithmetic.
+two-coordinate group Z_p x Z_t with a concrete prime p and gcd(p, t) = 1.
+Statements for every admissible prime at once are made by certificates, not
+by a group object; types and their unit orbits depend on t alone.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from sympy import isprime
 
 LINEAR = "linear"
 ROTATIONAL = "rotational"
-
-
-class SymbolicArithmeticError(RuntimeError):
-    """Raised when concrete arithmetic is attempted with a symbolic prime."""
 
 
 @dataclass(frozen=True)
@@ -45,33 +40,21 @@ class Cyclic:
 
 @dataclass(frozen=True)
 class GroupConfig:
-    """Z_p x Z_t with p prime and coprime to t; elements are pairs (a, b).
+    """Z_p x Z_t with p prime and coprime to t; elements are pairs (a, b)."""
 
-    p=None marks a symbolic prime: the group then supports only structural
-    queries (t, types, cosets) and any concrete arithmetic raises
-    SymbolicArithmeticError.
-    """
-
-    p: int | None
+    p: int
     t: int
 
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("t must be positive")
-        if self.p is not None:
-            if not isprime(self.p):
-                raise ValueError(f"p={self.p} is not prime")
-            if math.gcd(self.p, self.t) != 1:
-                raise ValueError(f"p={self.p} and t={self.t} are not coprime")
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.p is None
+        if not isprime(self.p):
+            raise ValueError(f"p={self.p} is not prime")
+        if math.gcd(self.p, self.t) != 1:
+            raise ValueError(f"p={self.p} and t={self.t} are not coprime")
 
     @property
     def n(self) -> int:
-        if self.p is None:
-            raise SymbolicArithmeticError("order of a symbolic-prime group is undetermined")
         return self.p * self.t
 
     @property
@@ -79,13 +62,9 @@ class GroupConfig:
         return (0, 0)
 
     def add(self, a, b):
-        if self.p is None:
-            raise SymbolicArithmeticError("cannot add elements over a symbolic prime")
         return ((a[0] + b[0]) % self.p, (a[1] + b[1]) % self.t)
 
     def contains(self, el) -> bool:
-        if self.p is None:
-            raise SymbolicArithmeticError("membership is undetermined over a symbolic prime")
         return (
             isinstance(el, tuple)
             and len(el) == 2
@@ -180,20 +159,23 @@ def enumerate_types(k, t):
     return out
 
 
+def rescale_type(lam, u):
+    """The type of the subset whose second coordinates are multiplied by u."""
+    t = len(lam)
+    img = [0] * t
+    for v, c in enumerate(lam):
+        img[(u * v) % t] = c
+    return tuple(img)
+
+
 def type_orbit(lam):
     """All images of a type under rescaling the second coordinate by a unit of Z_t."""
     t = len(lam)
     if t == 1:
         return (tuple(lam),)
-    out = set()
-    for u in range(1, t):
-        if math.gcd(u, t) != 1:
-            continue
-        img = [0] * t
-        for v, c in enumerate(lam):
-            img[(u * v) % t] = c
-        out.add(tuple(img))
-    return tuple(sorted(out))
+    return tuple(
+        sorted({rescale_type(lam, u) for u in range(1, t) if math.gcd(u, t) == 1})
+    )
 
 
 def canonical_type(lam):

@@ -1,11 +1,10 @@
-"""Quotient sequencings: arrangements of second coordinates whose partial sums
-keep every residue's multiplicity within a bound.
+"""Quotient sequencings: arrangements of second coordinates and the degree
+bookkeeping of the partial sums they induce.
 
 An arrangement a = (a_1 .. a_k) over Z_t has partial sums b = (b_0 .. b_k)
-with b_0 = 0.  It is a quotient sequencing with respect to r when no value of
-Z_t occurs more than r times in b.  The pipeline uses r = p: subsets whose
-second coordinates arrange this way can have all their full partial sums
-distinct, because each residue class has at most p slots.
+with b_0 = 0.  No residue of Z_t can occur more than k + 1 times in b, so
+for every prime p > k each residue class of Z_p x Z_t has room for the full
+partial sums that land in it; max_multiplicity reports the largest count.
 """
 
 from __future__ import annotations
@@ -17,21 +16,12 @@ from dataclasses import dataclass, field
 from sympy.utilities.iterables import multiset_permutations
 
 
-class NotQuotientSequencing(ValueError):
-    """The multiplicity bound on partial sums is violated."""
-
-
 @dataclass(frozen=True)
 class QuotientSequencing:
-    """An arrangement of second coordinates together with its partial sums.
-
-    r is the multiplicity bound; r=None leaves it symbolic (any prime larger
-    than the arrangement length works, since b has k+1 entries).
-    """
+    """An arrangement of second coordinates together with its partial sums."""
 
     a: tuple[int, ...]
     t: int
-    r: int | None = None
     b: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
@@ -47,11 +37,6 @@ class QuotientSequencing:
             acc = (acc + v) % self.t
             b.append(acc)
         object.__setattr__(self, "b", tuple(b))
-        if self.r is not None and self.max_multiplicity > self.r:
-            raise NotQuotientSequencing(
-                f"some residue appears {self.max_multiplicity} times in the "
-                f"partial sums, exceeding the bound r={self.r}"
-            )
 
     @property
     def k(self) -> int:
@@ -68,14 +53,12 @@ class QuotientSequencing:
         return tuple(lam)
 
 
-def validate_quotient(a, lam, r=None) -> QuotientSequencing:
+def validate_quotient(a, lam) -> QuotientSequencing:
     """Build a QuotientSequencing for arrangement a of a type lam.
 
-    Raises ValueError when the multiset of a does not match lam, and
-    NotQuotientSequencing when the multiplicity bound fails.
+    Raises ValueError when the multiset of a does not match lam.
     """
-    t = len(lam)
-    qs = QuotientSequencing(tuple(a), t, r)
+    qs = QuotientSequencing(tuple(a), len(lam))
     if qs.type_vector() != tuple(lam):
         raise ValueError(f"arrangement {a} is not an arrangement of type {tuple(lam)}")
     return qs

@@ -13,9 +13,10 @@ Shared text formats:
   present, ``^1`` omitted, and the unit values rendered ``+1`` / ``-1``;
 * point sets in Z_p x Z_t: ``x:v`` pairs, comma-separated.
 
-Each ``*_record`` builder has a matching ``*_from_record`` parser; parsing
-re-runs the dataclass validators, so a round-trip reproduces (and
-re-checks) the in-memory object.
+Certificate and case records parse back (``certificate_from_record``,
+``case_from_records``), and parsing re-runs the certificate validators, so a
+tampered record is rejected rather than trusted.  The other record kinds are
+write-only.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ import json
 import re
 from typing import IO, Iterable, Iterator
 
-from .applicability import (
-    DEFAULT_TABLE,
-    ApplicabilityResult,
-    SplitEvaluation,
-)
+from .applicability import ApplicabilityResult
 from .certify import (
     AttemptRecord,
     CaseReport,
@@ -62,17 +59,6 @@ def parse_exponents(text: str) -> tuple[int, ...]:
 
 def format_points(points: Iterable[tuple[int, int]]) -> str:
     return ",".join(f"{x}:{v}" for x, v in points)
-
-
-def parse_points(text: str) -> tuple[tuple[int, int], ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    out = []
-    for part in text.split(","):
-        x, _, v = part.partition(":")
-        out.append((int(x), int(v)))
-    return tuple(out)
 
 
 def format_factorization(f: Factorization) -> str:
@@ -113,10 +99,6 @@ def _tri(state: bool | None) -> str:
     if state is None:
         return "unknown"
     return "true" if state else "false"
-
-
-def _parse_tri(text: str) -> bool | None:
-    return {"true": True, "false": False, "unknown": None}[text]
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +175,16 @@ def _get_attempts(record: dict) -> tuple[AttemptRecord, ...]:
     return tuple(out)
 
 
+def _put_type_tail(record, attempts, orbit, derived_from) -> None:
+    """The orbit / derived_from / attempts fields every per-type record ends with."""
+    if orbit:
+        record["orbit"] = ";".join(format_exponents(lam) for lam in orbit)
+    if derived_from is not None:
+        record["derived_from"] = format_exponents(derived_from)
+    if attempts:
+        _put_attempts(record, attempts)
+
+
 def certificate_record(
     cert: Certificate,
     *,
@@ -218,12 +210,7 @@ def certificate_record(
         record[f"entry{i}_monomial"] = format_exponents(entry.monomial)
         record[f"entry{i}_coefficient"] = str(entry.coefficient)
         record[f"entry{i}_factorization"] = format_factorization(entry.factorization)
-    if orbit:
-        record["orbit"] = ";".join(format_exponents(lam) for lam in orbit)
-    if derived_from is not None:
-        record["derived_from"] = format_exponents(derived_from)
-    if attempts:
-        _put_attempts(record, attempts)
+    _put_type_tail(record, attempts, orbit, derived_from)
     return record
 
 
@@ -267,12 +254,7 @@ def unresolved_record(
         lam=format_exponents(unresolved.lam),
         reason=unresolved.reason,
     )
-    if orbit:
-        record["orbit"] = ";".join(format_exponents(lam) for lam in orbit)
-    if derived_from is not None:
-        record["derived_from"] = format_exponents(derived_from)
-    if attempts:
-        _put_attempts(record, attempts)
+    _put_type_tail(record, attempts, orbit, derived_from)
     return record
 
 
@@ -449,23 +431,6 @@ def scan_record(report: ScanReport, *, elapsed: float | None = None) -> dict:
     return record
 
 
-def scan_from_record(record: dict) -> ScanReport:
-    seed = record["seed"]
-    return ScanReport(
-        n=record["n"],
-        k=record["k"],
-        kind=record["scan_kind"],
-        scanned=record["scanned"],
-        sequenceable=record["sequenceable"],
-        failures=tuple(
-            parse_exponents(record[f"failure{i}"]) for i in range(record["failures"])
-        ),
-        reduced=record["reduced"],
-        sampled=record["sampled"],
-        seed=int(seed) if seed != "" else None,
-    )
-
-
 def verification_record(
     report: VerificationReport, *, elapsed: float | None = None
 ) -> dict:
@@ -482,19 +447,6 @@ def verification_record(
     for i, subset in enumerate(report.failures):
         record[f"failure{i}"] = format_points(subset)
     return record
-
-
-def verification_from_record(record: dict) -> VerificationReport:
-    return VerificationReport(
-        p=record["p"],
-        t=record["t"],
-        lam=parse_exponents(record["lam"]),
-        a=parse_exponents(record["a"]),
-        subsets_checked=record["subsets_checked"],
-        failures=tuple(
-            parse_points(record[f"failure{i}"]) for i in range(record["failures"])
-        ),
-    )
 
 
 def applicability_record(
@@ -518,32 +470,3 @@ def applicability_record(
         record[f"split{i}_lam0"] = "" if split.lam0 is None else str(split.lam0)
         record[f"split{i}_verdict"] = split.verdict
     return record
-
-
-def applicability_from_record(record: dict, table=DEFAULT_TABLE) -> ApplicabilityResult:
-    k = record["k"]
-    splits = []
-    for i in range(record["splits"]):
-        t = record[f"split{i}_t"]
-        row = next(row for row in table if row.matches(k, t))
-        lam0 = record[f"split{i}_lam0"]
-        splits.append(
-            SplitEvaluation(
-                t=t,
-                m=int(record[f"split{i}_m"]),
-                row=row,
-                prime_ok=_parse_tri(record[f"split{i}_prime_ok"]),
-                caveat=record[f"split{i}_caveat"],
-                caveat_ok=_parse_tri(record[f"split{i}_caveat_ok"]),
-                lam0=int(lam0) if lam0 != "" else None,
-            )
-        )
-    subset = record["subset"]
-    return ApplicabilityResult(
-        n=int(record["n"]),
-        k=k,
-        verdict=record["verdict"],
-        unconditional=record["unconditional"],
-        splits=tuple(splits),
-        subset=parse_exponents(subset) if subset else None,
-    )

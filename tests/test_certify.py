@@ -6,7 +6,6 @@ import sympy
 
 from nullseq.certify import (
     CaseConfig,
-    CaseOverride,
     Certificate,
     CertificateEntry,
     Factorization,
@@ -231,21 +230,6 @@ class TestCertifyType:
         outcomes = {a.outcome for a in res.attempts}
         assert "skipped-degree" in outcomes
         assert outcomes <= {"skipped-degree", "infeasible"}
-
-    def test_override_pins_everything(self):
-        config = CaseConfig(
-            overrides={
-                (3, 2): CaseOverride(
-                    a=(0, 1, 0, 0, 1), fixes=(), monomials=((2, 0, 2, 1, 1),)
-                )
-            }
-        )
-        res = certify_type((3, 2), 2, config)
-        cert = res.certificate
-        assert cert.a == (0, 1, 0, 0, 1)
-        assert cert.fixes == ()
-        assert cert.entries[0].monomial == (2, 0, 2, 1, 1)
-        assert cert.entries[0].coefficient == -1
 
     def test_greedy_dead_end_recovers_without_fixes(self):
         # the greedy fixing on this type leads to a zero coefficient; the

@@ -79,6 +79,24 @@ class TestCoeff:
         assert recs2[0]["coefficient"] == direct_recs[0]["coefficient"]
         assert recs2[0]["monomial"] == direct_recs[0]["monomial"]
 
+    def test_resume_rejects_a_different_computation(self, tmp_path):
+        # the 4-6-a checkpoint must not be continued toward 4-6-b's monomial
+        base = ["coeff", "--k", "10", "--t", "2", "--lambda", "4,6",
+                "--a", "0,1,0,1,1,1,1,0,1,0"]
+        own = ["--monomial", "2,5,3,5,5,5,5,3,5,3"]
+        code, recs, _ = run_cli(
+            base + own + ["--op-cap", "20000", "--checkpoint-dir", str(tmp_path)]
+        )
+        assert code == 1 and recs[0]["outcome"] == "aborted"
+        ckpt = recs[0]["checkpoint"]
+        code, recs, err = run_cli(
+            base + ["--monomial", "3,4,3,5,5,5,5,3,5,3", "--resume", ckpt]
+        )
+        assert code == 2 and not recs
+        assert "different computation" in err
+        code, recs, _ = run_cli(base + own + ["--resume", ckpt])
+        assert code == 0 and recs[0]["coefficient"] == "3120"
+
     def test_bad_resume_path(self, tmp_path):
         code, _, err = run_cli(
             ["coeff", "--k", "4", "--resume", str(tmp_path / "missing.bin")]
@@ -328,7 +346,7 @@ class TestUsageAndSettings:
         assert settings.pop("workers") == 1
         assert set(settings) == {
             f.name for f in dataclasses.fields(CaseConfig)
-        } - {"use_greedy_fixes", "overrides"}
+        } - {"use_greedy_fixes"}
         assert CaseConfig(**settings) == CaseConfig()
 
 

@@ -175,6 +175,26 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        fx = by_name("6-4")
+        qs = validate_quotient(fx.a, fx.lam)
+        fl = build_p(qs)
+        with pytest.raises(TermCapExceeded) as info:
+            multiply_factors(fl, bound=bounding_monomial(fx.lam, qs),
+                             target=fx.monomial, term_cap=50)
+        path = tmp_path / "full.bin"
+        save_checkpoint(path, info.value.checkpoint)
+        data = path.read_bytes()
+        for cut in (data[:20], data[:-1]):
+            short = tmp_path / "short.bin"
+            short.write_bytes(cut)
+            with pytest.raises(ValueError, match="truncated"):
+                load_checkpoint(short)
+        longer = tmp_path / "long.bin"
+        longer.write_bytes(data + b"\0")
+        with pytest.raises(ValueError, match="trailing"):
+            load_checkpoint(longer)
+
     def test_term_cap_abort_and_resume(self):
         fx = by_name("6-4")
         qs = validate_quotient(fx.a, fx.lam)

@@ -7,7 +7,6 @@ from nullseq.groups import (
     ROTATIONAL,
     Cyclic,
     GroupConfig,
-    SymbolicArithmeticError,
     canonical_type,
     classify_sequencing,
     enumerate_types,
@@ -40,7 +39,6 @@ class TestGroupConfig:
         assert g.zero == (0, 0)
         assert g.add((4, 1), (3, 1)) == (2, 0)
         assert g.contains((4, 1)) and not g.contains((5, 0)) and not g.contains((1, 2))
-        assert not g.is_symbolic
 
     def test_p_must_be_prime(self):
         with pytest.raises(ValueError):
@@ -53,16 +51,6 @@ class TestGroupConfig:
     def test_t_positive(self):
         with pytest.raises(ValueError):
             GroupConfig(5, 0)
-
-    def test_symbolic_structure_only(self):
-        g = GroupConfig(None, 3)
-        assert g.is_symbolic
-        with pytest.raises(SymbolicArithmeticError):
-            g.add((0, 1), (0, 2))
-        with pytest.raises(SymbolicArithmeticError):
-            g.contains((0, 1))
-        with pytest.raises(SymbolicArithmeticError):
-            g.n
 
 
 class TestValidateSubset:

@@ -6,7 +6,6 @@ import pytest
 
 from nullseq.groups import enumerate_types
 from nullseq.quotient import (
-    NotQuotientSequencing,
     QuotientSequencing,
     arrangement_count,
     bounding_degree,
@@ -26,11 +25,6 @@ class TestQuotientSequencing:
         assert qs.max_multiplicity == 3
         assert qs.type_vector() == (3, 2)
 
-    def test_multiplicity_bound(self):
-        QuotientSequencing((0, 1, 0, 0, 1), 2, r=3)
-        with pytest.raises(NotQuotientSequencing):
-            QuotientSequencing((0, 1, 0, 0, 1), 2, r=2)
-
     def test_entry_range(self):
         with pytest.raises(ValueError):
             QuotientSequencing((0, 2), 2)
@@ -38,10 +32,6 @@ class TestQuotientSequencing:
     def test_validate_quotient_type_mismatch(self):
         with pytest.raises(ValueError):
             validate_quotient((0, 1, 0, 0, 1), (2, 3))
-
-    def test_symbolic_r_always_passes(self):
-        # r=None leaves the bound symbolic; any arrangement is accepted
-        QuotientSequencing((0,) * 9, 1)
 
 
 class TestCountingFormulas:

@@ -13,11 +13,15 @@ from nullseq.certify import (
     certify_type,
     factorize,
 )
-from nullseq.oracle import scan_group, verify_nonvanishing_conclusion
+from nullseq.oracle import (
+    ScanReport,
+    VerificationReport,
+    scan_group,
+    verify_nonvanishing_conclusion,
+)
 from nullseq.quotient import search_quotient
 from nullseq.reports import (
     ENGINE_VERSION,
-    applicability_from_record,
     applicability_record,
     case_from_records,
     case_records,
@@ -31,13 +35,10 @@ from nullseq.reports import (
     loads_record,
     parse_exponents,
     parse_factorization,
-    parse_points,
     quotient_record,
     read_records,
-    scan_from_record,
     scan_record,
     unresolved_record,
-    verification_from_record,
     verification_record,
     write_records,
 )
@@ -51,9 +52,9 @@ class TestScalarFormats:
         assert format_exponents((1, 2)) == "1,2"
 
     def test_points_round_trip(self):
-        for pts in [(), ((1, 0),), ((3, 1), (0, 2))]:
-            assert parse_points(format_points(pts)) == pts
-        assert format_points(((3, 1),)) == "3:1"
+        assert format_points(()) == ""
+        assert format_points(((1, 0),)) == "1:0"
+        assert format_points(((3, 1), (0, 2))) == "3:1,0:2"
 
     def test_factorization_formatting(self):
         cases = {
@@ -230,14 +231,41 @@ class TestScanVerificationApplicability:
             scan_group(9, 3),
             scan_group(25, 6, count=10, seed=4),
             scan_group(8, 3, reduce=False),
+            ScanReport(8, 4, "linear", 5, 3, ((1, 2, 3, 4), (1, 3, 5, 7)),
+                       True, False, None),
         ]:
-            assert scan_from_record(scan_record(report)) == report
+            rec = scan_record(report)
+            assert rec["kind"] == "scan"
+            assert (rec["n"], rec["k"], rec["scan_kind"]) == (
+                report.n, report.k, report.kind
+            )
+            assert (rec["scanned"], rec["sequenceable"]) == (
+                report.scanned, report.sequenceable
+            )
+            assert (rec["reduced"], rec["sampled"]) == (report.reduced, report.sampled)
+            assert rec["seed"] == ("" if report.seed is None else str(report.seed))
+            assert rec["all_sequenceable"] is report.all_sequenceable
+            assert rec["failures"] == len(report.failures)
+            for i, subset in enumerate(report.failures):
+                assert rec[f"failure{i}"] == format_exponents(subset)
+            assert f"failure{len(report.failures)}" not in rec
+            json.loads(dumps_record(rec))
+        assert rec["failure1"] == "1,3,5,7"
 
     def test_verification_round_trip(self):
         report = verify_nonvanishing_conclusion(5, 2, (3, 2), (0, 1, 0, 0, 1))
         rec = verification_record(report)
-        assert rec["ok"] is True
-        assert verification_from_record(rec) == report
+        assert rec["kind"] == "verification"
+        assert (rec["p"], rec["t"], rec["lam"], rec["a"]) == (5, 2, "3,2", "0,1,0,0,1")
+        assert rec["subsets_checked"] == report.subsets_checked > 0
+        assert rec["ok"] is True and rec["failures"] == 0
+        assert not any(key.startswith("failure0") for key in rec)
+        failed = VerificationReport(
+            5, 2, (3, 2), (0, 1, 0, 0, 1), 7, (((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)),)
+        )
+        rec = verification_record(failed)
+        assert rec["ok"] is False and rec["failures"] == 1
+        assert rec["failure0"] == "1:0,2:0,3:0,1:1,2:1"
 
     def test_applicability_round_trip(self):
         import math
@@ -246,6 +274,7 @@ class TestScanVerificationApplicability:
 
         p10 = sympy.nextprime(math.factorial(10) // 2)
         q13 = sympy.nextprime(math.factorial(13) // 2)
+        tri = {True: "true", False: "false", None: "unknown"}
         for res in [
             applicability(100, 5),
             applicability(2 * p10, 10),
@@ -254,8 +283,25 @@ class TestScanVerificationApplicability:
             applicability(2 * q13, 13, subset=tuple(range(2, 26, 2))[:12] + (3,)),
         ]:
             rec = applicability_record(res)
-            assert isinstance(rec["n"], str)
-            assert applicability_from_record(rec) == res
+            assert rec["kind"] == "applicability"
+            assert rec["n"] == str(res.n) and rec["k"] == res.k
+            assert rec["verdict"] == res.verdict
+            assert rec["unconditional"] is res.unconditional
+            assert rec["subset"] == (
+                "" if res.subset is None else format_exponents(res.subset)
+            )
+            assert rec["splits"] == len(res.splits)
+            for i, split in enumerate(res.splits):
+                assert rec[f"split{i}_t"] == split.t
+                assert rec[f"split{i}_m"] == str(split.m)
+                assert rec[f"split{i}_prime_ok"] == tri[split.prime_ok]
+                assert rec[f"split{i}_caveat"] == split.caveat
+                assert rec[f"split{i}_caveat_ok"] == tri[split.caveat_ok]
+                assert rec[f"split{i}_lam0"] == (
+                    "" if split.lam0 is None else str(split.lam0)
+                )
+                assert rec[f"split{i}_verdict"] == split.verdict
+            assert f"split{len(res.splits)}_t" not in rec
             json.loads(dumps_record(rec))
 
 
