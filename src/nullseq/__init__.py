@@ -27,111 +27,9 @@ Layers, bottom up:
 * :mod:`nullseq.reports` / :mod:`nullseq.cli` — serialized records and
   the command-line frontend;
 * :mod:`nullseq.catalog` — frozen known-good coefficient fixtures.
+
+The package re-exports nothing: import each name from the module that
+defines it, e.g. ``from nullseq.certify import certify_type``.
 """
 
-from .applicability import ApplicabilityResult, applicability
-from .certify import (
-    CaseConfig,
-    CaseReport,
-    Certificate,
-    CertificateEntry,
-    Factorization,
-    assemble_case,
-    certify_type,
-    exceptional_primes,
-    factorize,
-    transfer_certificate,
-)
-from .engine import (
-    EngineAbort,
-    EngineCheckpoint,
-    OpCapExceeded,
-    SparsePolynomial,
-    TermCapExceeded,
-    load_checkpoint,
-    multiply_factors,
-    naive_expand,
-    save_checkpoint,
-)
-from .factors import (
-    FULL,
-    REDUCED,
-    FactorList,
-    InfeasibleFixing,
-    apply_fixes,
-    bounding_monomial,
-    build_p,
-    build_q,
-    choose_fixes,
-)
-from .groups import (
-    LINEAR,
-    ROTATIONAL,
-    Cyclic,
-    GroupConfig,
-    classify_sequencing,
-    enumerate_types,
-    type_of,
-)
-from .oracle import (
-    ScanReport,
-    VerificationReport,
-    find_sequencing,
-    scan_group,
-    verify_nonvanishing_conclusion,
-)
-from .quotient import (
-    QuotientSequencing,
-    search_quotient,
-    validate_quotient,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApplicabilityResult",
-    "CaseConfig",
-    "CaseReport",
-    "Certificate",
-    "CertificateEntry",
-    "Cyclic",
-    "EngineAbort",
-    "EngineCheckpoint",
-    "FULL",
-    "FactorList",
-    "Factorization",
-    "GroupConfig",
-    "InfeasibleFixing",
-    "LINEAR",
-    "OpCapExceeded",
-    "QuotientSequencing",
-    "REDUCED",
-    "ROTATIONAL",
-    "ScanReport",
-    "SparsePolynomial",
-    "TermCapExceeded",
-    "VerificationReport",
-    "applicability",
-    "apply_fixes",
-    "assemble_case",
-    "bounding_monomial",
-    "build_p",
-    "build_q",
-    "certify_type",
-    "choose_fixes",
-    "classify_sequencing",
-    "enumerate_types",
-    "exceptional_primes",
-    "factorize",
-    "find_sequencing",
-    "load_checkpoint",
-    "multiply_factors",
-    "naive_expand",
-    "save_checkpoint",
-    "scan_group",
-    "search_quotient",
-    "transfer_certificate",
-    "type_of",
-    "validate_quotient",
-    "verify_nonvanishing_conclusion",
-]

@@ -26,6 +26,7 @@ import sympy
 from .engine import EngineAbort, multiply_factors, save_checkpoint
 from .factors import (
     FULL,
+    REDUCED,
     InfeasibleFixing,
     bounding_monomial,
     build_p,
@@ -145,7 +146,12 @@ class CertificateEntry:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A verified-structure record for one type and arrangement."""
+    """A verified-structure record for one type and arrangement.
+
+    A REDUCED certificate comes from build_q, which drops the windows
+    x_{i+1} + x_{i+2}; it holds only for subsets with no two mutually
+    inverse elements, and validity_condition says so.
+    """
 
     k: int
     t: int
@@ -197,7 +203,9 @@ class Certificate:
             f"{self.k + 1}-fold partial-sum residue repeats) and gcd(p, {self.t}) = 1"
         )
         if self.exceptional:
-            return base + f", excluding p in {{{', '.join(map(str, self.exceptional))}}}"
+            base += f", excluding p in {{{', '.join(map(str, self.exceptional))}}}"
+        if self.variant == REDUCED:
+            base += "; only for subsets with no two mutually inverse elements"
         return base
 
     def is_valid_for(self, p: int) -> bool:

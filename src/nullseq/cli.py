@@ -13,10 +13,9 @@ Subcommands::
 Output is line-delimited JSON on stdout (or ``--output``).  Exit status:
 0 success, 1 for unresolved/failed cases, 2 for usage errors.
 
-Settings priority: command-line flags, then the environment variables
-``NULLSEQ_WORKERS`` and ``NULLSEQ_CHECKPOINT_DIR``, then the JSON config
-file given with ``--config``, then the defaults of ``CaseConfig``.  The
-worker count (default 1) applies to ``scan`` only.  ``prove``, ``coeff``
+Settings come from flags only: a flag given overrides the default of the
+``CaseConfig`` field it names, and ``CaseConfig`` holds every default.
+``--workers`` (default 1) applies to ``scan`` only.  ``prove``, ``coeff``
 and ``table1`` compute every coefficient through
 ``certify.compute_coefficient``, so caps and checkpoints act alike in all
 three.
@@ -26,8 +25,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
 import sys
 import time
 
@@ -55,82 +52,19 @@ from .oracle import (
 )
 from .quotient import search_quotient, validate_quotient
 
-_CONFIG_KEYS = {
-    "workers": int,
-    "term_cap": int,
-    "op_cap": int,
-    "checkpoint_dir": str,
-    "qs_limit": int,
-    "qs_budget": int,
-    "max_candidates": int,
-    "max_degree": int,
-    "seed": int,
-    "variant": str,
-}
-
-_DEFAULTS = {
-    "workers": 1,
-    **{
-        f.name: f.default
-        for f in dataclasses.fields(CaseConfig)
-        if f.name in _CONFIG_KEYS
-    },
-}
-
 
 class UsageError(Exception):
     pass
 
 
-def _load_config_file(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    settings = {}
-    for key, value in data.items():
-        if key not in _CONFIG_KEYS:
-            raise UsageError(f"unknown config key {key!r} in {path}")
-        if value is not None:
-            try:
-                value = _CONFIG_KEYS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value for config key {key!r}: {value!r}") from exc
-        settings[key] = value
-    return settings
-
-
-def resolve_settings(args: argparse.Namespace) -> dict:
-    """defaults < config file < environment < explicit flags."""
-    settings = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        settings.update(_load_config_file(args.config))
-    env_workers = os.environ.get("NULLSEQ_WORKERS")
-    if env_workers:
-        try:
-            settings["workers"] = int(env_workers)
-        except ValueError as exc:
-            raise UsageError(f"NULLSEQ_WORKERS must be an integer: {env_workers!r}") from exc
-    env_ckpt = os.environ.get("NULLSEQ_CHECKPOINT_DIR")
-    if env_ckpt:
-        settings["checkpoint_dir"] = env_ckpt
-    for key in _CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    if settings["workers"] < 1:
-        raise UsageError("worker count must be at least 1")
-    return settings
-
-
 def _case_config(args, **extra) -> CaseConfig:
-    """The resolved settings, less the worker count, as one CaseConfig."""
-    settings = resolve_settings(args)
-    del settings["workers"]
-    return CaseConfig(**settings, **extra)
+    """CaseConfig with the fields given as flags (and extra) overriding its defaults."""
+    given = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(CaseConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    return CaseConfig(**given, **extra)
 
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
@@ -168,8 +102,13 @@ def _cmd_prove(args) -> int:
 def _coeff_inputs(args):
     k = args.k
     t = args.t if args.t is not None else 1
-    if getattr(args, "lam", None) is not None:
+    if args.lam is not None:
         lam = _parse_vector(args.lam, "lambda")
+        if sum(lam) != k:
+            raise UsageError(f"--k {k} must equal the sum of --lambda {args.lam}")
+        if args.t is not None and args.t != len(lam):
+            raise UsageError(f"--t {args.t} must equal the length of --lambda {args.lam}")
+        t = len(lam)
     elif t == 1:
         lam = (k,)
     else:
@@ -272,16 +211,17 @@ def _cmd_qs(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    settings = resolve_settings(args)
+    if args.workers < 1:
+        raise UsageError("worker count must be at least 1")
     start = time.monotonic()
     report = scan_group(
         args.n,
         args.k,
         kind=args.scan_kind,
         count=args.count,
-        seed=settings["seed"],
+        seed=_case_config(args).seed,
         reduce=not args.no_reduce,
-        workers=settings["workers"],
+        workers=args.workers,
         max_failures=args.max_failures,
     )
     _emit([reports.scan_record(report, elapsed=time.monotonic() - start)], args)
@@ -360,7 +300,6 @@ def _cmd_table1(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON settings file")
     common.add_argument("--output", default="-", help="write records here ('-' = stdout)")
     common.add_argument("--term-cap", dest="term_cap", type=int,
                         help="abort when an intermediate exceeds this many terms")
@@ -426,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-reduce", action="store_true",
                    help="scan all subsets, not one per unit-multiple class")
     p.add_argument("--max-failures", dest="max_failures", type=int, default=20)
-    p.add_argument("--workers", type=int, help="parallel worker processes")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel worker processes (default 1)")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", parents=[common],

@@ -192,51 +192,40 @@ def _factor_plan(fl: FactorList, bound, target):
     return plans
 
 
-def _run_factors(plans, terms, start, k, use_target, term_cap, op_cap, on_step):
+def _run_factors(plans, terms, start, k, term_cap, op_cap, on_step):
     ops = 0
     for f in range(start, len(plans)):
         fac = plans[f]
         new: dict[int, int] = {}
-        if use_target:
-            for key, coef in terms.items():
-                viol = None
-                dead = False
-                for entry in fac:
-                    if (key >> entry[0]) & 255 < entry[2]:
-                        if viol is not None:
-                            dead = True
-                            break
-                        viol = entry
-                if dead:
-                    continue
-                if viol is not None:
-                    shift, sign, _, cap = viol
-                    if (key >> shift) & 255 < cap:
-                        nk = key + (1 << shift)
-                        c = new.get(nk, 0) + sign * coef
-                        if c:
-                            new[nk] = c
-                        elif nk in new:
-                            del new[nk]
-                    continue
-                for shift, sign, _, cap in fac:
-                    if (key >> shift) & 255 < cap:
-                        nk = key + (1 << shift)
-                        c = new.get(nk, 0) + sign * coef
-                        if c:
-                            new[nk] = c
-                        elif nk in new:
-                            del new[nk]
-        else:
-            for key, coef in terms.items():
-                for shift, sign, _, cap in fac:
-                    if (key >> shift) & 255 < cap:
-                        nk = key + (1 << shift)
-                        c = new.get(nk, 0) + sign * coef
-                        if c:
-                            new[nk] = c
-                        elif nk in new:
-                            del new[nk]
+        for key, coef in terms.items():
+            viol = None
+            dead = False
+            for entry in fac:
+                if (key >> entry[0]) & 255 < entry[2]:
+                    if viol is not None:
+                        dead = True
+                        break
+                    viol = entry
+            if dead:
+                continue
+            if viol is not None:
+                shift, sign, _, cap = viol
+                if (key >> shift) & 255 < cap:
+                    nk = key + (1 << shift)
+                    c = new.get(nk, 0) + sign * coef
+                    if c:
+                        new[nk] = c
+                    elif nk in new:
+                        del new[nk]
+                continue
+            for shift, sign, _, cap in fac:
+                if (key >> shift) & 255 < cap:
+                    nk = key + (1 << shift)
+                    c = new.get(nk, 0) + sign * coef
+                    if c:
+                        new[nk] = c
+                    elif nk in new:
+                        del new[nk]
         ops += len(terms) * len(fac)
         if term_cap is not None and len(new) > term_cap:
             raise TermCapExceeded(
@@ -319,9 +308,7 @@ def multiply_factors(
         start = 0
         terms = {0: 1}
 
-    terms = _run_factors(
-        plans, terms, start, k, target is not None, term_cap, op_cap, on_step
-    )
+    terms = _run_factors(plans, terms, start, k, term_cap, op_cap, on_step)
     return SparsePolynomial(k, terms)
 
 

@@ -14,14 +14,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .groups import (
-    Cyclic,
-    GroupConfig,
-    classify_sequencing,
-    subset_sum,
-    type_of,
-    validate_subset,
-)
+from .groups import Cyclic, GroupConfig, subset_sum, validate_subset
+from .quotient import validate_quotient
 
 MAX_ORACLE_SIZE = 20
 
@@ -302,10 +296,7 @@ def verify_nonvanishing_conclusion(
     a = tuple(getattr(qs, "a", qs))
     if len(lam) != t or sum(lam) != len(a):
         raise ValueError("type and arrangement sizes are inconsistent")
-    if sorted(a) != sorted(
-        v for v in range(t) for _ in range(lam[v])
-    ):
-        raise ValueError(f"arrangement {a} is not an arrangement of type {lam}")
+    mult = validate_quotient(a, lam).max_multiplicity
     if lam[0] > p - 1:
         raise InfeasibleVerification(
             f"type asks for {lam[0]} identity-coset elements but only {p - 1} exist"
@@ -315,9 +306,6 @@ def verify_nonvanishing_conclusion(
             raise InfeasibleVerification(
                 f"type asks for {lam[v]} elements of residue {v} but only {p} exist"
             )
-    from .quotient import QuotientSequencing
-
-    mult = QuotientSequencing(a, t).max_multiplicity
     if mult > p:
         raise InfeasibleVerification(
             f"partial-sum residues repeat {mult} times, more than p={p}"

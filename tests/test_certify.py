@@ -6,7 +6,6 @@ import sympy
 
 from nullseq.certify import (
     CaseConfig,
-    Certificate,
     CertificateEntry,
     Factorization,
     UnresolvedType,
@@ -18,6 +17,7 @@ from nullseq.certify import (
     transfer_certificate,
 )
 from nullseq.engine import load_checkpoint
+from nullseq.factors import REDUCED
 from nullseq.groups import enumerate_types
 
 
@@ -205,6 +205,13 @@ class TestCertificate:
         with pytest.raises(ValueError):
             cert.witness_for(4)
         assert str(cert.k) in cert.validity_condition
+
+    def test_reduced_validity_names_its_restriction(self):
+        full = certify_type((3, 2), 2).certificate
+        reduced = certify_type((3, 2), 2, CaseConfig(variant=REDUCED)).certificate
+        assert "inverse" not in full.validity_condition
+        assert reduced.validity_condition.startswith(full.validity_condition)
+        assert "no two mutually inverse elements" in reduced.validity_condition
 
 
 class TestCertifyType:

@@ -1,14 +1,12 @@
 import contextlib
-import dataclasses
 import io
-import json
 import subprocess
 import sys
 
 import pytest
 
 from nullseq.certify import CaseConfig, assemble_case
-from nullseq.cli import main, resolve_settings, build_parser
+from nullseq.cli import _case_config, build_parser, main
 from nullseq.engine import load_checkpoint
 from nullseq.reports import case_from_records, loads_record, parse_exponents
 
@@ -60,6 +58,17 @@ class TestCoeff:
         )
         assert code == 2 and not recs
         assert "monomial" in err
+
+    def test_k_and_t_must_match_lambda(self):
+        vectors = ["--lambda", "3,2", "--a", "0,1,0,0,1"]
+        for kt in (["--k", "6", "--t", "2"], ["--k", "5", "--t", "3"]):
+            code, recs, err = run_cli(["coeff", *kt, *vectors])
+            assert code == 2 and not recs
+            assert "--lambda" in err
+        code, recs, _ = run_cli(
+            ["coeff", "--k", "5", *vectors, "--monomial", "2,0,2,1,1"]
+        )
+        assert code == 0 and (recs[0]["k"], recs[0]["t"]) == (5, 2)
 
     def test_abort_checkpoint_resume_cycle(self, tmp_path):
         base = ["coeff", "--k", "6", "--t", "2", "--lambda", "6,0",
@@ -270,60 +279,6 @@ class TestUsageAndSettings:
         code, _, err = run_cli(["qs", "--lambda", "3;2"])
         assert code == 2 and "comma-separated" in err
 
-    def test_config_file_and_flag_precedence(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 3, "term_cap": 1000}))
-        args = build_parser().parse_args(
-            ["scan", "--n", "9", "--k", "3", "--config", str(cfg)]
-        )
-        settings = resolve_settings(args)
-        assert settings["workers"] == 3 and settings["term_cap"] == 1000
-        args2 = build_parser().parse_args(
-            ["scan", "--n", "9", "--k", "3", "--config", str(cfg),
-             "--workers", "1"]
-        )
-        assert resolve_settings(args2)["workers"] == 1
-
-    def test_env_beats_config(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"workers": 3}))
-        monkeypatch.setenv("NULLSEQ_WORKERS", "2")
-        args = build_parser().parse_args(
-            ["scan", "--n", "9", "--k", "3", "--config", str(cfg)]
-        )
-        assert resolve_settings(args)["workers"] == 2
-
-    def test_env_checkpoint_dir(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NULLSEQ_CHECKPOINT_DIR", str(tmp_path))
-        code, recs, _ = run_cli(
-            ["coeff", "--k", "6", "--t", "2", "--lambda", "6,0",
-             "--a", "0,0,0,0,0,0", "--term-cap", "5"]
-        )
-        assert code == 1
-        assert recs[0]["checkpoint"].startswith(str(tmp_path))
-        assert list(tmp_path.glob("ckpt_*.bin"))
-
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"wrkrs": 3}))
-        code, _, err = run_cli(
-            ["scan", "--n", "9", "--k", "3", "--config", str(cfg)]
-        )
-        assert code == 2
-
-    def test_malformed_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json")
-        code, _, err = run_cli(
-            ["scan", "--n", "9", "--k", "3", "--config", str(cfg)]
-        )
-        assert code == 2
-
-    def test_bad_env_workers(self, monkeypatch):
-        monkeypatch.setenv("NULLSEQ_WORKERS", "two")
-        code, _, err = run_cli(["scan", "--n", "9", "--k", "3"])
-        assert code == 2
-
     def test_nonpositive_workers(self):
         code, _, err = run_cli(
             ["scan", "--n", "9", "--k", "3", "--workers", "0"]
@@ -337,17 +292,17 @@ class TestUsageAndSettings:
         code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3", "--workers", "2"])
         assert code == 0 and recs[0]["scanned"] == 10
 
-    def test_defaults_are_case_config_defaults(self, monkeypatch):
-        monkeypatch.delenv("NULLSEQ_WORKERS", raising=False)
-        monkeypatch.delenv("NULLSEQ_CHECKPOINT_DIR", raising=False)
-        settings = resolve_settings(
-            build_parser().parse_args(["prove", "--k", "4", "--t", "2"])
-        )
-        assert settings.pop("workers") == 1
-        assert set(settings) == {
-            f.name for f in dataclasses.fields(CaseConfig)
-        } - {"use_greedy_fixes"}
-        assert CaseConfig(**settings) == CaseConfig()
+    def test_defaults_are_case_config_defaults(self):
+        parser = build_parser()
+        for argv in (["prove", "--k", "4", "--t", "2"], ["table1"],
+                     ["qs", "--lambda", "3,2"]):
+            assert _case_config(parser.parse_args(argv)) == CaseConfig()
+        args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--seed", "7",
+                                  "--term-cap", "9"])
+        assert _case_config(args) == CaseConfig(seed=7, term_cap=9)
+        with pytest.raises(SystemExit) as info:
+            run_cli(["prove", "--k", "4", "--t", "2", "--config", "x.json"])
+        assert info.value.code == 2
 
 
 class TestModuleEntrypoint:

@@ -6,7 +6,6 @@ import pytest
 from nullseq.applicability import applicability
 from nullseq.certify import (
     CaseConfig,
-    Certificate,
     Factorization,
     UnresolvedType,
     assemble_case,
