@@ -14,11 +14,13 @@ Output is line-delimited JSON on stdout (or ``--output``).  Exit status:
 0 success, 1 for unresolved/failed cases, 2 for usage errors.
 
 Settings come from flags only: a flag given overrides the default of the
-``CaseConfig`` field it names, and ``CaseConfig`` holds every default.
-``--workers`` (default 1) applies to ``scan`` only.  ``prove``, ``coeff``
-and ``table1`` compute every coefficient through
-``certify.compute_coefficient``, so caps and checkpoints act alike in all
-three.
+``CaseConfig`` field it names, and ``CaseConfig`` holds every default.  A
+subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
+and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
+``--seed`` to ``prove``, ``qs`` and ``scan``; ``--workers`` (default 1) to
+``scan``; ``--output`` to all.  ``prove``, ``coeff`` and ``table1`` compute
+every coefficient through ``certify.compute_coefficient``, so caps and
+checkpoints act alike in all three.
 """
 
 from __future__ import annotations
@@ -299,15 +301,18 @@ def _cmd_table1(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", default="-", help="write records here ('-' = stdout)")
-    common.add_argument("--term-cap", dest="term_cap", type=int,
-                        help="abort when an intermediate exceeds this many terms")
-    common.add_argument("--op-cap", dest="op_cap", type=int,
-                        help="abort after this many term operations")
-    common.add_argument("--checkpoint-dir", dest="checkpoint_dir",
-                        help="directory for engine checkpoints")
-    common.add_argument("--seed", type=int, help="seed for randomized searches")
+    # shared flags, each given only to the subcommands that read it
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default="-", help="write records here ('-' = stdout)")
+    caps = argparse.ArgumentParser(add_help=False)
+    caps.add_argument("--term-cap", dest="term_cap", type=int,
+                      help="abort when an intermediate exceeds this many terms")
+    caps.add_argument("--op-cap", dest="op_cap", type=int,
+                      help="abort after this many term operations")
+    caps.add_argument("--checkpoint-dir", dest="checkpoint_dir",
+                      help="directory for engine checkpoints")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help="seed for randomized searches")
 
     parser = argparse.ArgumentParser(
         prog="nullseq",
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("prove", parents=[common],
+    p = sub.add_parser("prove", parents=[output, caps, seed],
                        help="certify every type for a given (k, t)")
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--t", type=int, required=True, help="quotient order (1..5)")
@@ -332,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the greedy fixing pass")
     p.set_defaults(func=_cmd_prove)
 
-    p = sub.add_parser("coeff", parents=[common],
+    p = sub.add_parser("coeff", parents=[output, caps],
                        help="one coefficient of one factor-list product")
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--t", type=int, help="quotient order (default 1)")
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bit budget for factoring the coefficient")
     p.set_defaults(func=_cmd_coeff)
 
-    p = sub.add_parser("qs", parents=[common],
+    p = sub.add_parser("qs", parents=[output, seed],
                        help="rank quotient sequencings for a type")
     p.add_argument("--lambda", dest="lam", required=True, help="type vector")
     p.add_argument("--objective", default="min-degree",
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qs-budget", dest="qs_budget", type=int)
     p.set_defaults(func=_cmd_qs)
 
-    p = sub.add_parser("scan", parents=[common],
+    p = sub.add_parser("scan", parents=[output, seed],
                        help="brute-force scan of subsets of Z_n")
     p.add_argument("--n", type=int, required=True, help="cyclic group order")
     p.add_argument("--k", type=int, required=True, help="subset size")
@@ -369,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel worker processes (default 1)")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[output],
                        help="exhaustively check a certificate's conclusion")
     p.add_argument("--p", type=int, required=True, help="prime modulus")
     p.add_argument("--t", type=int, required=True, help="quotient order")
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="refuse if more subsets than this")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("applicable", parents=[common],
+    p = sub.add_parser("applicable", parents=[output],
                        help="does the covered range include (n, k)?")
     p.add_argument("--n", type=int, required=True, help="group order")
     p.add_argument("--k", type=int, required=True, help="subset size")
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="factoring effort cap (bits)")
     p.set_defaults(func=_cmd_applicable)
 
-    p = sub.add_parser("table1", parents=[common],
+    p = sub.add_parser("table1", parents=[output, caps],
                        help="recompute curated fixtures and compare")
     p.add_argument("--tier", default="light",
                    choices=("light", "heavy", "massive"),

@@ -292,6 +292,34 @@ class TestUsageAndSettings:
         code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3", "--workers", "2"])
         assert code == 0 and recs[0]["scanned"] == 10
 
+    def test_flags_only_where_read(self):
+        parser = build_parser()
+        commands = {
+            "prove": ["prove", "--k", "4", "--t", "2"],
+            "coeff": ["coeff", "--k", "4"],
+            "qs": ["qs", "--lambda", "3,2"],
+            "scan": ["scan", "--n", "9", "--k", "3"],
+            "verify": ["verify", "--p", "11", "--t", "2", "--lambda", "3,2",
+                       "--a", "0,1,0,0,1"],
+            "applicable": ["applicable", "--n", "100", "--k", "5"],
+            "table1": ["table1"],
+        }
+        readers = {
+            ("--term-cap", "1"): {"prove", "coeff", "table1"},
+            ("--op-cap", "1"): {"prove", "coeff", "table1"},
+            ("--checkpoint-dir", "ckpt"): {"prove", "coeff", "table1"},
+            ("--seed", "1"): {"prove", "qs", "scan"},
+            ("--output", "-"): set(commands),
+        }
+        for flag, accepted in readers.items():
+            for name, argv in commands.items():
+                if name in accepted:
+                    parser.parse_args(argv + list(flag))
+                    continue
+                with pytest.raises(SystemExit) as info:
+                    run_cli(argv + list(flag))
+                assert info.value.code == 2, (name, flag)
+
     def test_defaults_are_case_config_defaults(self):
         parser = build_parser()
         for argv in (["prove", "--k", "4", "--t", "2"], ["table1"],

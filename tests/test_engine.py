@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nullseq import engine
 from nullseq.catalog import by_name
 from nullseq.engine import (
     EngineCheckpoint,
@@ -15,7 +16,7 @@ from nullseq.engine import (
     save_checkpoint,
     unpack,
 )
-from nullseq.factors import bounding_monomial, build_p, build_q
+from nullseq.factors import Difference, FactorList, bounding_monomial, build_p, build_q
 from nullseq.quotient import validate_quotient
 
 QS32 = validate_quotient((0, 1, 0, 0, 1), (3, 2))
@@ -33,6 +34,30 @@ def random_factor_list(rng, max_k=6, max_degree=12):
         fl = build(qs)
         if 1 <= fl.degree <= max_degree:
             return fl, lam, qs
+
+
+def digit_loop_live_counts(plans):
+    """Live terms after each step, classifying terms digit by digit.
+
+    The reference for the engine's packed-lane test: the same rule (two
+    digits below threshold kill a term, one leaves only its increment)
+    applied by reading each digit of the key.
+    """
+    terms = {0: 1}
+    counts = []
+    for fac in plans:
+        new = {}
+        for key, coef in terms.items():
+            below = [e for e in fac if (key >> e[0]) & 255 < e[2]]
+            if len(below) > 1:
+                continue
+            for shift, sign, _, cap in below or fac:
+                if (key >> shift) & 255 < cap:
+                    nk = key + (1 << shift)
+                    new[nk] = new.get(nk, 0) + sign * coef
+        terms = {key: c for key, c in new.items() if c}
+        counts.append(len(terms))
+    return counts
 
 
 class TestPacking:
@@ -110,6 +135,50 @@ class TestAgainstNaive:
             assert got.coefficient(target) == naive.coefficient(target)
             checked += 1
 
+    @pytest.mark.parametrize("order", ["canonical", "mirrored"])
+    def test_both_orders_match_naive(self, monkeypatch, order):
+        def forced(fl, caps, targeted):
+            if order == "canonical":
+                return tuple(range(len(fl.factors)))
+            return engine._mirror_order(fl)
+
+        monkeypatch.setattr(engine, "_plan_order", forced)
+        rng = random.Random(45)
+        for _ in range(40):
+            fl, lam, qs = random_factor_list(rng)
+            naive = naive_expand(fl)
+            assert multiply_factors(fl).to_tuple_dict() == naive.to_tuple_dict()
+            bound = bounding_monomial(lam, qs)
+            if fl.degree > sum(bound):
+                continue
+            live = [
+                exps
+                for exps in naive.to_tuple_dict()
+                if all(e <= b for e, b in zip(exps, bound))
+            ]
+            for target in live[:4]:
+                got = multiply_factors(fl, bound=bound, target=target)
+                assert got.to_tuple_dict() == {target: naive.coefficient(target)}
+
+    def test_lane_test_keeps_the_digit_rule(self):
+        rng = random.Random(46)
+        checked = 0
+        while checked < 40:
+            fl, lam, qs = random_factor_list(rng, max_k=7, max_degree=16)
+            bound = bounding_monomial(lam, qs)
+            if fl.degree > sum(bound):
+                continue
+            full = multiply_factors(fl, bound=bound).to_tuple_dict()
+            if not full:
+                continue
+            target = sorted(full)[rng.randrange(len(full))]
+            _, plans = engine._factor_plan(fl, bound, target)
+            counts = []
+            multiply_factors(fl, bound=bound, target=target,
+                             on_step=lambda f, n: counts.append(n))
+            assert counts == digit_loop_live_counts(plans)
+            checked += 1
+
     def test_naive_guards(self):
         fl = build_p(validate_quotient((0,) * 9, (9,)))
         with pytest.raises(ValueError):
@@ -146,6 +215,13 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="divide the bound"):
             multiply_factors(fl, bound=bound, target=bad)
 
+    def test_exponent_cap_above_127_rejected(self):
+        fl = FactorList(2, (Difference(1, 2),) * 128, frozenset(), "full")
+        with pytest.raises(ValueError, match="at most 127"):
+            multiply_factors(fl)
+        fl = FactorList(2, (Difference(1, 2),) * 127, frozenset(), "full")
+        assert multiply_factors(fl).num_terms() == 128
+
     def test_target_degree_must_match(self):
         fl = build_p(QS32)
         with pytest.raises(ValueError, match="does not match product degree"):
@@ -174,6 +250,10 @@ class TestCheckpoints:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+        for old in (b"NSEQCKP1", b"NSEQCKP2"):
+            path.write_bytes(old + bytes(14))
+            with pytest.raises(ValueError, match="earlier engine"):
+                load_checkpoint(path)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         fx = by_name("6-4")
@@ -284,3 +364,42 @@ class TestPruningProperties:
             fl, lam, qs = random_factor_list(rng)
             poly = multiply_factors(fl)
             assert all(c != 0 for c in poly.terms.values())
+
+
+class TestPlanner:
+    """1-9-b is a fixture on which the planner picks the mirrored order."""
+
+    FX = by_name("1-9-b")
+
+    def setup_method(self):
+        qs = validate_quotient(self.FX.a, self.FX.lam)
+        self.fl = build_p(qs)
+        self.bound = bounding_monomial(self.FX.lam, qs)
+
+    def test_on_step_reports_every_factor_once(self):
+        seen = []
+        got = multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
+                               on_step=lambda f, n: seen.append((f, n)))
+        assert got.coefficient(self.FX.monomial) == self.FX.coefficient
+        indices = [f for f, _ in seen]
+        assert indices != sorted(indices)  # mirrored, not canonical
+        assert sorted(indices) == list(range(self.fl.degree))
+        assert max(n for _, n in seen) == 5056  # 26 812 in canonical order
+
+    def test_op_cap_checkpoint_resume(self, tmp_path):
+        order = []
+        multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
+                         on_step=lambda f, n: order.append(f))
+        with pytest.raises(OpCapExceeded) as info:
+            multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
+                             op_cap=50_000)
+        cp = info.value.checkpoint
+        # factor_index counts planned steps; the message names the factor
+        assert 0 < cp.factor_index < self.fl.degree
+        assert str(info.value).endswith(f"at factor {order[cp.factor_index - 1]}")
+        path = tmp_path / "planned.bin"
+        save_checkpoint(path, cp)
+        resumed = multiply_factors(self.fl, bound=self.bound,
+                                   target=self.FX.monomial,
+                                   resume=load_checkpoint(path))
+        assert resumed.coefficient(self.FX.monomial) == 2588

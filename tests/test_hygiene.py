@@ -1,0 +1,50 @@
+"""Source hygiene checks that need no linter: every import is used."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "nullseq").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads.
+
+    A name counts as read when it appears as a Name node (attribute chains
+    start with one) or is listed in __all__.
+    """
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)
+            }
+    return [f"line {line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_checker_finds_unused_imports():
+    source = "import os\nimport sys as system\nfrom a import b, c\nprint(c, os.sep)\n"
+    assert unused_imports(source) == ["line 3: b", "line 2: system"]
+    assert unused_imports("from x import y\n__all__ = ['y']\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
