@@ -45,6 +45,7 @@ provided as an independent cross-check for small instances.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import struct
@@ -286,6 +287,43 @@ def _factor_plan(fl: FactorList, bound, target):
     return order, plans
 
 
+# glibc mallopt parameters
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 4 << 20
+# A dict of more than 2**16 terms has a 2.6 MB table; its next resize
+# allocates 5.2 MB, past MMAP_THRESHOLD.
+BIG_STEP_TERMS = 1 << 16
+_allocator_pinned = False  # process-wide, as the allocator's settings are
+
+
+def _pin_allocator() -> None:
+    """Serve every allocation of 4 MiB or more by mmap from now on.
+
+    Called once per process, after the first step whose term dict holds
+    more than BIG_STEP_TERMS terms.  A big product allocates and frees
+    tables of up to tens of MB as its dicts grow.  glibc raises its mmap
+    threshold to each freed mmapped block's size, after which tables that
+    size come from the heap, which keeps freed space resident: a second
+    coeff 10-2-a job in one process peaked about 10 MB above the first.
+    Fixing the threshold stops that, so each big table is returned when
+    freed.  It also stops glibc from adjusting its trim threshold, which is
+    set to twice the mmap threshold, as glibc's own rule would.  Processes
+    that never build such a dict keep glibc's defaults.  Not glibc (no
+    mallopt, or one that ignores the parameters): nothing changes.
+    """
+    global _allocator_pinned
+    _allocator_pinned = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
+
+
 def _successors(fac, state: int) -> tuple[tuple[int, int], ...]:
     """(key increment, sign) pairs for a term in the given lane state.
 
@@ -334,6 +372,8 @@ def _run_factors(order, plans, terms, start, k, term_cap, op_cap, on_step):
                 else:
                     del new[nk]
         ops += len(terms) * len(fac)
+        if len(new) > BIG_STEP_TERMS and not _allocator_pinned:
+            _pin_allocator()
         if term_cap is not None and len(new) > term_cap:
             raise TermCapExceeded(
                 f"term count {len(new)} exceeds cap {term_cap} at factor {f}",

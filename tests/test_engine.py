@@ -1,4 +1,7 @@
+import platform
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -403,3 +406,56 @@ class TestPlanner:
                                    target=self.FX.monomial,
                                    resume=load_checkpoint(path))
         assert resumed.coefficient(self.FX.monomial) == 2588
+
+
+# Grows a dict to 400k big-int keys by rebuilding it, the previous one alive
+# while the next grows, as the engine's steps do; runs that twice after
+# _pin_allocator and prints the process's peak RSS after each.
+_CHURN = """
+import resource
+from nullseq import engine
+engine._pin_allocator()
+def job(n):
+    terms, size = {}, 1000
+    while size <= n:
+        new = {}
+        for i in range(size):
+            new[(1 << 70) + 7 * i] = i
+        terms, size = new, size * 3 // 2
+for _ in range(2):
+    job(400_000)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+class TestAllocator:
+    def test_pinned_once_after_a_big_step(self, monkeypatch):
+        calls = []
+
+        def pin():
+            calls.append(1)
+            monkeypatch.setattr(engine, "_allocator_pinned", True)
+
+        monkeypatch.setattr(engine, "_pin_allocator", pin)
+        monkeypatch.setattr(engine, "_allocator_pinned", False)
+        fl = build_p(QS32)
+        multiply_factors(fl)
+        assert calls == []  # at most 40 live terms
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 3)
+        multiply_factors(fl)
+        multiply_factors(fl)
+        assert calls == [1]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+    def test_repeated_job_peaks_no_higher(self):
+        # Without the pin the second job peaks about 10 MB higher: its
+        # tables come from a heap that keeps freed space.
+        proc = subprocess.run(
+            [sys.executable, "-c", _CHURN],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, second = map(int, proc.stdout.split())
+        assert second - first < 2048  # KiB
