@@ -39,6 +39,22 @@ EngineCheckpoint.factor_index counts steps of the planned order.  The plan is
 deterministic, so a resume recomputes it, and the checkpoint's plan_hash
 covers it.
 
+Array kernel.  A job whose term dict grows past BIG_STEP_TERMS (2**16) live
+terms moves, before its next step, to a pair of numpy arrays and stays there:
+uint64 keys with 4-bit lanes (the digit of x_v at bits 4(v - 1)), sorted,
+and int64 coefficients.  It moves only when k <= 16 and every cap is at most
+15, so each digit fits its lane.  A step counts, per term, how many of the
+factor's digits are below their thresholds; branch j keeps the terms whose
+digit j is below its cap and whose count equals [digit j below threshold],
+which is _successors' rule, so both kernels keep the same live terms.  Each
+branch's keys are the sorted keys plus one increment, so they stay sorted; the
+branches are merged into a sorted accumulator one at a time (stable argsort
+of the two runs, np.add.reduceat over equal keys, zeros dropped).  Each new
+coefficient sums at most len(factor) old ones, so before a step with
+max|c| * len(factor) >= 2**63 the terms go back to a dict for the rest of
+the job, exactly.  Results, checkpoints and abort states are always dicts
+of 8-bit-lane keys.  numpy is imported on the array path only.
+
 A deliberately naive expansion over tuple keys (no packing, no pruning) is
 provided as an independent cross-check for small instances.
 """
@@ -292,17 +308,21 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 4 << 20
 # A dict of more than 2**16 terms has a 2.6 MB table; its next resize
-# allocates 5.2 MB, past MMAP_THRESHOLD.
+# allocates 5.2 MB, past MMAP_THRESHOLD.  Such a dict (about 18 MB with its
+# keys and values) also outweighs importing numpy (about 12 MB), so it is
+# where a job moves to the array kernel.
 BIG_STEP_TERMS = 1 << 16
+# array coefficients are int64; a step that could reach this hands back
+INT64_LIMIT = 1 << 63
 _allocator_pinned = False  # process-wide, as the allocator's settings are
 
 
 def _pin_allocator() -> None:
     """Serve every allocation of 4 MiB or more by mmap from now on.
 
-    Called once per process, after the first step whose term dict holds
-    more than BIG_STEP_TERMS terms.  A big product allocates and frees
-    tables of up to tens of MB as its dicts grow.  glibc raises its mmap
+    Called once per process, after the first step that leaves more than
+    BIG_STEP_TERMS live terms.  A big product allocates and frees tables
+    of up to tens of MB as its dicts or arrays grow.  glibc raises its mmap
     threshold to each freed mmapped block's size, after which tables that
     size come from the heap, which keeps freed space resident: a second
     coeff 10-2-a job in one process peaked about 10 MB above the first.
@@ -342,52 +362,176 @@ def _successors(fac, state: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def _dict_step(fac, terms: dict[int, int]) -> dict[int, int]:
+    """Multiply the terms by one factor, classifying each by the lane test."""
+    # lane constants: a digit d plus 128 - x sets its lane's bit 7 iff
+    # d >= x, with no carry out of the lane since d, x <= 127 (x <= 128
+    # for thresholds)
+    a = b = m = 0
+    for shift, _, thr, cap in fac:
+        a |= (128 - thr) << shift
+        b |= (128 - cap) << shift
+        m |= 128 << shift
+    table: dict[int, tuple[tuple[int, int], ...]] = {}
+    new: dict[int, int] = {}
+    get = new.get
+    for key, coef in terms.items():
+        state = (((key + a) & m) << 1) | ((key + b) & m)
+        try:
+            succ = table[state]
+        except KeyError:
+            succ = table[state] = _successors(fac, state)
+        for delta, sign in succ:
+            nk = key + delta
+            c = get(nk, 0) + sign * coef
+            if c:
+                new[nk] = c
+            else:
+                del new[nk]
+    return new
+
+
+def _nibbles(x):
+    """Byte lanes (each digit <= 15) of uint64s, packed as 32-bit nibble lanes."""
+    x = (x | (x >> 4)) & 0x00FF00FF00FF00FF
+    x = (x | (x >> 8)) & 0x0000FFFF0000FFFF
+    return (x | (x >> 16)) & 0x00000000FFFFFFFF
+
+
+def _bytes(x):
+    """The inverse of _nibbles: 32-bit nibble lanes spread to byte lanes."""
+    x = (x | (x << 16)) & 0x0000FFFF0000FFFF
+    x = (x | (x << 8)) & 0x00FF00FF00FF00FF
+    return (x | (x << 4)) & 0x0F0F0F0F0F0F0F0F
+
+
+def _to_arrays(terms: dict[int, int], k: int):
+    """The terms as (keys, coefs): 4-bit-lane uint64 keys, sorted, and int64s."""
+    import numpy as np
+
+    n = len(terms)
+    # every digit is at most 15, so each 64-bit half of a key is below 2**60
+    low = np.fromiter((key & 0xFFFFFFFFFFFFFFFF for key in terms), np.uint64, n)
+    keys = _nibbles(low)
+    if k > 8:
+        high = np.fromiter((key >> 64 for key in terms), np.uint64, n)
+        keys |= _nibbles(high) << 32
+    coefs = np.fromiter(terms.values(), np.int64, n)
+    order = np.argsort(keys)
+    return keys[order], coefs[order]
+
+
+def _to_dict(keys, coefs, k: int) -> dict[int, int]:
+    """The inverse of _to_arrays: a dict of 8-bit-lane int keys and int coefficients."""
+    low = _bytes(keys & 0xFFFFFFFF).tolist()
+    if k <= 8:
+        return dict(zip(low, coefs.tolist()))
+    high = _bytes(keys >> 32).tolist()
+    return {lo | hi << 64: c for lo, hi, c in zip(low, high, coefs.tolist())}
+
+
+def _merge(keys, coefs, more_keys, more_coefs):
+    """Sum two sorted term arrays into one, dropping zero coefficients."""
+    import numpy as np
+
+    if not len(more_keys):
+        return keys, coefs
+    if not len(keys):
+        return more_keys, more_coefs
+    keys = np.concatenate((keys, more_keys))
+    order = np.argsort(keys, kind="stable")  # merges the two sorted runs
+    keys = keys[order]
+    coefs = np.concatenate((coefs, more_coefs))[order]
+    del order
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    if len(start) == len(keys):
+        return keys, coefs
+    keys = keys[start]
+    coefs = np.add.reduceat(coefs, start)
+    del start
+    nonzero = coefs != 0
+    return keys[nonzero], coefs[nonzero]
+
+
+def _array_step(fac, keys, coefs):
+    """_dict_step on sorted arrays: the same successors, one branch at a time.
+
+    A term keeps branch j when its digit d_j is below cap_j and the number
+    of the factor's digits below their thresholds equals [d_j < thr_j]:
+    _successors' rule.  Adding a branch's increment keeps its keys sorted.
+    """
+    import numpy as np
+
+    digits = [(keys >> (shift // 2)).astype(np.uint8) & 15 for shift, *_ in fac]
+    nbelow = np.zeros(len(keys), np.uint8)
+    for d, (_, _, thr, _) in zip(digits, fac):
+        nbelow += d < thr
+    acc = (keys[:0], coefs[:0])
+    for d, (shift, sign, thr, cap) in zip(digits, fac):
+        keep = (d < cap) & (nbelow == (d < thr))
+        more = coefs[keep]
+        if sign < 0:
+            np.negative(more, out=more)
+        acc = _merge(*acc, keys[keep] + (1 << shift // 2), more)
+    return acc
+
+
+def _max_abs(terms) -> int:
+    if isinstance(terms, dict):
+        return max(map(abs, terms.values()), default=0)
+    return int(abs(terms[1]).max(initial=0))
+
+
+def _as_dict(terms, k: int) -> dict[int, int]:
+    return terms if isinstance(terms, dict) else _to_dict(*terms, k)
+
+
 def _run_factors(order, plans, terms, start, k, term_cap, op_cap, on_step):
+    """Multiply in plans[start:]; terms is a dict or, past the switch, arrays."""
     ops = 0
+    may_switch = True  # a job moves to arrays at most once
     for pos in range(start, len(plans)):
         fac = plans[pos]
         f = order[pos]
-        # lane constants: a digit d plus 128 - x sets its lane's bit 7 iff
-        # d >= x, with no carry out of the lane since d, x <= 127 (x <= 128
-        # for thresholds)
-        a = b = m = 0
-        for shift, _, thr, cap in fac:
-            a |= (128 - thr) << shift
-            b |= (128 - cap) << shift
-            m |= 128 << shift
-        table: dict[int, tuple[tuple[int, int], ...]] = {}
-        new: dict[int, int] = {}
-        get = new.get
-        for key, coef in terms.items():
-            state = (((key + a) & m) << 1) | ((key + b) & m)
-            try:
-                succ = table[state]
-            except KeyError:
-                succ = table[state] = _successors(fac, state)
-            for delta, sign in succ:
-                nk = key + delta
-                c = get(nk, 0) + sign * coef
-                if c:
-                    new[nk] = c
-                else:
-                    del new[nk]
-        ops += len(terms) * len(fac)
-        if len(new) > BIG_STEP_TERMS and not _allocator_pinned:
+        # each new coefficient sums at most len(fac) old ones
+        if isinstance(terms, dict):
+            if may_switch and len(terms) > BIG_STEP_TERMS:
+                may_switch = False
+                if (k <= 16 and all(e[3] <= 15 for p in plans for e in p)
+                        and _max_abs(terms) * len(fac) < INT64_LIMIT):
+                    terms = _to_arrays(terms, k)
+        elif _max_abs(terms) * len(fac) >= INT64_LIMIT:
+            terms = _to_dict(*terms, k)
+        if isinstance(terms, dict):
+            size = len(terms)
+            new = _dict_step(fac, terms)
+            live = len(new)
+        else:
+            size = len(terms[0])
+            new = _array_step(fac, *terms)
+            live = len(new[0])
+        ops += size * len(fac)
+        if live > BIG_STEP_TERMS and not _allocator_pinned:
             _pin_allocator()
-        if term_cap is not None and len(new) > term_cap:
+        if term_cap is not None and live > term_cap:
             raise TermCapExceeded(
-                f"term count {len(new)} exceeds cap {term_cap} at factor {f}",
-                EngineCheckpoint(k, pos, terms, _plan_hash(k, order, plans)),
+                f"term count {live} exceeds cap {term_cap} at factor {f}",
+                EngineCheckpoint(k, pos, _as_dict(terms, k),
+                                 _plan_hash(k, order, plans)),
             )
         if op_cap is not None and ops > op_cap:
             raise OpCapExceeded(
                 f"operation budget {op_cap} exhausted at factor {f}",
-                EngineCheckpoint(k, pos + 1, new, _plan_hash(k, order, plans)),
+                EngineCheckpoint(k, pos + 1, _as_dict(new, k),
+                                 _plan_hash(k, order, plans)),
             )
         terms = new
         if on_step is not None:
-            on_step(f, len(new))
-    return terms
+            on_step(f, live)
+    return _as_dict(terms, k)
 
 
 def multiply_factors(
@@ -411,8 +555,9 @@ def multiply_factors(
     in fl.factors.  Exceeding term_cap or op_cap raises TermCapExceeded /
     OpCapExceeded carrying a resumable checkpoint for this factor list (pass
     it back via resume); the checkpoint holds the engine's term dict itself,
-    not a copy.  A resume is rejected unless the checkpoint's plan_hash
-    matches this call's k, factors, caps and target.
+    not a copy, or past the switch to arrays a dict rebuilt from them.  A
+    resume is rejected unless the checkpoint's plan_hash matches this
+    call's k, factors, caps and target.
     """
     k = fl.k
     n = len(fl.factors)

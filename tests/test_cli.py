@@ -265,6 +265,20 @@ class TestTable1:
         assert rec["checkpoint"].startswith(str(tmp_path))
         assert load_checkpoint(rec["checkpoint"]).k == rec["k"]
 
+    def test_light_job_leaves_numpy_unimported(self):
+        # numpy is the engine's big-step kernel; light jobs never need it
+        code = (
+            "import contextlib, io, sys\n"
+            "from nullseq.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['table1', '--name', '1-9-b'])\n"
+            "print(rc, 'numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+
 
 class TestUsageAndSettings:
     def test_no_subcommand(self):

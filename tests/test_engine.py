@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from nullseq import engine
-from nullseq.catalog import by_name
+from nullseq.catalog import LIGHT, TABLE1, WORKED, by_name
 from nullseq.engine import (
     EngineCheckpoint,
     OpCapExceeded,
@@ -23,6 +23,18 @@ from nullseq.factors import Difference, FactorList, bounding_monomial, build_p, 
 from nullseq.quotient import validate_quotient
 
 QS32 = validate_quotient((0, 1, 0, 0, 1), (3, 2))
+KERNELS = ("dict", "array")
+
+
+def use_kernel(monkeypatch, kernel):
+    """The array kernel runs every step once its live-term threshold is 0."""
+    if kernel == "array":
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+
+
+def fixture_product(fx):
+    qs = validate_quotient(fx.a, fx.lam)
+    return build_p(qs, fx.fixes), bounding_monomial(fx.lam, qs, fx.fixes)
 
 
 def random_factor_list(rng, max_k=6, max_degree=12):
@@ -138,8 +150,11 @@ class TestAgainstNaive:
             assert got.coefficient(target) == naive.coefficient(target)
             checked += 1
 
+    @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("order", ["canonical", "mirrored"])
-    def test_both_orders_match_naive(self, monkeypatch, order):
+    def test_both_orders_match_naive(self, monkeypatch, order, kernel):
+        use_kernel(monkeypatch, kernel)
+
         def forced(fl, caps, targeted):
             if order == "canonical":
                 return tuple(range(len(fl.factors)))
@@ -163,7 +178,9 @@ class TestAgainstNaive:
                 got = multiply_factors(fl, bound=bound, target=target)
                 assert got.to_tuple_dict() == {target: naive.coefficient(target)}
 
-    def test_lane_test_keeps_the_digit_rule(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_lane_test_keeps_the_digit_rule(self, monkeypatch, kernel):
+        use_kernel(monkeypatch, kernel)
         rng = random.Random(46)
         checked = 0
         while checked < 40:
@@ -181,6 +198,14 @@ class TestAgainstNaive:
                              on_step=lambda f, n: counts.append(n))
             assert counts == digit_loop_live_counts(plans)
             checked += 1
+        for fx in [f for f in TABLE1 if f.tier == LIGHT] + list(WORKED):
+            fl, bound = fixture_product(fx)
+            _, plans = engine._factor_plan(fl, bound, fx.monomial)
+            counts = []
+            got = multiply_factors(fl, bound=bound, target=fx.monomial,
+                                   on_step=lambda f, n: counts.append(n))
+            assert got.coefficient(fx.monomial) == fx.coefficient, fx.name
+            assert counts == digit_loop_live_counts(plans), fx.name
 
     def test_naive_guards(self):
         fl = build_p(validate_quotient((0,) * 9, (9,)))
@@ -389,7 +414,7 @@ class TestPlanner:
         assert sorted(indices) == list(range(self.fl.degree))
         assert max(n for _, n in seen) == 5056  # 26 812 in canonical order
 
-    def test_op_cap_checkpoint_resume(self, tmp_path):
+    def test_op_cap_checkpoint_resume(self, tmp_path, monkeypatch):
         order = []
         multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
                          on_step=lambda f, n: order.append(f))
@@ -406,6 +431,65 @@ class TestPlanner:
                                    target=self.FX.monomial,
                                    resume=load_checkpoint(path))
         assert resumed.coefficient(self.FX.monomial) == 2588
+        # the same abort inside an array step saves the same bytes, and the
+        # dict-made checkpoint resumes on arrays
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        with pytest.raises(OpCapExceeded) as again:
+            multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
+                             op_cap=50_000)
+        assert str(again.value) == str(info.value)
+        on_arrays = tmp_path / "arrays.bin"
+        save_checkpoint(on_arrays, again.value.checkpoint)
+        assert on_arrays.read_bytes() == path.read_bytes()
+        resumed = multiply_factors(self.fl, bound=self.bound,
+                                   target=self.FX.monomial,
+                                   resume=load_checkpoint(path))
+        assert resumed.coefficient(self.FX.monomial) == 2588
+
+
+class TestArrayKernel:
+    def test_int64_guard_hands_back_exactly(self, monkeypatch):
+        fx = by_name("1-9-b")
+        fl, bound = fixture_product(fx)
+        target = fx.monomial
+        expect_counts = []
+        expect = multiply_factors(fl, bound=bound, target=target,
+                                  on_step=lambda f, n: expect_counts.append(n))
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
+        counts, handbacks = [], []
+        to_dict = engine._to_dict
+
+        def spy(*args):
+            handbacks.append(len(counts))
+            return to_dict(*args)
+
+        monkeypatch.setattr(engine, "_to_dict", spy)
+        got = multiply_factors(fl, bound=bound, target=target,
+                               on_step=lambda f, n: counts.append(n))
+        assert len(handbacks) == 1 and 0 < handbacks[0] < fl.degree  # mid-run
+        assert got.terms == expect.terms == {pack(target): 2588}
+        assert counts == expect_counts
+
+    def test_wide_lanes_stay_on_dicts(self, monkeypatch):
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        switches = []
+        to_arrays = engine._to_arrays
+
+        def spy(terms, k):
+            switches.append(k)
+            return to_arrays(terms, k)
+
+        monkeypatch.setattr(engine, "_to_arrays", spy)
+        for power in (15, 20):  # caps: 15 fits a 4-bit lane, 20 does not
+            fl = FactorList(2, (Difference(1, 2),) * power, frozenset(), "full")
+            assert multiply_factors(fl).to_tuple_dict() == naive_expand(fl).to_tuple_dict()
+        assert switches == [2]
+        fl = FactorList(17, (Difference(16, 17),) * 3, frozenset(), "full")
+        got = multiply_factors(fl).to_tuple_dict()
+        assert switches == [2]  # k = 17 needs more than 64 bits
+        assert got == {(0,) * 15 + (3 - j, j): (-1) ** (3 - j) * c
+                       for j, c in enumerate((1, 3, 3, 1))}
 
 
 # Grows a dict to 400k big-int keys by rebuilding it, the previous one alive
