@@ -317,11 +317,14 @@ def candidate_monomials(bound, degree: int, limit: int):
     return out
 
 
-def _checkpoint_path(directory, qs: QuotientSequencing, monomial):
+def _checkpoint_path(directory, qs: QuotientSequencing, fl, monomial):
+    """One file per computation: the arrangement, the product's fixes and
+    variant, and the monomial all go into the name."""
     name = (
         f"ckpt_k{qs.k}_t{qs.t}"
         f"_lam{'-'.join(map(str, qs.type_vector()))}"
         f"_a{''.join(map(str, qs.a))}"
+        f"_{fl.variant}_fix{'-'.join(map(str, sorted(fl.fixed))) or 'none'}"
         f"_m{'-'.join(map(str, monomial))}.bin"
     )
     return os.path.join(directory, re.sub(r"[^A-Za-z0-9_.\-]", "", name))
@@ -344,7 +347,8 @@ def compute_coefficient(
 
     An abort at term_cap or op_cap is returned, not raised.  With
     config.checkpoint_dir set, the abort's checkpoint is saved there under a
-    name made from qs and the monomial; the directory is created if missing.
+    name made from qs, fl's fixes and variant, and the monomial; the
+    directory is created if missing.
     """
     try:
         poly = multiply_factors(
@@ -359,7 +363,7 @@ def compute_coefficient(
         path = None
         if config.checkpoint_dir:
             os.makedirs(config.checkpoint_dir, exist_ok=True)
-            path = _checkpoint_path(config.checkpoint_dir, qs, monomial)
+            path = _checkpoint_path(config.checkpoint_dir, qs, fl, monomial)
             save_checkpoint(path, abort.checkpoint)
         return CoefficientResult(None, note=str(abort), checkpoint=path)
     return CoefficientResult(poly.coefficient(monomial), poly.num_terms())

@@ -47,13 +47,15 @@ and int64 coefficients.  It moves only when k <= 16 and every cap is at most
 factor's digits are below their thresholds; branch j keeps the terms whose
 digit j is below its cap and whose count equals [digit j below threshold],
 which is _successors' rule, so both kernels keep the same live terms.  Each
-branch's keys are the sorted keys plus one increment, so they stay sorted; the
-branches are merged into a sorted accumulator one at a time (stable argsort
-of the two runs, np.add.reduceat over equal keys, zeros dropped).  Each new
-coefficient sums at most len(factor) old ones, so before a step with
-max|c| * len(factor) >= 2**63 the terms go back to a dict for the rest of
-the job, exactly.  Results, checkpoints and abort states are always dicts
-of 8-bit-lane keys.  numpy is imported on the array path only.
+branch's keys are the sorted keys plus one increment, so they stay sorted and
+distinct.  The branches are folded into a sorted accumulator one at a time:
+searchsorted finds each branch key's slot, coefficients of keys already
+there are added in place, the rest are put in with np.insert, and zeros are
+dropped once per step.  Each new coefficient sums at most len(factor) old
+ones, so before a step with max|c| * len(factor) >= 2**63 the terms go back
+to a dict for the rest of the job, exactly.  Results, checkpoints and
+abort states are always dicts of 8-bit-lane keys.  numpy is imported on the
+array path only.
 
 A deliberately naive expansion over tuple keys (no packing, no pruning) is
 provided as an independent cross-check for small instances.
@@ -61,7 +63,6 @@ provided as an independent cross-check for small instances.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import os
 import struct
@@ -303,45 +304,12 @@ def _factor_plan(fl: FactorList, bound, target):
     return order, plans
 
 
-# glibc mallopt parameters
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD = 4 << 20
-# A dict of more than 2**16 terms has a 2.6 MB table; its next resize
-# allocates 5.2 MB, past MMAP_THRESHOLD.  Such a dict (about 18 MB with its
-# keys and values) also outweighs importing numpy (about 12 MB), so it is
-# where a job moves to the array kernel.
+# A dict of more than 2**16 terms (about 18 MB with its keys and values)
+# outweighs importing numpy (about 12 MB), so it is where a job moves to the
+# array kernel.
 BIG_STEP_TERMS = 1 << 16
 # array coefficients are int64; a step that could reach this hands back
 INT64_LIMIT = 1 << 63
-_allocator_pinned = False  # process-wide, as the allocator's settings are
-
-
-def _pin_allocator() -> None:
-    """Serve every allocation of 4 MiB or more by mmap from now on.
-
-    Called once per process, after the first step that leaves more than
-    BIG_STEP_TERMS live terms.  A big product allocates and frees tables
-    of up to tens of MB as its dicts or arrays grow.  glibc raises its mmap
-    threshold to each freed mmapped block's size, after which tables that
-    size come from the heap, which keeps freed space resident: a second
-    coeff 10-2-a job in one process peaked about 10 MB above the first.
-    Fixing the threshold stops that, so each big table is returned when
-    freed.  It also stops glibc from adjusting its trim threshold, which is
-    set to twice the mmap threshold, as glibc's own rule would.  Processes
-    that never build such a dict keep glibc's defaults.  Not glibc (no
-    mallopt, or one that ignores the parameters): nothing changes.
-    """
-    global _allocator_pinned
-    _allocator_pinned = True
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-    mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
 def _successors(fac, state: int) -> tuple[tuple[int, int], ...]:
@@ -410,15 +378,15 @@ def _to_arrays(terms: dict[int, int], k: int):
     import numpy as np
 
     n = len(terms)
-    # every digit is at most 15, so each 64-bit half of a key is below 2**60
-    low = np.fromiter((key & 0xFFFFFFFFFFFFFFFF for key in terms), np.uint64, n)
+    # every digit is at most 15, so byte lanes and nibble lanes order keys
+    # alike and each 64-bit half of a key is below 2**60
+    ordered = sorted(terms)
+    low = np.fromiter((key & 0xFFFFFFFFFFFFFFFF for key in ordered), np.uint64, n)
     keys = _nibbles(low)
     if k > 8:
-        high = np.fromiter((key >> 64 for key in terms), np.uint64, n)
+        high = np.fromiter((key >> 64 for key in ordered), np.uint64, n)
         keys |= _nibbles(high) << 32
-    coefs = np.fromiter(terms.values(), np.int64, n)
-    order = np.argsort(keys)
-    return keys[order], coefs[order]
+    return keys, np.fromiter(map(terms.__getitem__, ordered), np.int64, n)
 
 
 def _to_dict(keys, coefs, k: int) -> dict[int, int]:
@@ -430,38 +398,15 @@ def _to_dict(keys, coefs, k: int) -> dict[int, int]:
     return {lo | hi << 64: c for lo, hi, c in zip(low, high, coefs.tolist())}
 
 
-def _merge(keys, coefs, more_keys, more_coefs):
-    """Sum two sorted term arrays into one, dropping zero coefficients."""
-    import numpy as np
-
-    if not len(more_keys):
-        return keys, coefs
-    if not len(keys):
-        return more_keys, more_coefs
-    keys = np.concatenate((keys, more_keys))
-    order = np.argsort(keys, kind="stable")  # merges the two sorted runs
-    keys = keys[order]
-    coefs = np.concatenate((coefs, more_coefs))[order]
-    del order
-    first = np.empty(len(keys), bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    start = np.flatnonzero(first)
-    if len(start) == len(keys):
-        return keys, coefs
-    keys = keys[start]
-    coefs = np.add.reduceat(coefs, start)
-    del start
-    nonzero = coefs != 0
-    return keys[nonzero], coefs[nonzero]
-
-
 def _array_step(fac, keys, coefs):
     """_dict_step on sorted arrays: the same successors, one branch at a time.
 
     A term keeps branch j when its digit d_j is below cap_j and the number
     of the factor's digits below their thresholds equals [d_j < thr_j]:
-    _successors' rule.  Adding a branch's increment keeps its keys sorted.
+    _successors' rule.  Adding a branch's increment keeps its keys sorted
+    and distinct, so each key that the accumulator holds has one slot, found
+    by searchsorted and added to in place; the rest are inserted there.
+    Zero coefficients are dropped once, after the last branch.
     """
     import numpy as np
 
@@ -469,14 +414,30 @@ def _array_step(fac, keys, coefs):
     nbelow = np.zeros(len(keys), np.uint8)
     for d, (_, _, thr, _) in zip(digits, fac):
         nbelow += d < thr
-    acc = (keys[:0], coefs[:0])
+    acc_keys, acc_coefs = keys[:0], coefs[:0]
     for d, (shift, sign, thr, cap) in zip(digits, fac):
         keep = (d < cap) & (nbelow == (d < thr))
+        more_keys = keys[keep] + (1 << shift // 2)
         more = coefs[keep]
+        del keep  # temporaries go before the next large allocation
         if sign < 0:
             np.negative(more, out=more)
-        acc = _merge(*acc, keys[keep] + (1 << shift // 2), more)
-    return acc
+        if not len(acc_keys):
+            acc_keys, acc_coefs = more_keys, more
+            continue
+        pos = np.searchsorted(acc_keys, more_keys)
+        hit = acc_keys.take(pos, mode="clip") == more_keys
+        acc_coefs[pos[hit]] += more[hit]
+        miss = ~hit
+        at = pos[miss]
+        del hit, pos
+        acc_coefs = np.insert(acc_coefs, at, more[miss])
+        del more
+        acc_keys = np.insert(acc_keys, at, more_keys[miss])
+    nonzero = acc_coefs != 0
+    if nonzero.all():
+        return acc_keys, acc_coefs
+    return acc_keys[nonzero], acc_coefs[nonzero]
 
 
 def _max_abs(terms) -> int:
@@ -514,8 +475,6 @@ def _run_factors(order, plans, terms, start, k, term_cap, op_cap, on_step):
             new = _array_step(fac, *terms)
             live = len(new[0])
         ops += size * len(fac)
-        if live > BIG_STEP_TERMS and not _allocator_pinned:
-            _pin_allocator()
         if term_cap is not None and live > term_cap:
             raise TermCapExceeded(
                 f"term count {live} exceeds cap {term_cap} at factor {f}",
@@ -532,6 +491,27 @@ def _run_factors(order, plans, terms, start, k, term_cap, op_cap, on_step):
         if on_step is not None:
             on_step(f, live)
     return _as_dict(terms, k)
+
+
+def _check_resume_terms(terms, k: int, start: int, plans) -> None:
+    """Reject resumed terms that start steps of this plan cannot have made.
+
+    The product is homogeneous, so every live term after start steps has
+    total degree start, and no digit exceeds its planned cap.
+    """
+    caps = [0] * k
+    for fac in plans:
+        for shift, _, _, cap in fac:
+            caps[shift // 8] = cap
+    for key in terms:
+        if 0 <= key < 1 << (8 * k):
+            digits = key.to_bytes(k, "little")
+            if sum(digits) == start and not any(map(int.__gt__, digits, caps)):
+                continue
+        raise ValueError(
+            f"checkpoint term {key:#x} does not fit factor index {start}: "
+            f"each term has degree {start} and exponents within their caps"
+        )
 
 
 def multiply_factors(
@@ -557,7 +537,8 @@ def multiply_factors(
     it back via resume); the checkpoint holds the engine's term dict itself,
     not a copy, or past the switch to arrays a dict rebuilt from them.  A
     resume is rejected unless the checkpoint's plan_hash matches this
-    call's k, factors, caps and target.
+    call's k, factors, caps and target, and unless every resumed term has
+    total degree factor_index and each exponent within its cap.
     """
     k = fl.k
     n = len(fl.factors)
@@ -596,6 +577,7 @@ def multiply_factors(
                 "checkpoint was saved from a different computation (factors, "
                 "bound or target monomial differ)"
             )
+        _check_resume_terms(resume.terms, k, start, plans)
         terms = dict(resume.terms)
     else:
         start = 0

@@ -263,6 +263,24 @@ class TestCertifyType:
         assert cp.k == 4
         assert cp.factor_index == 2
 
+    def test_checkpoint_names_keep_fixes_and_variant_apart(self, tmp_path):
+        def saved(lam, directory, **settings):
+            config = CaseConfig(op_cap=1, checkpoint_dir=str(directory),
+                                max_candidates=2, **settings)
+            return [a.note.rsplit("saved to ", 1)[1]
+                    for a in certify_type(lam, 2, config).attempts
+                    if a.outcome == "aborted"]
+
+        # (3, 1) aborts on one arrangement and monomial under different fixes
+        paths = saved((3, 1), tmp_path / "fixes")
+        assert len(set(paths)) == len(paths) == len(list((tmp_path / "fixes").iterdir()))
+        # (2, 2) aborts on the same arrangements and monomials in both variants
+        directory = tmp_path / "variants"
+        full = saved((2, 2), directory, use_greedy_fixes=False)
+        reduced = saved((2, 2), directory, use_greedy_fixes=False, variant=REDUCED)
+        assert not set(full) & set(reduced)
+        assert len(list(directory.iterdir())) == len(full) + len(reduced)
+
     def test_missing_checkpoint_dir_is_created(self, tmp_path):
         directory = tmp_path / "new"
         config = CaseConfig(

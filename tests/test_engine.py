@@ -1,5 +1,5 @@
-import platform
 import random
+import struct
 import subprocess
 import sys
 
@@ -342,6 +342,41 @@ class TestCheckpoints:
         )
         assert resumed.coefficient(fx.monomial) == fx.coefficient
 
+    def test_resume_rejects_an_edited_factor_index(self, tmp_path):
+        fx = by_name("6-4")
+        fl, bound = fixture_product(fx)
+        with pytest.raises(TermCapExceeded) as info:
+            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
+        assert info.value.checkpoint.factor_index == 5
+        path = tmp_path / "edited.bin"
+        save_checkpoint(path, info.value.checkpoint)
+        data = path.read_bytes()
+        offset = len(engine.CHECKPOINT_MAGIC) + 1  # after the magic and k
+        for index in (4, 6):
+            path.write_bytes(data[:offset] + struct.pack("<I", index)
+                             + data[offset + 4:])
+            cp = load_checkpoint(path)
+            assert cp.factor_index == index
+            with pytest.raises(ValueError, match="factor index"):
+                multiply_factors(fl, bound=bound, target=fx.monomial, resume=cp)
+        path.write_bytes(data)
+        resumed = multiply_factors(fl, bound=bound, target=fx.monomial,
+                                   resume=load_checkpoint(path))
+        assert resumed.coefficient(fx.monomial) == fx.coefficient == 10
+
+    def test_resume_rejects_a_digit_above_its_cap(self):
+        fx = by_name("6-4")
+        fl, bound = fixture_product(fx)
+        with pytest.raises(TermCapExceeded) as info:
+            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
+        cp = info.value.checkpoint
+        assert cp.factor_index == 5 and fx.monomial[3] == 3
+        bad = pack((1, 0, 0, 4) + (0,) * 6)  # degree 5, but x4's cap is 3
+        with pytest.raises(ValueError, match="factor index"):
+            multiply_factors(fl, bound=bound, target=fx.monomial,
+                             resume=EngineCheckpoint(cp.k, 5, {**cp.terms, bad: 1},
+                                                     cp.plan_hash))
+
     def test_resume_validation(self):
         fl = build_p(QS32)
         with pytest.raises(ValueError):
@@ -385,8 +420,10 @@ class TestPruningProperties:
         assert [f for f, _ in seen] == list(range(fl.degree))
         assert all(n >= 1 for _, n in seen)
 
-    def test_zero_coefficients_are_dropped_eagerly(self):
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_zero_coefficients_are_dropped_eagerly(self, monkeypatch, kernel):
         # (x2-x1)(x2-x1) * ... keeps dicts free of zero entries
+        use_kernel(monkeypatch, kernel)
         rng = random.Random(77)
         for _ in range(20):
             fl, lam, qs = random_factor_list(rng)
@@ -492,54 +529,36 @@ class TestArrayKernel:
                        for j, c in enumerate((1, 3, 3, 1))}
 
 
-# Grows a dict to 400k big-int keys by rebuilding it, the previous one alive
-# while the next grows, as the engine's steps do; runs that twice after
-# _pin_allocator and prints the process's peak RSS after each.
-_CHURN = """
+# Runs the 10-2-a product (417 093 peak live terms, on the array kernel)
+# three times in one process and prints the process's peak RSS in KiB after
+# each job.
+_REPEAT = """
 import resource
-from nullseq import engine
-engine._pin_allocator()
-def job(n):
-    terms, size = {}, 1000
-    while size <= n:
-        new = {}
-        for i in range(size):
-            new[(1 << 70) + 7 * i] = i
-        terms, size = new, size * 3 // 2
-for _ in range(2):
-    job(400_000)
+from nullseq.catalog import by_name
+from nullseq.engine import multiply_factors
+from nullseq.factors import bounding_monomial, build_p
+from nullseq.quotient import validate_quotient
+fx = by_name("10-2-a")
+qs = validate_quotient(fx.a, fx.lam)
+fl, bound = build_p(qs, fx.fixes), bounding_monomial(fx.lam, qs, fx.fixes)
+for _ in range(3):
+    poly = multiply_factors(fl, bound=bound, target=fx.monomial)
+    assert poly.coefficient(fx.monomial) == fx.coefficient
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-class TestAllocator:
-    def test_pinned_once_after_a_big_step(self, monkeypatch):
-        calls = []
-
-        def pin():
-            calls.append(1)
-            monkeypatch.setattr(engine, "_allocator_pinned", True)
-
-        monkeypatch.setattr(engine, "_pin_allocator", pin)
-        monkeypatch.setattr(engine, "_allocator_pinned", False)
-        fl = build_p(QS32)
-        multiply_factors(fl)
-        assert calls == []  # at most 40 live terms
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 3)
-        multiply_factors(fl)
-        multiply_factors(fl)
-        assert calls == [1]
-
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
-    def test_repeated_job_peaks_no_higher(self):
-        # Without the pin the second job peaks about 10 MB higher: its
-        # tables come from a heap that keeps freed space.
+class TestRepeatedJobs:
+    def test_big_jobs_peak_steadily(self):
         proc = subprocess.run(
-            [sys.executable, "-c", _CHURN],
+            [sys.executable, "-c", _REPEAT],
             capture_output=True,
             text=True,
-            timeout=120,
+            timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        first, second = map(int, proc.stdout.split())
-        assert second - first < 2048  # KiB
+        # The first job peaks a few MB lower: glibc serves each array larger
+        # than any it has freed by mmap, and raises its mmap threshold when
+        # one is freed, so later jobs take those arrays from its heap.
+        _, second, third = map(int, proc.stdout.split())
+        assert third - second < 2048  # KiB

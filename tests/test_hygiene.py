@@ -1,13 +1,19 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and
+every demo runs."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "nullseq").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+SOURCES = (
+    sorted((ROOT / "src" / "nullseq").glob("*.py"))
+    + sorted((ROOT / "tests").glob("*.py"))
+    + DEMOS
 )
 
 
@@ -48,3 +54,10 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path):
+    proc = subprocess.run([sys.executable, str(path)], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
