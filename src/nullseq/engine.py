@@ -4,6 +4,10 @@ Monomials are packed into a single integer, one byte per position (position 1
 is the lowest byte), so dictionary keys are small ints and successor keys are
 computed with shifts and adds.
 
+Factors are multiplied one at a time in the order fl.factors lists them,
+which factors._emit decides; on_step's f and a checkpoint's factor_index
+are positions in that list.
+
 Pruning while multiplying factor-by-factor:
 
 * divisor rule: a partial exponent may never exceed its cap (the bounding
@@ -28,16 +32,6 @@ carry into the next byte.  With a = sum of (128 - threshold) and
 b = sum of (128 - cap) over the factor's bytes and m their bit-7 mask,
 (((key + a) & m) << 1) | ((key + b) & m) is a state that selects the term's
 successors from a per-factor table, filled lazily by the rule above.
-
-Order planner.  The product is the same in any factor order, but the live
-terms are not.  A targeted call multiplies in canonical order (as the factor
-list emits it) or in its mirror (factors over the highest positions first),
-whichever a frontier-width cost model rates cheaper; a tie, or a call without
-a target, keeps canonical.  on_step(f, live) and cap-abort messages name f as
-the index into fl.factors of the factor just multiplied, whatever the order;
-EngineCheckpoint.factor_index counts steps of the planned order.  The plan is
-deterministic, so a resume recomputes it, and the checkpoint's plan_hash
-covers it.
 
 Array kernel.  A job whose term dict grows past BIG_STEP_TERMS (2**16) live
 terms moves, before its next step, to a pair of numpy arrays and stays there:
@@ -72,7 +66,8 @@ from .factors import FactorList
 
 CHECKPOINT_MAGIC = b"NSEQCKP3"
 # refused on load: NSEQCKP1 has no plan_hash; NSEQCKP2 counts factor_index
-# in canonical order and hashes unclamped caps
+# in canonical order and hashes unclamped caps.  An NSEQCKP3 file saved while
+# the engine chose its own factor order loads but fails the plan_hash check.
 _OLD_MAGICS = (b"NSEQCKP1", b"NSEQCKP2")
 
 
@@ -118,10 +113,9 @@ class SparsePolynomial:
 class EngineCheckpoint:
     """Resumable state: the accumulated terms before step factor_index.
 
-    factor_index counts steps of the planned factor order, not positions in
-    fl.factors.  plan_hash identifies the computation (k, the planned order
-    and the per-step plan: factor terms, exponent caps, target thresholds);
-    a resume must match it.
+    factor_index is a position in fl.factors.  plan_hash identifies the
+    computation (k and the per-step plan in list order: factor terms,
+    exponent caps, target thresholds); a resume must match it.
     """
 
     k: int
@@ -202,71 +196,15 @@ def load_checkpoint(path) -> EngineCheckpoint:
         return EngineCheckpoint(k, factor_index, terms, plan_hash)
 
 
-def _plan_hash(k: int, order, plans) -> bytes:
+def _plan_hash(k: int, plans) -> bytes:
     """Digest of what the engine multiplies; computed only for checkpoints."""
-    return hashlib.sha256(repr((k, order, plans)).encode()).digest()
-
-
-def _order_cost(fl: FactorList, caps, order) -> int:
-    """Estimated term-ops of multiplying in this order toward a target.
-
-    The sum over steps of the factor's size times a bound on the live terms
-    before it: the product over variables of the number of digits in
-    [max(0, cap - remaining), min(cap, seen)], where seen and remaining
-    count the factors containing the variable before and after that point.
-    Updated per variable touched, so one order costs O(sum of factor sizes).
-    """
-    remaining = [0] * fl.k
-    for factor in fl.factors:
-        for v in factor.variables():
-            remaining[v - 1] += 1
-    seen = [0] * fl.k
-    width = [1] * fl.k  # nothing seen yet: only digit 0 (cap <= remaining)
-    live = 1
-    cost = 0
-    for f in order:
-        variables = fl.factors[f].variables()
-        cost += len(variables) * live
-        for v in variables:
-            i = v - 1
-            seen[i] += 1
-            remaining[i] -= 1
-            cap = caps[i]
-            w = min(cap, seen[i]) - max(0, cap - remaining[i]) + 1
-            live = live // width[i] * w
-            width[i] = w
-    return cost
-
-
-def _mirror_order(fl: FactorList) -> tuple[int, ...]:
-    """Stable sort by (-highest position, -lowest position): highest first."""
-    span = [f.variables() for f in fl.factors]
-    return tuple(
-        sorted(range(len(span)), key=lambda f: (-max(span[f]), -min(span[f])))
-    )
-
-
-def _plan_order(fl: FactorList, caps, targeted: bool) -> tuple[int, ...]:
-    """Canonical order or its mirror, whichever _order_cost rates cheaper.
-
-    A tie keeps canonical, and so does a call without a target: the cost
-    model's lower digit bound cap - remaining holds only while a target
-    prunes (bound-only, the mirror of 8-2 peaks at 1.18M terms against
-    736k canonical, though the model rates it cheaper).
-    """
-    canonical = tuple(range(len(fl.factors)))
-    if not targeted:
-        return canonical
-    mirrored = _mirror_order(fl)
-    if _order_cost(fl, caps, mirrored) < _order_cost(fl, caps, canonical):
-        return mirrored
-    return canonical
+    return hashlib.sha256(repr((k, plans)).encode()).digest()
 
 
 def _factor_plan(fl: FactorList, bound, target):
-    """The planned factor order and per-step tuples (shift, sign, threshold, cap).
+    """Per-step tuples (shift, sign, threshold, cap), one per factor in list order.
 
-    plans[pos] describes factor order[pos].  cap is the effective
+    plans[f] describes fl.factors[f].  cap is the effective
     per-position maximum (target when given, else bound), clamped to the
     number of factors containing the variable, so it never changes which
     terms live; it must be at most 127 for the lane test.  threshold is the
@@ -286,11 +224,10 @@ def _factor_plan(fl: FactorList, bound, target):
                 f"x{v} occurs in {count[v - 1]} factors with exponent cap "
                 f"{eff[v - 1]}; the engine allows caps of at most 127"
             )
-    order = _plan_order(fl, caps, target is not None)
     remaining = [0] * k
-    plans: list[tuple[tuple[int, int, int, int], ...]] = [()] * len(order)
-    for pos in range(len(order) - 1, -1, -1):
-        terms = fl.factors[order[pos]].terms()
+    plans: list[tuple[tuple[int, int, int, int], ...]] = [()] * len(fl.factors)
+    for f in range(len(fl.factors) - 1, -1, -1):
+        terms = fl.factors[f].terms()
         entries = []
         for v, sign in terms:
             cap = caps[v - 1]
@@ -298,10 +235,10 @@ def _factor_plan(fl: FactorList, bound, target):
             if target is not None:
                 thr = min(max(target[v - 1] - remaining[v - 1], 0), cap + 1)
             entries.append((8 * (v - 1), sign, thr, cap))
-        plans[pos] = tuple(entries)
+        plans[f] = tuple(entries)
         for v, _ in terms:
             remaining[v - 1] += 1
-    return order, plans
+    return plans
 
 
 # A dict of more than 2**16 terms (about 18 MB with its keys and values)
@@ -450,13 +387,12 @@ def _as_dict(terms, k: int) -> dict[int, int]:
     return terms if isinstance(terms, dict) else _to_dict(*terms, k)
 
 
-def _run_factors(order, plans, terms, start, k, term_cap, op_cap, on_step):
+def _run_factors(plans, terms, start, k, term_cap, op_cap, on_step):
     """Multiply in plans[start:]; terms is a dict or, past the switch, arrays."""
     ops = 0
     may_switch = True  # a job moves to arrays at most once
-    for pos in range(start, len(plans)):
-        fac = plans[pos]
-        f = order[pos]
+    for f in range(start, len(plans)):
+        fac = plans[f]
         # each new coefficient sums at most len(fac) old ones
         if isinstance(terms, dict):
             if may_switch and len(terms) > BIG_STEP_TERMS:
@@ -478,14 +414,12 @@ def _run_factors(order, plans, terms, start, k, term_cap, op_cap, on_step):
         if term_cap is not None and live > term_cap:
             raise TermCapExceeded(
                 f"term count {live} exceeds cap {term_cap} at factor {f}",
-                EngineCheckpoint(k, pos, _as_dict(terms, k),
-                                 _plan_hash(k, order, plans)),
+                EngineCheckpoint(k, f, _as_dict(terms, k), _plan_hash(k, plans)),
             )
         if op_cap is not None and ops > op_cap:
             raise OpCapExceeded(
                 f"operation budget {op_cap} exhausted at factor {f}",
-                EngineCheckpoint(k, pos + 1, _as_dict(new, k),
-                                 _plan_hash(k, order, plans)),
+                EngineCheckpoint(k, f + 1, _as_dict(new, k), _plan_hash(k, plans)),
             )
         terms = new
         if on_step is not None:
@@ -530,15 +464,15 @@ def multiply_factors(
     prunes terms that can no longer reach it.  With neither, the product is
     expanded in full.
 
-    Factors are multiplied in one at a time, in the planned order, and
-    on_step(f, live_terms) is called after each, f being the factor's index
-    in fl.factors.  Exceeding term_cap or op_cap raises TermCapExceeded /
-    OpCapExceeded carrying a resumable checkpoint for this factor list (pass
-    it back via resume); the checkpoint holds the engine's term dict itself,
-    not a copy, or past the switch to arrays a dict rebuilt from them.  A
-    resume is rejected unless the checkpoint's plan_hash matches this
-    call's k, factors, caps and target, and unless every resumed term has
-    total degree factor_index and each exponent within its cap.
+    Factors are multiplied in one at a time, in list order, and
+    on_step(f, live_terms) is called after each for f = 0, 1, ..., n - 1.
+    Exceeding term_cap or op_cap raises TermCapExceeded / OpCapExceeded
+    carrying a resumable checkpoint for this factor list (pass it back via
+    resume); the checkpoint holds the engine's term dict itself, not a copy,
+    or past the switch to arrays a dict rebuilt from them.  A resume is
+    rejected unless the checkpoint's plan_hash matches this call's k,
+    factors in their order, caps and target, and unless every resumed term
+    has total degree factor_index and each exponent within its cap.
     """
     k = fl.k
     n = len(fl.factors)
@@ -565,17 +499,17 @@ def multiply_factors(
     if bound is None and target is None:
         bound = (255,) * k
 
-    order, plans = _factor_plan(fl, bound, target)
+    plans = _factor_plan(fl, bound, target)
     if resume is not None:
         if resume.k != k:
             raise ValueError(f"checkpoint is for k={resume.k}, factor list has k={k}")
         start = resume.factor_index
         if not 0 <= start <= n:
             raise ValueError(f"checkpoint factor index {start} out of range 0 .. {n}")
-        if resume.plan_hash != _plan_hash(k, order, plans):
+        if resume.plan_hash != _plan_hash(k, plans):
             raise ValueError(
                 "checkpoint was saved from a different computation (factors, "
-                "bound or target monomial differ)"
+                "factor order, bound or target monomial differ)"
             )
         _check_resume_terms(resume.terms, k, start, plans)
         terms = dict(resume.terms)
@@ -583,7 +517,7 @@ def multiply_factors(
         start = 0
         terms = {0: 1}
 
-    terms = _run_factors(order, plans, terms, start, k, term_cap, op_cap, on_step)
+    terms = _run_factors(plans, terms, start, k, term_cap, op_cap, on_step)
     return SparsePolynomial(k, terms)
 
 

@@ -17,6 +17,11 @@ touching a fixed position are removed, window factors drop the fixed variable
 (additive constants are irrelevant to top-degree coefficients, and the drop
 is recorded).  Fixed positions must never be adjacent, so every window keeps
 at least one variable.
+
+The product does not depend on factor order, but the engine's live terms do,
+and the engine multiplies a list in the order it is given.  So this module
+alone decides the order: the pairs ending at the highest position come
+first (see _emit), and fixing keeps it.
 """
 
 from __future__ import annotations
@@ -111,15 +116,22 @@ def validate_fixes(fixes, k) -> frozenset[int]:
 
 
 def _emit(qs: QuotientSequencing, variant: str):
-    """Factors in the canonical interleaved emission order: for each pair
-    (i, j) with 1 <= i < j <= k, the difference factor (when a_i = a_j)
-    followed by the window for the partial-sum pair (i-1, j) (when
-    admissible).  The early pairs touch few variables, keeping intermediate
-    products small."""
+    """Factors in the order the engine multiplies them: for each pair
+    (i, j) with 1 <= i < j <= k, highest j first and, within it, highest i
+    first, the difference factor (when a_i = a_j) followed by the window for
+    the partial-sum pair (i-1, j) (when admissible).
+
+    Every factor of pair (i, j) lies within positions i .. j, so once the
+    pairs ending at j are done x_j never appears again and a targeted
+    expansion holds it at its target exponent from then on.  Going from the
+    highest position down rather than from the lowest up keeps fewer live
+    terms on the catalog products: 10-2-a peaks at 356 021 terms against
+    417 093, 11-a at 3.13M against 3.73M.
+    """
     k = qs.k
     a, b = qs.a, qs.b
-    for i in range(1, k):
-        for j in range(i + 1, k + 1):
+    for j in range(k, 1, -1):
+        for i in range(j - 1, 0, -1):
             if a[i - 1] == a[j - 1]:
                 yield Difference(i, j)
             lo = i - 1  # partial-sum pair (i-1, j) covers variables i .. j

@@ -171,6 +171,8 @@ def scan_group(
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n} k={k}")
+    if count is not None and count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     population = range(1, n)
     if count is None:
         if n > MAX_EXHAUSTIVE_N:
@@ -289,7 +291,8 @@ def verify_nonvanishing_conclusion(
     second coordinates follow the arrangement (qs may be a QuotientSequencing
     or a bare tuple) and whose partial sums are all distinct (with the usual
     closing allowance for zero-sum subsets).  Certificates assert such an
-    ordering exists whenever they are valid for p.
+    ordering exists whenever they are valid for p.  A type with more than
+    max_subsets subsets is refused with ValueError, not checked in part.
     """
     group = GroupConfig(p, t)
     lam = tuple(lam)
@@ -310,6 +313,12 @@ def verify_nonvanishing_conclusion(
         raise InfeasibleVerification(
             f"partial-sum residues repeat {mult} times, more than p={p}"
         )
+    total = math.comb(p - 1, lam[0]) * math.prod(math.comb(p, n) for n in lam[1:])
+    if max_subsets is not None and total > max_subsets:
+        raise ValueError(
+            f"type {lam} has {total} subsets in Z_{p} x Z_{t}, more than "
+            f"max_subsets={max_subsets}"
+        )
     pools_space = []
     for v in range(t):
         universe = [x for x in range(p) if (x, v) != (0, 0)]
@@ -317,8 +326,6 @@ def verify_nonvanishing_conclusion(
     checked = 0
     failures = []
     for combo in itertools.product(*pools_space):
-        if max_subsets is not None and checked >= max_subsets:
-            break
         pools = {v: list(combo[v]) for v in range(t)}
         checked += 1
         if _arranged_sequencing(pools, a, group) is None:

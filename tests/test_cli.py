@@ -190,6 +190,10 @@ class TestScan:
         code, _, err = run_cli(["scan", "--n", "50", "--k", "3"])
         assert code == 2
 
+    def test_empty_sample_is_usage_error(self):
+        code, recs, err = run_cli(["scan", "--n", "25", "--k", "6", "--count", "0"])
+        assert code == 2 and not recs and "at least 1" in err
+
 
 class TestVerify:
     def test_ok(self):
@@ -206,6 +210,14 @@ class TestVerify:
              "--a", "0,1,0,0,1"]
         )
         assert code == 2 and "identity-coset" in err
+
+    def test_max_subsets_refuses_a_partial_check(self):
+        argv = ["verify", "--p", "7", "--t", "2", "--lambda", "2,1",
+                "--a", "0,0,1"]
+        code, recs, err = run_cli(argv + ["--max-subsets", "3"])
+        assert code == 2 and not recs and "more than max_subsets=3" in err
+        code, recs, _ = run_cli(argv)
+        assert code == 1 and recs[0]["ok"] is False
 
 
 class TestApplicable:

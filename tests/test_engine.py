@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 import subprocess
@@ -153,17 +154,13 @@ class TestAgainstNaive:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("order", ["canonical", "mirrored"])
     def test_both_orders_match_naive(self, monkeypatch, order, kernel):
+        # canonical: the list as emitted; mirrored: the same list reversed
         use_kernel(monkeypatch, kernel)
-
-        def forced(fl, caps, targeted):
-            if order == "canonical":
-                return tuple(range(len(fl.factors)))
-            return engine._mirror_order(fl)
-
-        monkeypatch.setattr(engine, "_plan_order", forced)
         rng = random.Random(45)
         for _ in range(40):
             fl, lam, qs = random_factor_list(rng)
+            if order == "mirrored":
+                fl = dataclasses.replace(fl, factors=fl.factors[::-1])
             naive = naive_expand(fl)
             assert multiply_factors(fl).to_tuple_dict() == naive.to_tuple_dict()
             bound = bounding_monomial(lam, qs)
@@ -192,7 +189,7 @@ class TestAgainstNaive:
             if not full:
                 continue
             target = sorted(full)[rng.randrange(len(full))]
-            _, plans = engine._factor_plan(fl, bound, target)
+            plans = engine._factor_plan(fl, bound, target)
             counts = []
             multiply_factors(fl, bound=bound, target=target,
                              on_step=lambda f, n: counts.append(n))
@@ -200,7 +197,7 @@ class TestAgainstNaive:
             checked += 1
         for fx in [f for f in TABLE1 if f.tier == LIGHT] + list(WORKED):
             fl, bound = fixture_product(fx)
-            _, plans = engine._factor_plan(fl, bound, fx.monomial)
+            plans = engine._factor_plan(fl, bound, fx.monomial)
             counts = []
             got = multiply_factors(fl, bound=bound, target=fx.monomial,
                                    on_step=lambda f, n: counts.append(n))
@@ -431,8 +428,8 @@ class TestPruningProperties:
             assert all(c != 0 for c in poly.terms.values())
 
 
-class TestPlanner:
-    """1-9-b is a fixture on which the planner picks the mirrored order."""
+class TestFactorOrder:
+    """The engine multiplies 1-9-b's factors in the order build_p lists them."""
 
     FX = by_name("1-9-b")
 
@@ -446,23 +443,19 @@ class TestPlanner:
         got = multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
                                on_step=lambda f, n: seen.append((f, n)))
         assert got.coefficient(self.FX.monomial) == self.FX.coefficient
-        indices = [f for f, _ in seen]
-        assert indices != sorted(indices)  # mirrored, not canonical
-        assert sorted(indices) == list(range(self.fl.degree))
-        assert max(n for _, n in seen) == 5056  # 26 812 in canonical order
+        assert [f for f, _ in seen] == list(range(self.fl.degree))
+        # 26 812 when the factors over the lowest positions come first
+        assert max(n for _, n in seen) == 5056
 
     def test_op_cap_checkpoint_resume(self, tmp_path, monkeypatch):
-        order = []
-        multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
-                         on_step=lambda f, n: order.append(f))
         with pytest.raises(OpCapExceeded) as info:
             multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
                              op_cap=50_000)
         cp = info.value.checkpoint
-        # factor_index counts planned steps; the message names the factor
+        # factor_index is the position in fl.factors of the next factor
         assert 0 < cp.factor_index < self.fl.degree
-        assert str(info.value).endswith(f"at factor {order[cp.factor_index - 1]}")
-        path = tmp_path / "planned.bin"
+        assert str(info.value).endswith(f"at factor {cp.factor_index - 1}")
+        path = tmp_path / "aborted.bin"
         save_checkpoint(path, cp)
         resumed = multiply_factors(self.fl, bound=self.bound,
                                    target=self.FX.monomial,
@@ -482,6 +475,19 @@ class TestPlanner:
                                    target=self.FX.monomial,
                                    resume=load_checkpoint(path))
         assert resumed.coefficient(self.FX.monomial) == 2588
+
+    def test_reordered_checkpoint_is_refused(self, tmp_path):
+        # the plan hash covers the factor order, so a checkpoint saved from
+        # one order never resumes on another
+        with pytest.raises(OpCapExceeded) as info:
+            multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
+                             op_cap=50_000)
+        path = tmp_path / "ordered.bin"
+        save_checkpoint(path, info.value.checkpoint)
+        reversed_fl = dataclasses.replace(self.fl, factors=self.fl.factors[::-1])
+        with pytest.raises(ValueError, match="different computation"):
+            multiply_factors(reversed_fl, bound=self.bound, target=self.FX.monomial,
+                             resume=load_checkpoint(path))
 
 
 class TestArrayKernel:

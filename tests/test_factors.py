@@ -33,7 +33,7 @@ class TestBuild:
     def test_small_example_labels(self):
         fl = build_p(QS32)
         assert fl.labels() == (
-            "x3-x1", "x4-x1", "x5-x2", "x2+x3+x4+x5", "x4-x3", "x3+x4",
+            "x5-x2", "x2+x3+x4+x5", "x4-x3", "x3+x4", "x4-x1", "x3-x1",
         )
         assert fl.degree == 6
         assert fl.variant == FULL and fl.fixed == frozenset()
@@ -42,17 +42,17 @@ class TestBuild:
         fl = build_q(QS32)
         # the pair (2,4) window x3+x4 spans exactly two steps and is dropped
         assert fl.labels() == (
-            "x3-x1", "x4-x1", "x5-x2", "x2+x3+x4+x5", "x4-x3",
+            "x5-x2", "x2+x3+x4+x5", "x4-x3", "x4-x1", "x3-x1",
         )
         assert fl.variant == REDUCED
 
     def test_seven_position_example_labels(self):
         fl = build_p(QS52)
         assert fl.labels() == (
-            "x2-x1", "x1+x2", "x4-x1", "x5-x1", "x6-x1",
-            "x4-x2", "x5-x2", "x6-x2", "x2+x3+x4+x5+x6+x7",
-            "x7-x3", "x3+x4+x5+x6+x7",
-            "x5-x4", "x4+x5", "x6-x4", "x4+x5+x6", "x6-x5", "x5+x6",
+            "x7-x3", "x3+x4+x5+x6+x7", "x2+x3+x4+x5+x6+x7",
+            "x6-x5", "x5+x6", "x6-x4", "x4+x5+x6", "x6-x2", "x6-x1",
+            "x5-x4", "x4+x5", "x5-x2", "x5-x1", "x4-x2", "x4-x1",
+            "x2-x1", "x1+x2",
         )
         assert fl.degree == 17
 
@@ -81,11 +81,13 @@ class TestBuild:
         assert Window((0, 3), (1, 3), dropped=(2,)).offset_dropped
 
     def test_emission_never_revisits_early_variables(self):
-        # the smallest variable per factor never decreases, so each x_v stops
-        # appearing after its block and its exponent freezes early
+        # the highest variable per factor never increases, so each x_v stops
+        # appearing after the pairs ending at v and its exponent freezes early;
+        # fixing keeps this, since it only removes factors and variables
         for qs in (QS32, QS52):
-            lows = [min(f.variables()) for f in build_p(qs).factors]
-            assert lows == sorted(lows)
+            for fl in (build_p(qs), build_q(qs), build_p(qs, (1, 3))):
+                highs = [max(f.variables()) for f in fl.factors]
+                assert highs == sorted(highs, reverse=True)
 
 
 class TestDegreeFormulas:

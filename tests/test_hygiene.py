@@ -1,20 +1,18 @@
-"""Source hygiene checks that need no linter: every import is used, and
-every demo runs."""
+"""Source hygiene checks that need no linter: every import is used, every
+private helper in the package is used, and every demo runs."""
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-SOURCES = (
-    sorted((ROOT / "src" / "nullseq").glob("*.py"))
-    + sorted((ROOT / "tests").glob("*.py"))
-    + DEMOS
-)
+PACKAGE = sorted((ROOT / "src" / "nullseq").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + DEMOS
 
 
 def unused_imports(source: str) -> list[str]:
@@ -54,6 +52,54 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _references(tree) -> Counter:
+    """Names read in tree: Name nodes, attribute names and imported names."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Module-level _private functions and classes that no module reads.
+
+    A reference inside the definition itself (recursion) does not count, so
+    a helper that only tests reach is reported.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used: Counter = Counter()
+    for tree in trees.values():
+        used += _references(tree)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")
+                    and used[node.name] == _references(node)[node.name]):
+                found.append(f"{module}: {node.name}")
+    return sorted(found)
+
+
+def test_checker_finds_unreferenced_private():
+    sources = {
+        "a.py": "def _used(): pass\ndef _dead(): return _dead()\n"
+                "class _Gone: pass\ndef public(): return _used()\n",
+        "b.py": "from .a import _shared\n",
+        "c.py": "def _shared(): pass\ndef __dunder__(): pass\n",
+    }
+    assert unreferenced_private(sources) == ["a.py: _Gone", "a.py: _dead"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert unreferenced_private(sources) == []
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

@@ -174,6 +174,12 @@ class TestScanGroup:
             scan_group(6, 6)
         scan_group(50, 3, count=5, seed=0)  # sampling is allowed past the cap
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sampling_needs_a_positive_count(self, count):
+        # an empty sample would report every subset sequenceable
+        with pytest.raises(ValueError, match="at least 1"):
+            scan_group(25, 6, count=count)
+
 
 class TestVerifyConclusion:
     def test_worked_case_small_prime(self):
@@ -191,9 +197,11 @@ class TestVerifyConclusion:
         r = verify_nonvanishing_conclusion(5, 2, (3, 2), qs)
         assert r.ok and r.subsets_checked == 40
 
-    def test_max_subsets_truncates(self):
-        r = verify_nonvanishing_conclusion(5, 2, (3, 2), (0, 1, 0, 0, 1), max_subsets=7)
-        assert r.subsets_checked == 7 and r.ok
+    def test_max_subsets_refuses(self):
+        with pytest.raises(ValueError, match="40 subsets"):
+            verify_nonvanishing_conclusion(5, 2, (3, 2), (0, 1, 0, 0, 1), max_subsets=7)
+        r = verify_nonvanishing_conclusion(5, 2, (3, 2), (0, 1, 0, 0, 1), max_subsets=40)
+        assert r.subsets_checked == 40 and r.ok
 
     def test_identity_coset_infeasible(self):
         with pytest.raises(InfeasibleVerification, match="identity-coset"):
