@@ -165,6 +165,10 @@ class Certificate:
     exceptional: tuple[int, ...]
 
     def __post_init__(self):
+        if self.variant not in (FULL, REDUCED):
+            raise ValueError(f"unknown variant {self.variant!r}")
+        if self.t != len(self.lam):
+            raise ValueError(f"t = {self.t} but the type {self.lam} has another length")
         qs = validate_quotient(self.a, self.lam)
         build = build_p if self.variant == FULL else build_q
         fl = build(qs, self.fixes)
@@ -278,6 +282,11 @@ class CaseConfig:
     variant: str = FULL
     use_greedy_fixes: bool = True
     checkpoint_dir: str | None = None
+
+    def __post_init__(self):
+        for name in ("qs_limit", "qs_budget", "max_candidates"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def candidate_monomials(bound, degree: int, limit: int):

@@ -125,28 +125,6 @@ def _coeff_inputs(args):
     return k, t, lam, a, fixes
 
 
-def _coefficient_record(result, start, split_budget=None, **fields) -> dict:
-    """The coefficient record of a compute_coefficient result, with its outcome.
-
-    fields are the job's coefficient_record keywords (k, t, lam, ...).
-    """
-    value = result.coefficient
-    record = reports.coefficient_record(
-        **fields, coefficient=value or 0,
-        factorization=factorize(value, split_budget=split_budget)
-        if value else None,
-        terms=result.terms, elapsed=time.monotonic() - start,
-    )
-    if value is None:
-        del record["coefficient"]
-        record.update(outcome="aborted", note=result.note)
-        if result.checkpoint:
-            record["checkpoint"] = result.checkpoint
-    else:
-        record["outcome"] = "nonzero" if value else "zero"
-    return record
-
-
 def _cmd_coeff(args) -> int:
     config = _case_config(args)
     k, t, lam, a, fixes = _coeff_inputs(args)
@@ -171,10 +149,12 @@ def _cmd_coeff(args) -> int:
             raise UsageError(f"cannot load checkpoint {args.resume}: {exc}") from exc
     start = time.monotonic()
     result = compute_coefficient(qs, fl, bound, monomial, config, resume=resume)
-    record = _coefficient_record(
-        result, start, split_budget=args.split_budget,
-        k=k, t=t, lam=lam, a=a, fixes=fixes, variant=config.variant,
+    value = result.coefficient
+    record = reports.coefficient_record(
+        result, k=k, t=t, lam=lam, a=a, fixes=fixes, variant=config.variant,
         monomial=monomial, degree=fl.degree, bound=bound,
+        factorization=factorize(value, split_budget=args.split_budget) if value else None,
+        elapsed=time.monotonic() - start,
     )
     _emit([record], args)
     return 0 if result.coefficient else 1
@@ -278,10 +258,12 @@ def _cmd_table1(args) -> int:
             bound = bounding_monomial(fx.lam, qs, fx.fixes)
             start = time.monotonic()
             result = compute_coefficient(qs, fl, bound, fx.monomial, config)
-            record = _coefficient_record(
-                result, start,
-                k=fx.k, t=fx.t, lam=fx.lam, a=fx.a, fixes=fx.fixes, variant=FULL,
-                monomial=fx.monomial, degree=fx.degree, bound=bound,
+            value = result.coefficient
+            record = reports.coefficient_record(
+                result, k=fx.k, t=fx.t, lam=fx.lam, a=fx.a, fixes=fx.fixes,
+                variant=FULL, monomial=fx.monomial, degree=fx.degree, bound=bound,
+                factorization=factorize(value) if value else None,
+                elapsed=time.monotonic() - start,
             )
             record["name"] = fx.name
             if result.coefficient is not None:

@@ -1,9 +1,9 @@
 """Brute-force ground truth: exhaustive sequencing search and scanners.
 
 Independent of the polynomial pipeline: orderings are searched directly with
-a depth-first search over positions, pruning on repeated partial sums.  Used
-to double-check certificates on small concrete groups and to scan small
-cyclic groups exhaustively.
+one depth-first search over positions (``_search``), pruning on repeated
+partial sums.  The finders, the scans of small cyclic groups and the
+verification of certificates on small concrete groups all use it.
 """
 
 from __future__ import annotations
@@ -24,35 +24,55 @@ ROTATIONAL_ONLY = "rotational"
 AUTO = "auto"
 
 
-def _search(elems, group, closing_zero, prefix, used_sums, acc, out, find_all):
-    """DFS over remaining elements; used_sums holds partial sums so far."""
-    k = len(elems)
-    depth = len(prefix)
-    if depth == k:
-        out.append(tuple(prefix))
-        return not find_all
-    remaining = [e for e in elems if e not in prefix]
-    for e in sorted(remaining):
-        nxt = group.add(acc, e)
-        if nxt in used_sums:
-            # a collision is only ever allowed at the closing step of a
-            # zero-sum subset, where the walk returns to the identity
-            if not (closing_zero and depth == k - 1 and nxt == group.zero):
+def _kind_allows(zero_sum: bool, kind: str) -> bool:
+    """Can a subset whose sum is (or is not) the identity have this kind?
+
+    A zero-sum walk must return to the identity, so it can only be rotational;
+    a nonzero-sum walk never returns, so it can only be linear.
+    """
+    if kind == AUTO:
+        return True
+    if kind == ROTATIONAL_ONLY:
+        return zero_sum
+    if kind == LINEAR_ONLY:
+        return not zero_sum
+    raise ValueError(f"unknown mode {kind!r}")
+
+
+def _search(slots, group, find_all):
+    """Orderings taking one unused element of slots[d] at each depth d.
+
+    Partial sums must be distinct, except that the last one may return to the
+    identity (a zero-sum subset closing rotationally).  Candidates are tried
+    in slot order.  Returns the first ordering found (or none) as a list, or
+    with find_all every ordering in DFS order.
+    """
+    k = len(slots)
+    prefix: list = []
+    sums: set = set()  # nonzero partial sums so far; the identity is implied
+    out: list[tuple] = []
+
+    def rec(depth, acc):
+        if depth == k:
+            out.append(tuple(prefix))
+            return not find_all
+        for e in slots[depth]:
+            if e in prefix:
+                continue
+            nxt = group.add(acc, e)
+            if nxt in sums or (nxt == group.zero and depth < k - 1):
                 continue
             prefix.append(e)
-            out.append(tuple(prefix))
+            sums.add(nxt)
+            done = rec(depth + 1, nxt)
+            sums.discard(nxt)
             prefix.pop()
-            if not find_all:
+            if done:
                 return True
-            continue
-        prefix.append(e)
-        used_sums.add(nxt)
-        done = _search(elems, group, closing_zero, prefix, used_sums, nxt, out, find_all)
-        used_sums.discard(nxt)
-        prefix.pop()
-        if done:
-            return True
-    return False
+        return False
+
+    rec(0, group.zero)
+    return out
 
 
 def find_sequencing(elements, group, mode: str = AUTO):
@@ -61,25 +81,20 @@ def find_sequencing(elements, group, mode: str = AUTO):
     mode restricts the kind: LINEAR_ONLY returns None when the subset sum is
     zero (the walk must return to the identity), ROTATIONAL_ONLY returns None
     when it is nonzero.  AUTO accepts whichever kind the subset sum allows.
+    The empty subset returns () in every mode.
     """
     elems = validate_subset(elements, group)
+    allowed = _kind_allows(subset_sum(elems, group) == group.zero, mode)
     if len(elems) > MAX_ORACLE_SIZE:
         raise ValueError(
             f"exhaustive search refused beyond {MAX_ORACLE_SIZE} elements"
         )
     if not elems:
         return ()
-    total = subset_sum(elems, group)
-    zero_sum = total == group.zero
-    if mode == LINEAR_ONLY and zero_sum:
+    if not allowed:
         return None
-    if mode == ROTATIONAL_ONLY and not zero_sum:
-        return None
-    if mode not in (AUTO, LINEAR_ONLY, ROTATIONAL_ONLY):
-        raise ValueError(f"unknown mode {mode!r}")
-    out: list[tuple] = []
-    _search(elems, group, zero_sum, [], {group.zero}, group.zero, out, False)
-    return out[0] if out else None
+    found = _search([sorted(elems)] * len(elems), group, False)
+    return found[0] if found else None
 
 
 def all_sequencings(elements, group):
@@ -87,12 +102,7 @@ def all_sequencings(elements, group):
     elems = validate_subset(elements, group)
     if len(elems) > 8:
         raise ValueError("full enumeration limited to 8 elements")
-    if not elems:
-        return [()]
-    total = subset_sum(elems, group)
-    out: list[tuple] = []
-    _search(elems, group, total == group.zero, [], {group.zero}, group.zero, out, True)
-    return out
+    return _search([sorted(elems)] * len(elems), group, True)
 
 
 def canonical_subset(subset, n: int) -> tuple[int, ...]:
@@ -126,13 +136,6 @@ class ScanReport:
     @property
     def all_sequenceable(self) -> bool:
         return self.scanned == self.sequenceable
-
-
-def _kind_allows(subset, n: int, kind: str) -> bool:
-    if kind == AUTO:
-        return True
-    zero_sum = sum(subset) % n == 0
-    return zero_sum if kind == ROTATIONAL_ONLY else not zero_sum
 
 
 def _scan_chunk(args):
@@ -173,6 +176,7 @@ def scan_group(
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n} k={k}")
     if count is not None and count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
+    allows = {zero_sum: _kind_allows(zero_sum, kind) for zero_sum in (False, True)}
     population = range(1, n)
     if count is None:
         if n > MAX_EXHAUSTIVE_N:
@@ -185,7 +189,7 @@ def scan_group(
         subsets = [
             s
             for s in itertools.combinations(population, k)
-            if (not reduce or canonical_subset(s, n) == s) and _kind_allows(s, n, kind)
+            if (not reduce or canonical_subset(s, n) == s) and allows[sum(s) % n == 0]
         ]
         sampled = False
         used_seed = None
@@ -196,7 +200,7 @@ def scan_group(
         while len(chosen) < count and attempts < count * 200:
             s = tuple(sorted(rng.sample(population, k)))
             attempts += 1
-            if _kind_allows(s, n, kind):
+            if allows[sum(s) % n == 0]:
                 chosen.add(s)
         subsets = sorted(chosen)
         sampled = True
@@ -242,61 +246,21 @@ class VerificationReport:
         return not self.failures
 
 
-def _arranged_sequencing(pools, a, group):
-    """Ordering consistent with the arrangement a, all partial sums distinct
-    in the full group (closing collision at the identity allowed)."""
-    k = len(a)
-    zero_sum = (
-        sum(x for pool in pools.values() for x in pool) % group.p == 0
-        and sum(v * len(pool) for v, pool in pools.items()) % group.t == 0
-    )
-    order: list[tuple[int, int]] = []
-    taken = {v: [False] * len(pool) for v, pool in pools.items()}
-    sums = {group.zero}
-
-    def rec(depth, acc):
-        if depth == k:
-            return True
-        v = a[depth]
-        pool = pools[v]
-        flags = taken[v]
-        for idx, x in enumerate(pool):
-            if flags[idx]:
-                continue
-            nxt = group.add(acc, (x, v))
-            if nxt in sums:
-                if zero_sum and depth == k - 1 and nxt == group.zero:
-                    order.append((x, v))
-                    return True
-                continue
-            flags[idx] = True
-            order.append((x, v))
-            sums.add(nxt)
-            if rec(depth + 1, nxt):
-                return True
-            sums.discard(nxt)
-            order.pop()
-            flags[idx] = False
-        return False
-
-    return tuple(order) if rec(0, group.zero) else None
-
-
 def verify_nonvanishing_conclusion(
-    p: int, t: int, lam, qs, max_subsets: int | None = None
+    p: int, t: int, lam, a, max_subsets: int | None = None
 ) -> VerificationReport:
     """Exhaustively confirm the certified conclusion on a concrete group.
 
     For every subset of Z_p x Z_t of type lam, search an ordering whose
-    second coordinates follow the arrangement (qs may be a QuotientSequencing
-    or a bare tuple) and whose partial sums are all distinct (with the usual
-    closing allowance for zero-sum subsets).  Certificates assert such an
-    ordering exists whenever they are valid for p.  A type with more than
-    max_subsets subsets is refused with ValueError, not checked in part.
+    second coordinates follow the arrangement a (a tuple of residues) and
+    whose partial sums are all distinct (with the usual closing allowance
+    for zero-sum subsets).  Certificates assert such an ordering exists
+    whenever they are valid for p.  A type with more than max_subsets
+    subsets is refused with ValueError, not checked in part.
     """
     group = GroupConfig(p, t)
     lam = tuple(lam)
-    a = tuple(getattr(qs, "a", qs))
+    a = tuple(a)
     if len(lam) != t or sum(lam) != len(a):
         raise ValueError("type and arrangement sizes are inconsistent")
     mult = validate_quotient(a, lam).max_multiplicity
@@ -321,18 +285,14 @@ def verify_nonvanishing_conclusion(
         )
     pools_space = []
     for v in range(t):
-        universe = [x for x in range(p) if (x, v) != (0, 0)]
+        universe = [(x, v) for x in range(p) if (x, v) != (0, 0)]
         pools_space.append(list(itertools.combinations(universe, lam[v])))
     checked = 0
     failures = []
-    for combo in itertools.product(*pools_space):
-        pools = {v: list(combo[v]) for v in range(t)}
+    for pools in itertools.product(*pools_space):
         checked += 1
-        if _arranged_sequencing(pools, a, group) is None:
-            subset = tuple(
-                sorted((x, v) for v in range(t) for x in pools[v])
-            )
-            failures.append(subset)
+        if not _search([pools[v] for v in a], group, False):
+            failures.append(tuple(sorted(e for pool in pools for e in pool)))
             if len(failures) >= 20:
                 break
     return VerificationReport(p, t, lam, a, checked, tuple(failures))

@@ -148,6 +148,9 @@ def search_quotient(lam, objective="min-degree", limit=10, budget=10**6, seed=0)
     lam = tuple(lam)
     if any(c < 0 for c in lam) or sum(lam) == 0:
         raise ValueError("type must be nonnegative with positive size")
+    for name, value in (("limit", limit), ("budget", budget)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     bdeg = bounding_degree(lam)
 
     def score(a):

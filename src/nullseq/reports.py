@@ -31,6 +31,7 @@ from .certify import (
     CaseReport,
     Certificate,
     CertificateEntry,
+    CoefficientResult,
     Factorization,
     TypeResult,
     UnresolvedType,
@@ -341,6 +342,7 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
 
 
 def coefficient_record(
+    result: CoefficientResult,
     *,
     k: int,
     t: int,
@@ -349,13 +351,17 @@ def coefficient_record(
     fixes: tuple[int, ...],
     variant: str,
     monomial: tuple[int, ...],
-    coefficient: int,
+    degree: int,
+    bound: tuple[int, ...],
     factorization: Factorization | None = None,
-    degree: int | None = None,
-    bound: tuple[int, ...] | None = None,
-    terms: int | None = None,
     elapsed: float | None = None,
 ) -> dict:
+    """The record of one compute_coefficient result and its outcome.
+
+    An aborted result (coefficient None) has no coefficient field; it gives
+    the abort's note and, when one was saved, its checkpoint path instead.
+    The caller factors a nonzero coefficient and passes the factorization.
+    """
     record = _base("coefficient", elapsed)
     record.update(
         k=k,
@@ -365,16 +371,20 @@ def coefficient_record(
         fixes=format_exponents(fixes),
         variant=variant,
         monomial=format_exponents(monomial),
-        coefficient=str(coefficient),
+        degree=degree,
+        bound=format_exponents(bound),
     )
+    value = result.coefficient
+    if value is None:
+        record.update(outcome="aborted", note=result.note)
+        if result.checkpoint:
+            record["checkpoint"] = result.checkpoint
+    else:
+        record.update(coefficient=str(value), outcome="nonzero" if value else "zero")
     if factorization is not None:
         record["factorization"] = format_factorization(factorization)
-    if degree is not None:
-        record["degree"] = degree
-    if bound is not None:
-        record["bound"] = format_exponents(bound)
-    if terms is not None:
-        record["terms"] = terms
+    if result.terms is not None:
+        record["terms"] = result.terms
     return record
 
 

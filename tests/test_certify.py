@@ -229,6 +229,12 @@ class TestCertifyType:
         with pytest.raises(ValueError):
             certify_type((3, 2), 3)
 
+    @pytest.mark.parametrize("name", ["qs_limit", "qs_budget", "max_candidates"])
+    def test_nonpositive_search_counts_refused(self, name):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+                CaseConfig(**{name: value})
+
     def test_budget_exhaustion_reports_unresolved(self):
         res = certify_type((3, 2), 2, CaseConfig(max_degree=0))
         assert res.certificate is None

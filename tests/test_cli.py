@@ -145,6 +145,20 @@ class TestProve:
         code, _, err = run_cli(["prove", "--k", "4", "--t", "6"])
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "4", "--t", "2", "--max-candidates", "0"],
+            ["--k", "4", "--t", "2", "--qs-limit", "-1"],
+            ["--k", "3", "--t", "1", "--qs-budget", "0"],
+        ],
+    )
+    def test_nonpositive_search_count_is_usage_error(self, argv):
+        # an empty search would report every type unresolved for a false reason
+        code, recs, err = run_cli(["prove", *argv])
+        assert code == 2 and not recs
+        assert "at least 1" in err
+
 
 class TestQs:
     def test_ranked_candidates(self):
@@ -164,6 +178,15 @@ class TestQs:
     def test_invalid_type(self):
         code, _, err = run_cli(["qs", "--lambda", "0,0"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [["--limit", "-1"], ["--limit", "0"], ["--qs-budget", "0"]]
+    )
+    def test_nonpositive_count_is_usage_error(self, flag):
+        # --limit -1 used to slice off the last arrangement and print the rest
+        code, recs, err = run_cli(["qs", "--lambda", "3,2", *flag])
+        assert code == 2 and not recs
+        assert "at least 1" in err
 
 
 class TestScan:

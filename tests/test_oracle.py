@@ -11,6 +11,7 @@ from nullseq.groups import (
     GroupConfig,
     classify_sequencing,
     subset_sum,
+    type_of,
 )
 from nullseq.oracle import (
     AUTO,
@@ -24,7 +25,6 @@ from nullseq.oracle import (
     scan_group,
     verify_nonvanishing_conclusion,
 )
-from nullseq.quotient import QuotientSequencing
 
 
 class TestFindSequencing:
@@ -55,8 +55,10 @@ class TestFindSequencing:
         assert find_sequencing(nonzero, group, LINEAR_ONLY) is not None
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown mode"):
             find_sequencing([1], Cyclic(5), mode="sideways")
+        with pytest.raises(ValueError, match="unknown mode"):
+            find_sequencing((), Cyclic(5), mode="bogus")
 
     def test_empty_subset(self):
         assert find_sequencing([], Cyclic(9)) == ()
@@ -174,6 +176,15 @@ class TestScanGroup:
             scan_group(6, 6)
         scan_group(50, 3, count=5, seed=0)  # sampling is allowed past the cap
 
+    def test_unknown_kind_refused_up_front(self):
+        # Z_3 with k = 2 has one subset, {1, 2}, and it sums to zero, so the
+        # linear filter keeps none; the unknown kind is still refused
+        assert scan_group(3, 2, LINEAR_ONLY).scanned == 0
+        with pytest.raises(ValueError, match="unknown mode"):
+            scan_group(3, 2, kind="bogus")
+        with pytest.raises(ValueError, match="unknown mode"):
+            scan_group(25, 6, kind="bogus", count=5)
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_sampling_needs_a_positive_count(self, count):
         # an empty sample would report every subset sequenceable
@@ -191,11 +202,6 @@ class TestVerifyConclusion:
     def test_worked_case_larger_prime(self):
         r = verify_nonvanishing_conclusion(7, 2, (3, 2), (0, 1, 0, 0, 1))
         assert r.ok and r.subsets_checked == 420
-
-    def test_accepts_quotient_object(self):
-        qs = QuotientSequencing((0, 1, 0, 0, 1), 2)
-        r = verify_nonvanishing_conclusion(5, 2, (3, 2), qs)
-        assert r.ok and r.subsets_checked == 40
 
     def test_max_subsets_refuses(self):
         with pytest.raises(ValueError, match="40 subsets"):
@@ -218,12 +224,49 @@ class TestVerifyConclusion:
             verify_nonvanishing_conclusion(5, 2, (3, 2), (0, 1, 1, 0, 1))
 
     def test_failure_reported_not_raised(self):
-        # t = 1: type (3,) in Z_5 with the trivial arrangement; the subset
-        # {1, 2, 3}? all size-3 subsets of Z_5 \ {0}: some sum to zero and
-        # sequence rotationally, others linearly -- all should pass for p = 5
-        r = verify_nonvanishing_conclusion(5, 1, (3,), (0, 0, 0))
-        assert r.subsets_checked == math.comb(4, 3)
-        assert r.ok
+        # p = 3 is too small for this arrangement: two of the six subsets
+        # have no ordering that follows it, and the report lists them
+        r = verify_nonvanishing_conclusion(3, 2, (1, 2), (0, 1, 1))
+        assert r.subsets_checked == 6
+        assert not r.ok
+        assert r.failures == (
+            ((1, 0), (1, 1), (2, 1)),
+            ((1, 1), (2, 0), (2, 1)),
+        )
+
+    @pytest.mark.parametrize(
+        "p, t, lam, a",
+        [
+            (3, 2, (1, 2), (0, 1, 1)),
+            (3, 2, (2, 3), (0, 1, 0, 1, 1)),
+            (2, 3, (0, 2, 1), (1, 2, 1)),
+            (5, 2, (2, 1), (0, 0, 1)),
+            (5, 2, (1, 4), (0, 1, 1, 1, 1)),
+            (5, 3, (2, 0, 1), (2, 0, 0)),
+            (5, 2, (3, 2), (0, 1, 0, 0, 1)),
+            (5, 1, (3,), (0, 0, 0)),
+        ],
+    )
+    def test_failures_match_permutation_filter(self, p, t, lam, a):
+        # independent of the DFS: every subset of the type, every ordering
+        group = GroupConfig(p, t)
+        points = [(x, v) for x in range(p) for v in range(t) if (x, v) != (0, 0)]
+        subsets = [
+            s for s in itertools.combinations(points, len(a)) if type_of(s, t) == lam
+        ]
+        expected = {
+            s
+            for s in subsets
+            if not any(
+                tuple(v for _, v in perm) == a
+                and classify_sequencing(s, perm, group) is not None
+                for perm in itertools.permutations(s)
+            )
+        }
+        r = verify_nonvanishing_conclusion(p, t, lam, a)
+        assert r.subsets_checked == len(subsets)
+        assert set(r.failures) == expected
+        assert len(r.failures) == len(expected)
 
 
 class TestOracleAgainstItself:

@@ -121,6 +121,9 @@ class TestSearch:
             search_quotient((0, 0))
         with pytest.raises(ValueError):
             search_quotient((3, 2), objective="fastest")
+        for counts in ({"limit": 0}, {"limit": -1}, {"budget": 0}):
+            with pytest.raises(ValueError, match="at least 1"):
+                search_quotient((3, 2), **counts)
 
     def test_exhaustive_best_never_beaten_anywhere(self):
         # on every small type the reported best equals the true minimum

@@ -6,6 +6,7 @@ import pytest
 from nullseq.applicability import applicability
 from nullseq.certify import (
     CaseConfig,
+    CoefficientResult,
     Factorization,
     UnresolvedType,
     assemble_case,
@@ -183,6 +184,7 @@ class TestCaseRecords:
 class TestCoefficientAndQuotientRecords:
     def test_coefficient_record_shape(self):
         rec = coefficient_record(
+            CoefficientResult(-1, terms=17),
             k=5,
             t=2,
             lam=(3, 2),
@@ -190,18 +192,33 @@ class TestCoefficientAndQuotientRecords:
             fixes=(),
             variant="full",
             monomial=(2, 0, 2, 1, 1),
-            coefficient=-1,
             factorization=factorize(-1),
             degree=6,
             bound=(2, 2, 2, 1, 1),
-            terms=17,
         )
         assert rec["kind"] == "coefficient"
         assert rec["coefficient"] == "-1"
+        assert rec["outcome"] == "nonzero"
         assert rec["factorization"] == "-1"
         assert rec["monomial"] == "2,0,2,1,1"
         assert rec["terms"] == 17
         json.loads(dumps_record(rec))
+
+    def test_coefficient_record_outcomes(self):
+        job = dict(k=2, t=1, lam=(2,), a=(0, 0), fixes=(), variant="full",
+                   monomial=(0, 1), degree=1, bound=(1, 1))
+        rec = coefficient_record(CoefficientResult(0, terms=0), **job)
+        assert (rec["coefficient"], rec["outcome"], rec["terms"]) == ("0", "zero", 0)
+        assert "factorization" not in rec
+        aborted = CoefficientResult(None, note="term count 8 exceeds cap 5",
+                                    checkpoint="ckpt.bin")
+        rec = coefficient_record(aborted, **job)
+        assert "coefficient" not in rec and "terms" not in rec
+        assert (rec["outcome"], rec["note"], rec["checkpoint"]) == (
+            "aborted", "term count 8 exceeds cap 5", "ckpt.bin"
+        )
+        rec = coefficient_record(CoefficientResult(None, note="cap"), **job)
+        assert "checkpoint" not in rec
 
     def test_quotient_record_shape(self):
         res = search_quotient((3, 2))
@@ -310,6 +327,30 @@ class TestCertificateRecordTamper:
         rec = certificate_record(cert)
         rec["degree"] = rec["degree"] + 1
         with pytest.raises(ValueError):
+            certificate_from_record(rec)
+
+    def reduced_record(self):
+        report = assemble_case(4, 2, CaseConfig(variant="reduced"))
+        return certificate_record(report.certificates()[0])
+
+    def test_reduced_record_round_trips(self):
+        rec = self.reduced_record()
+        cert = certificate_from_record(rec)
+        assert cert.variant == "reduced"
+        assert "mutually inverse" in cert.validity_condition
+
+    def test_tampered_variant_rejected(self):
+        # an unknown variant would rebuild as reduced but state the full
+        # variant's validity condition
+        rec = self.reduced_record()
+        rec["variant"] = "bogus"
+        with pytest.raises(ValueError, match="unknown variant"):
+            certificate_from_record(rec)
+
+    def test_tampered_t_rejected(self):
+        rec = self.reduced_record()
+        rec["t"] = 35
+        with pytest.raises(ValueError, match="t = 35"):
             certificate_from_record(rec)
 
     def test_tampered_coefficient_rejected(self):
