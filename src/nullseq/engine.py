@@ -34,21 +34,23 @@ b = sum of (128 - cap) over the factor's bytes and m their bit-7 mask,
 successors from a per-factor table, filled lazily by the rule above.
 
 Array kernel.  A job whose term dict grows past BIG_STEP_TERMS (2**16) live
-terms moves, before its next step, to a pair of numpy arrays and stays there:
-uint64 keys with 4-bit lanes (the digit of x_v at bits 4(v - 1)), sorted,
-and int64 coefficients.  It moves only when k <= 16 and every cap is at most
-15, so each digit fits its lane.  A step counts, per term, how many of the
-factor's digits are below their thresholds; branch j keeps the terms whose
-digit j is below its cap and whose count equals [digit j below threshold],
-which is _successors' rule, so both kernels keep the same live terms.  Each
-branch's keys are the sorted keys plus one increment, so they stay sorted and
-distinct.  The branches are folded into a sorted accumulator one at a time:
-searchsorted finds each branch key's slot, coefficients of keys already
-there are added in place, the rest are put in with np.insert, and zeros are
-dropped once per step.  Each new coefficient sums at most len(factor) old
-ones, so before a step with max|c| * len(factor) >= 2**63 the terms go back
-to a dict for the rest of the job, exactly.  Results, checkpoints and
-abort states are always dicts of 8-bit-lane keys.  numpy is imported on the
+terms moves, before its next step, to a pair of numpy arrays and stays there
+to the end: uint64 keys with 4-bit lanes (the digit of x_v at bits
+4(v - 1)), sorted, and a coefficient column.  It moves only when k <= 16 and
+every cap is at most 15, so each digit fits its lane.  A step counts, per
+term, how many of the factor's digits are below their thresholds; branch j
+keeps the terms whose digit j is below its cap and whose count equals
+[digit j below threshold], which is _successors' rule, so both kernels keep
+the same live terms.  Each branch's keys are the sorted keys plus one
+increment, so they stay sorted and distinct.  The branches are folded into a
+sorted accumulator one at a time: searchsorted finds each branch key's slot,
+coefficients of keys already there are added in place, the rest are put in
+with np.insert, and zeros are dropped once per step.  The column starts as
+int64.  Each new coefficient sums at most len(factor) old ones, so before a
+step with max|c| * len(factor) >= 2**63 the column is converted once to
+object dtype, exact Python ints, which the same merge handles.  Results and
+checkpoints are always dicts of 8-bit-lane keys, so the arrays become a
+dict again only when the job ends or aborts.  numpy is imported on the
 array path only.
 
 A deliberately naive expansion over tuple keys (no packing, no pruning) is
@@ -245,7 +247,7 @@ def _factor_plan(fl: FactorList, bound, target):
 # outweighs importing numpy (about 12 MB), so it is where a job moves to the
 # array kernel.
 BIG_STEP_TERMS = 1 << 16
-# array coefficients are int64; a step that could reach this hands back
+# the array coefficient column is int64 while max|c| * len(factor) is below this
 INT64_LIMIT = 1 << 63
 
 
@@ -311,7 +313,8 @@ def _bytes(x):
 
 
 def _to_arrays(terms: dict[int, int], k: int):
-    """The terms as (keys, coefs): 4-bit-lane uint64 keys, sorted, and int64s."""
+    """The terms as (keys, coefs): 4-bit-lane uint64 keys, sorted, and a
+    coefficient column, int64 unless a coefficient is already too large."""
     import numpy as np
 
     n = len(terms)
@@ -323,7 +326,9 @@ def _to_arrays(terms: dict[int, int], k: int):
     if k > 8:
         high = np.fromiter((key >> 64 for key in ordered), np.uint64, n)
         keys |= _nibbles(high) << 32
-    return keys, np.fromiter(map(terms.__getitem__, ordered), np.int64, n)
+    coefs = [terms[key] for key in ordered]
+    wide = max(map(abs, coefs)) >= INT64_LIMIT
+    return keys, np.array(coefs, object if wide else np.int64)
 
 
 def _to_dict(keys, coefs, k: int) -> dict[int, int]:
@@ -377,12 +382,6 @@ def _array_step(fac, keys, coefs):
     return acc_keys[nonzero], acc_coefs[nonzero]
 
 
-def _max_abs(terms) -> int:
-    if isinstance(terms, dict):
-        return max(map(abs, terms.values()), default=0)
-    return int(abs(terms[1]).max(initial=0))
-
-
 def _as_dict(terms, k: int) -> dict[int, int]:
     return terms if isinstance(terms, dict) else _to_dict(*terms, k)
 
@@ -390,24 +389,23 @@ def _as_dict(terms, k: int) -> dict[int, int]:
 def _run_factors(plans, terms, start, k, term_cap, op_cap, on_step):
     """Multiply in plans[start:]; terms is a dict or, past the switch, arrays."""
     ops = 0
-    may_switch = True  # a job moves to arrays at most once
     for f in range(start, len(plans)):
         fac = plans[f]
-        # each new coefficient sums at most len(fac) old ones
-        if isinstance(terms, dict):
-            if may_switch and len(terms) > BIG_STEP_TERMS:
-                may_switch = False
-                if (k <= 16 and all(e[3] <= 15 for p in plans for e in p)
-                        and _max_abs(terms) * len(fac) < INT64_LIMIT):
-                    terms = _to_arrays(terms, k)
-        elif _max_abs(terms) * len(fac) >= INT64_LIMIT:
-            terms = _to_dict(*terms, k)
+        # every digit must fit a 4-bit lane; small jobs never pay for the test
+        if (isinstance(terms, dict) and len(terms) > BIG_STEP_TERMS
+                and k <= 16 and all(e[3] <= 15 for p in plans for e in p)):
+            terms = _to_arrays(terms, k)
         if isinstance(terms, dict):
             size = len(terms)
             new = _dict_step(fac, terms)
             live = len(new)
         else:
-            size = len(terms[0])
+            keys, coefs = terms
+            # each new coefficient sums at most len(fac) old ones
+            if (coefs.dtype != object
+                    and int(abs(coefs).max(initial=0)) * len(fac) >= INT64_LIMIT):
+                terms = keys, coefs.astype(object)
+            size = len(keys)
             new = _array_step(fac, *terms)
             live = len(new[0])
         ops += size * len(fac)
@@ -452,7 +450,7 @@ def multiply_factors(
     fl: FactorList,
     bound=None,
     target=None,
-    term_cap=200_000_000,
+    term_cap=None,
     op_cap=None,
     resume: EngineCheckpoint | None = None,
     on_step=None,
@@ -466,7 +464,7 @@ def multiply_factors(
 
     Factors are multiplied in one at a time, in list order, and
     on_step(f, live_terms) is called after each for f = 0, 1, ..., n - 1.
-    Exceeding term_cap or op_cap raises TermCapExceeded / OpCapExceeded
+    Exceeding term_cap or op_cap (None: no cap) raises TermCapExceeded / OpCapExceeded
     carrying a resumable checkpoint for this factor list (pass it back via
     resume); the checkpoint holds the engine's term dict itself, not a copy,
     or past the switch to arrays a dict rebuilt from them.  A resume is

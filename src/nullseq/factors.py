@@ -27,6 +27,7 @@ first (see _emit), and fixing keeps it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .quotient import QuotientSequencing
 
@@ -115,7 +116,18 @@ def validate_fixes(fixes, k) -> frozenset[int]:
     return frozenset(out)
 
 
-def _emit(qs: QuotientSequencing, variant: str):
+# factors are frozen, so each one is built once and shared by every list
+@lru_cache(maxsize=None)
+def _difference(i: int, j: int) -> Difference:
+    return Difference(i, j)
+
+
+@lru_cache(maxsize=None)
+def _window(lo: int, j: int) -> Window:
+    return Window((lo, j), tuple(range(lo + 1, j + 1)))
+
+
+def _emit(qs: QuotientSequencing, variant: str) -> list[Difference | Window]:
     """Factors in the order the engine multiplies them: for each pair
     (i, j) with 1 <= i < j <= k, highest j first and, within it, highest i
     first, the difference factor (when a_i = a_j) followed by the window for
@@ -130,15 +142,18 @@ def _emit(qs: QuotientSequencing, variant: str):
     """
     k = qs.k
     a, b = qs.a, qs.b
+    # the reduced variant also drops the windows of pairs (i-1, i+1)
+    shortest = 2 if variant == REDUCED else 1
+    out: list[Difference | Window] = []
     for j in range(k, 1, -1):
+        aj, bj = a[j - 1], b[j]
         for i in range(j - 1, 0, -1):
-            if a[i - 1] == a[j - 1]:
-                yield Difference(i, j)
-            lo = i - 1  # partial-sum pair (i-1, j) covers variables i .. j
-            if b[lo] == b[j] and (lo, j) != (0, k):
-                if variant == REDUCED and j == lo + 2:
-                    continue
-                yield Window((lo, j), tuple(range(i, j + 1)))
+            if a[i - 1] == aj:
+                out.append(_difference(i, j))
+            # partial-sum pair (i-1, j) covers variables i .. j
+            if b[i - 1] == bj and j - i >= shortest and (i, j) != (1, k):
+                out.append(_window(i - 1, j))
+    return out
 
 
 def apply_fixes(fl: FactorList, fixes) -> FactorList:

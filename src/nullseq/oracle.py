@@ -81,7 +81,8 @@ def find_sequencing(elements, group, mode: str = AUTO):
     mode restricts the kind: LINEAR_ONLY returns None when the subset sum is
     zero (the walk must return to the identity), ROTATIONAL_ONLY returns None
     when it is nonzero.  AUTO accepts whichever kind the subset sum allows.
-    The empty subset returns () in every mode.
+    The empty subset sums to zero and its ordering () is rotational, so it
+    returns () under AUTO and ROTATIONAL_ONLY and None under LINEAR_ONLY.
     """
     elems = validate_subset(elements, group)
     allowed = _kind_allows(subset_sum(elems, group) == group.zero, mode)
@@ -89,8 +90,6 @@ def find_sequencing(elements, group, mode: str = AUTO):
         raise ValueError(
             f"exhaustive search refused beyond {MAX_ORACLE_SIZE} elements"
         )
-    if not elems:
-        return ()
     if not allowed:
         return None
     found = _search([sorted(elems)] * len(elems), group, False)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from nullseq import certify
 from nullseq.certify import CaseConfig, assemble_case
 from nullseq.cli import _case_config, build_parser, main
 from nullseq.engine import load_checkpoint
@@ -132,6 +133,44 @@ class TestProve:
         assert records[0]["kind"] == "case"
         assert records[0]["complete"] is True
         assert case_from_records(records) == assemble_case(4, 2)
+
+    @pytest.mark.parametrize("k, t", [("7", "2"), ("4", "3")])  # 4,3 derives types
+    def test_repeated_runs_match_and_count_their_calls(self, tmp_path, monkeypatch, k, t):
+        # Two runs in one process give the same records once timings are
+        # dropped.  Each run calls the engine once per attempt whose outcome
+        # is zero, nonzero or aborted, and the quotient search once per type
+        # record not derived from another type's certificate.
+        calls = {"multiply_factors": 0, "search_quotient": 0}
+        for name in calls:
+            original = getattr(certify, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(certify, name, counted)
+        runs = []
+        for n in range(2):
+            before = dict(calls)
+            out = tmp_path / f"run{n}.jsonl"
+            code, _, _ = run_cli(["prove", "--k", k, "--t", t, "--output", str(out)])
+            with open(out, encoding="utf-8") as fh:
+                records = [loads_record(ln) for ln in fh if ln.strip()]
+            types = records[1:]
+            computed = sum(
+                rec[f"attempt{i}_outcome"] in ("zero", "nonzero", "aborted")
+                for rec in types
+                for i in range(rec.get("attempts", 0))
+            )
+            searched = sum("derived_from" not in rec for rec in types)
+            assert calls["multiply_factors"] - before["multiply_factors"] == computed
+            assert calls["search_quotient"] - before["search_quotient"] == searched
+            assert computed and searched
+            runs.append(
+                (code, [{key: v for key, v in rec.items() if key != "elapsed"}
+                        for rec in records])
+            )
+        assert runs[0] == runs[1]
 
     def test_incomplete_exits_one(self):
         code, recs, _ = run_cli(

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import struct
 import subprocess
@@ -20,7 +21,14 @@ from nullseq.engine import (
     save_checkpoint,
     unpack,
 )
-from nullseq.factors import Difference, FactorList, bounding_monomial, build_p, build_q
+from nullseq.factors import (
+    Difference,
+    FactorList,
+    Window,
+    bounding_monomial,
+    build_p,
+    build_q,
+)
 from nullseq.quotient import validate_quotient
 
 QS32 = validate_quotient((0, 1, 0, 0, 1), (3, 2))
@@ -491,28 +499,97 @@ class TestFactorOrder:
 
 
 class TestArrayKernel:
-    def test_int64_guard_hands_back_exactly(self, monkeypatch):
-        fx = by_name("1-9-b")
-        fl, bound = fixture_product(fx)
-        target = fx.monomial
+    FX = by_name("1-9-b")
+
+    @staticmethod
+    def spy_on_dtypes(monkeypatch):
+        """Record the coefficient dtype kind ('i' or 'O') of every array step."""
+        kinds = []
+        array_step = engine._array_step
+
+        def spy(fac, keys, coefs):
+            kinds.append(coefs.dtype.kind)
+            return array_step(fac, keys, coefs)
+
+        monkeypatch.setattr(engine, "_array_step", spy)
+        return kinds
+
+    def test_int64_guard_widens_exactly(self, monkeypatch):
+        fl, bound = fixture_product(self.FX)
+        target = self.FX.monomial
         expect_counts = []
         expect = multiply_factors(fl, bound=bound, target=target,
                                   on_step=lambda f, n: expect_counts.append(n))
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
         monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
-        counts, handbacks = [], []
+        kinds = self.spy_on_dtypes(monkeypatch)
+        counts, to_dict_calls = [], []
         to_dict = engine._to_dict
 
         def spy(*args):
-            handbacks.append(len(counts))
+            to_dict_calls.append(len(counts))
             return to_dict(*args)
 
         monkeypatch.setattr(engine, "_to_dict", spy)
         got = multiply_factors(fl, bound=bound, target=target,
                                on_step=lambda f, n: counts.append(n))
-        assert len(handbacks) == 1 and 0 < handbacks[0] < fl.degree  # mid-run
+        # the column widens once, mid-run, and the arrays stay to the end
+        widened = kinds.index("O")
+        assert 0 < widened < fl.degree
+        assert kinds == ["i"] * widened + ["O"] * (fl.degree - widened)
+        assert to_dict_calls == [fl.degree]
         assert got.terms == expect.terms == {pack(target): 2588}
         assert counts == expect_counts
+
+    def test_abort_after_widening_saves_the_dict_checkpoint(self, tmp_path, monkeypatch):
+        fl, bound = fixture_product(self.FX)
+        target = self.FX.monomial
+        with pytest.raises(OpCapExceeded) as on_dicts:
+            multiply_factors(fl, bound=bound, target=target, op_cap=100_000)
+        dict_path = tmp_path / "dicts.bin"
+        save_checkpoint(dict_path, on_dicts.value.checkpoint)
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
+        kinds = self.spy_on_dtypes(monkeypatch)
+        with pytest.raises(OpCapExceeded) as on_arrays:
+            multiply_factors(fl, bound=bound, target=target, op_cap=100_000)
+        assert kinds[-1] == "O"  # the aborting step ran on a widened column
+        assert str(on_arrays.value) == str(on_dicts.value)
+        array_path = tmp_path / "arrays.bin"
+        save_checkpoint(array_path, on_arrays.value.checkpoint)
+        assert array_path.read_bytes() == dict_path.read_bytes()
+        resumed = multiply_factors(fl, bound=bound, target=target,
+                                   resume=load_checkpoint(array_path))
+        assert resumed.terms == {pack(target): 2588}
+
+    @pytest.mark.parametrize(
+        "start, kinds_at_switch",
+        [
+            (40, "iiiOO"),  # widens two steps after the switch
+            (43, "OO"),  # max|c| * 3 reaches 2**63 at the first array step
+            (44, "O"),  # a coefficient is past 2**63 when the job switches
+        ],
+    )
+    def test_switch_keeps_large_coefficients_exact(self, monkeypatch, start,
+                                                   kinds_at_switch):
+        # (x1 + x2 + x3)^45 at x1^15 x2^15 x3^15 is 45! / 15!^3, above 2**65
+        fl = FactorList(3, (Window((0, 3), (1, 2, 3)),) * 45, frozenset(), "full")
+        target = (15, 15, 15)
+        exact = math.factorial(45) // math.factorial(15) ** 3
+        live = [1]
+        multiply_factors(fl, target=target, on_step=lambda f, n: live.append(n))
+        # each step costs 3 ops per live term; abort once steps 0 .. start-1 ran
+        with pytest.raises(OpCapExceeded) as info:
+            multiply_factors(fl, target=target, op_cap=3 * sum(live[:start]) - 1)
+        cp = info.value.checkpoint
+        assert cp.factor_index == start
+        too_large = max(map(abs, cp.terms.values())) >= engine.INT64_LIMIT
+        assert too_large == (start == 44)
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        kinds = self.spy_on_dtypes(monkeypatch)
+        got = multiply_factors(fl, target=target, resume=cp)
+        assert kinds == list(kinds_at_switch)
+        assert got.terms == {pack(target): exact}
 
     def test_wide_lanes_stay_on_dicts(self, monkeypatch):
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)

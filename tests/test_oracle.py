@@ -61,7 +61,12 @@ class TestFindSequencing:
             find_sequencing((), Cyclic(5), mode="bogus")
 
     def test_empty_subset(self):
-        assert find_sequencing([], Cyclic(9)) == ()
+        # the empty ordering closes at the identity, so it is rotational
+        group = Cyclic(9)
+        assert classify_sequencing((), (), group) == ROTATIONAL
+        assert find_sequencing([], group) == ()
+        assert find_sequencing([], group, ROTATIONAL_ONLY) == ()
+        assert find_sequencing([], group, LINEAR_ONLY) is None
         assert all_sequencings([], Cyclic(9)) == [()]
 
     def test_size_guard(self):
