@@ -17,10 +17,10 @@ Settings come from flags only: a flag given overrides the default of the
 ``CaseConfig`` field it names, and ``CaseConfig`` holds every default.  A
 subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
 and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
-``--seed`` to ``prove``, ``qs`` and ``scan``; ``--workers`` (default 1) to
-``scan``; ``--output`` to all.  ``prove``, ``coeff`` and ``table1`` compute
-every coefficient through ``certify.compute_coefficient``, so caps and
-checkpoints act alike in all three.
+``--seed`` to ``prove``, ``qs`` and ``scan``; ``--output`` to all.
+``prove``, ``coeff`` and ``table1`` compute every coefficient through
+``certify.compute_coefficient``, so caps and checkpoints act alike in all
+three.
 """
 
 from __future__ import annotations
@@ -193,8 +193,6 @@ def _cmd_qs(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.workers < 1:
-        raise UsageError("worker count must be at least 1")
     start = time.monotonic()
     report = scan_group(
         args.n,
@@ -203,7 +201,6 @@ def _cmd_scan(args) -> int:
         count=args.count,
         seed=_case_config(args).seed,
         reduce=not args.no_reduce,
-        workers=args.workers,
         max_failures=args.max_failures,
     )
     _emit([reports.scan_record(report, elapsed=time.monotonic() - start)], args)
@@ -352,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-reduce", action="store_true",
                    help="scan all subsets, not one per unit-multiple class")
     p.add_argument("--max-failures", dest="max_failures", type=int, default=20)
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes (default 1)")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", parents=[output],

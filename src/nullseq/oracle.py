@@ -1,9 +1,21 @@
 """Brute-force ground truth: exhaustive sequencing search and scanners.
 
-Independent of the polynomial pipeline: orderings are searched directly with
-one depth-first search over positions (``_search``), pruning on repeated
-partial sums.  The finders, the scans of small cyclic groups and the
-verification of certificates on small concrete groups all use it.
+Independent of the polynomial pipeline: orderings are searched directly by
+one depth-first search (``_search``), which the finders, the scans of small
+cyclic groups and the verification of certificates on small concrete groups
+all use.  It works on residues mod n.  An element of Z_p x Z_t becomes a
+residue through the isomorphism onto Z_pt (gcd(p, t) = 1),
+(x, v) -> (x*t + v*p) mod pt, and is mapped back on output; each slot is
+encoded in place, so candidates keep their order.  Used elements and
+partial sums are int bit sets, and the search is one loop over an explicit
+stack of open depths.
+
+Every ordering uses the whole subset, so its last partial sum is the subset
+sum S.  The search bars S, like the identity, at every earlier depth: a walk
+that reaches S early cannot end with distinct partial sums.  The last
+element is then S minus the sum before it and needs no test.  The cut only
+removes subtrees without a valid leaf, so the orderings found, and their
+order, are those of the uncut search.
 """
 
 from __future__ import annotations
@@ -11,10 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .groups import Cyclic, GroupConfig, subset_sum, validate_subset
+from .groups import GroupConfig, subset_sum, validate_subset
 from .quotient import validate_quotient
 
 MAX_ORACLE_SIZE = 20
@@ -39,40 +50,72 @@ def _kind_allows(zero_sum: bool, kind: str) -> bool:
     raise ValueError(f"unknown mode {kind!r}")
 
 
-def _search(slots, group, find_all):
-    """Orderings taking one unused element of slots[d] at each depth d.
+def _residue_map(group):
+    """The map from elements of group to residues mod group.n.
 
-    Partial sums must be distinct, except that the last one may return to the
-    identity (a zero-sum subset closing rotationally).  Candidates are tried
-    in slot order.  Returns the first ordering found (or none) as a list, or
-    with find_all every ordering in DFS order.
+    Elements of Z_n are their own residues; (x, v) in Z_p x Z_t maps to
+    (x*t + v*p) mod pt, an isomorphism because gcd(p, t) = 1.
+    """
+    if isinstance(group, GroupConfig):
+        p, t = group.p, group.t
+        return lambda el: (el[0] * t + el[1] * p) % (p * t)
+    return lambda el: el
+
+
+def _search(slots, total, n, find_all):
+    """Orderings taking one unused residue of slots[d] at each depth d.
+
+    The slots hold k distinct nonzero residues mod n between them, and every
+    full ordering uses each of them once; total is their sum S mod n.
+    Partial sums must be distinct, except that the last one, S, may be 0 (a
+    zero-sum subset closing rotationally).  Candidates are tried in slot
+    order.  Returns the first ordering found (or none) as a list, or with
+    find_all every ordering in DFS order.
+
+    S is barred, like 0, at each depth before the last, since a walk that
+    reaches it early cannot end with distinct sums; the last element is then
+    S minus the partial sum before it, with nothing to test.
     """
     k = len(slots)
-    prefix: list = []
-    sums: set = set()  # nonzero partial sums so far; the identity is implied
+    last = k - 1
+    if last < 1:
+        return [(total,) * k]  # () or the one element: nothing to search
     out: list[tuple] = []
-
-    def rec(depth, acc):
-        if depth == k:
-            out.append(tuple(prefix))
-            return not find_all
-        for e in slots[depth]:
-            if e in prefix:
-                continue
-            nxt = group.add(acc, e)
-            if nxt in sums or (nxt == group.zero and depth < k - 1):
-                continue
-            prefix.append(e)
-            sums.add(nxt)
-            done = rec(depth + 1, nxt)
-            sums.discard(nxt)
-            prefix.pop()
-            if done:
-                return True
-        return False
-
-    rec(0, group.zero)
+    prefix = [0] * k
+    # one frame per open depth: its candidates still to try, the partial sum
+    # before it, and bit sets of the used residues and of the barred sums
+    # (0, S and every partial sum so far)
+    stack = [(iter(slots[0]), 0, 0, 1 | 1 << total)]
+    while stack:
+        d = len(stack)
+        todo, acc, used, barred = stack[-1]
+        for e in todo:
+            s = (acc + e) % n
+            if not (used >> e | barred >> s) & 1:
+                break
+        else:
+            stack.pop()
+            continue
+        prefix[d - 1] = e
+        if d < last:
+            stack.append((iter(slots[d]), s, used | 1 << e, barred | 1 << s))
+            continue
+        prefix[last] = (total - s) % n
+        out.append(tuple(prefix))
+        if not find_all:
+            break
     return out
+
+
+def _orderings(elems, group, find_all):
+    """_search over every ordering of elems, in sorted order, as elements."""
+    residue = _residue_map(group)
+    slot = sorted(elems)
+    element = {residue(e): e for e in slot}
+    residues = [residue(e) for e in slot]
+    n = group.n
+    found = _search([residues] * len(slot), sum(residues) % n, n, find_all)
+    return [tuple(element[r] for r in ordering) for ordering in found]
 
 
 def find_sequencing(elements, group, mode: str = AUTO):
@@ -92,7 +135,7 @@ def find_sequencing(elements, group, mode: str = AUTO):
         )
     if not allowed:
         return None
-    found = _search([sorted(elems)] * len(elems), group, False)
+    found = _orderings(elems, group, False)
     return found[0] if found else None
 
 
@@ -101,22 +144,34 @@ def all_sequencings(elements, group):
     elems = validate_subset(elements, group)
     if len(elems) > 8:
         raise ValueError("full enumeration limited to 8 elements")
-    return _search([sorted(elems)] * len(elems), group, True)
+    return _orderings(elems, group, True)
+
+
+def _units(n: int) -> list[int]:
+    """The units of Z_n other than 1."""
+    return [u for u in range(2, n) if math.gcd(u, n) == 1]
+
+
+def _smaller_multiple(subset: tuple[int, ...], n: int, units):
+    """The first unit multiple of the sorted subset that sorts below it, or None."""
+    for u in units:
+        image = tuple(sorted([u * s % n for s in subset]))
+        if image < subset:
+            return image
+    return None
 
 
 def canonical_subset(subset, n: int) -> tuple[int, ...]:
     """Smallest unit multiple of the subset of Z_n, as a sorted tuple.
 
     Multiplying a subset by a unit is a group automorphism, so it preserves
-    sequenceability; scanning one representative per class suffices.
+    sequenceability; scanning one representative per class suffices.  A
+    subset that no unit multiple sorts below is the smallest of its class.
     """
-    best = None
-    for u in range(1, n):
-        if math.gcd(u, n) != 1:
-            continue
-        image = tuple(sorted((u * s) % n for s in subset))
-        if best is None or image < best:
-            best = image
+    best = tuple(sorted(s % n for s in subset))
+    units = _units(n)
+    while (smaller := _smaller_multiple(best, n, units)) is not None:
+        best = smaller
     return best
 
 
@@ -137,19 +192,6 @@ class ScanReport:
         return self.scanned == self.sequenceable
 
 
-def _scan_chunk(args):
-    n, subsets, kind = args
-    group = Cyclic(n)
-    ok = 0
-    failures = []
-    for subset in subsets:
-        if find_sequencing(subset, group, kind) is not None:
-            ok += 1
-        else:
-            failures.append(subset)
-    return ok, failures
-
-
 MAX_EXHAUSTIVE_N = 40
 MAX_EXHAUSTIVE_SUBSETS = 10_000_000
 
@@ -161,18 +203,22 @@ def scan_group(
     count: int | None = None,
     seed: int = 0,
     reduce: bool = True,
-    workers: int = 1,
     max_failures: int = 20,
 ) -> ScanReport:
     """Scan size-k subsets of Z_n \\ {0} for sequencings.
 
-    Exhaustive by default; reduce=True keeps only the lexicographically
-    smallest unit multiple of each subset.  count switches to sampling mode:
-    that many random subsets (seeded, recorded in the report, no reduction).
-    kind filters to subsets whose sum permits that kind of sequencing.
+    Exhaustive by default; reduce=True keeps only the subsets that no unit
+    multiple maps to a lexicographically smaller one.  count switches to
+    sampling mode: that many random subsets (seeded, recorded in the report,
+    no reduction).  kind filters to subsets whose sum permits that kind of
+    sequencing.
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n} k={k}")
+    if k > MAX_ORACLE_SIZE:
+        raise ValueError(
+            f"exhaustive search refused beyond {MAX_ORACLE_SIZE} elements"
+        )
     if count is not None and count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
     allows = {zero_sum: _kind_allows(zero_sum, kind) for zero_sum in (False, True)}
@@ -185,10 +231,11 @@ def scan_group(
                 f"{math.comb(n - 1, k)} subsets exceed the exhaustive budget; "
                 f"use sampling (count=...)"
             )
+        units = _units(n) if reduce else []
         subsets = [
             s
             for s in itertools.combinations(population, k)
-            if (not reduce or canonical_subset(s, n) == s) and allows[sum(s) % n == 0]
+            if allows[sum(s) % n == 0] and _smaller_multiple(s, n, units) is None
         ]
         sampled = False
         used_seed = None
@@ -205,15 +252,13 @@ def scan_group(
         sampled = True
         used_seed = seed
         reduce = False
-    if workers > 1 and len(subsets) > workers:
-        chunks = [(n, subsets[i::workers], kind) for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
-        ok = sum(p[0] for p in parts)
-        failures = [f for p in parts for f in p[1]]
-        failures.sort()
-    else:
-        ok, failures = _scan_chunk((n, subsets, kind))
+    ok = 0
+    failures = []
+    for subset in subsets:
+        if _search([subset] * k, sum(subset) % n, n, False):
+            ok += 1
+        else:
+            failures.append(subset)
     return ScanReport(
         n,
         k,
@@ -276,22 +321,27 @@ def verify_nonvanishing_conclusion(
         raise InfeasibleVerification(
             f"partial-sum residues repeat {mult} times, more than p={p}"
         )
-    total = math.comb(p - 1, lam[0]) * math.prod(math.comb(p, n) for n in lam[1:])
+    total = math.comb(p - 1, lam[0]) * math.prod(math.comb(p, c) for c in lam[1:])
     if max_subsets is not None and total > max_subsets:
         raise ValueError(
             f"type {lam} has {total} subsets in Z_{p} x Z_{t}, more than "
             f"max_subsets={max_subsets}"
         )
+    n = group.n
+    residue = _residue_map(group)
     pools_space = []
+    element = {}
     for v in range(t):
         universe = [(x, v) for x in range(p) if (x, v) != (0, 0)]
-        pools_space.append(list(itertools.combinations(universe, lam[v])))
+        element.update((residue(e), e) for e in universe)
+        choices = itertools.combinations(universe, lam[v])
+        pools_space.append([tuple(map(residue, pool)) for pool in choices])
     checked = 0
     failures = []
     for pools in itertools.product(*pools_space):
         checked += 1
-        if not _search([pools[v] for v in a], group, False):
-            failures.append(tuple(sorted(e for pool in pools for e in pool)))
+        if not _search([pools[v] for v in a], sum(map(sum, pools)) % n, n, False):
+            failures.append(tuple(sorted(element[r] for pool in pools for r in pool)))
             if len(failures) >= 20:
                 break
     return VerificationReport(p, t, lam, a, checked, tuple(failures))

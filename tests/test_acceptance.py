@@ -2,8 +2,8 @@
 pass/fail line under ``pytest -v``.
 
 Criteria 3 and 6 also have opt-in long-running halves: set NULLSEQ_EXTENDED=1
-for the exact large-k coefficient replications (28 s) and the n=25 scans
-(over 2 h), and NULLSEQ_HEAVY=1 for the k=12 pair (8 minutes and 2.5 GB of
+for the exact large-k coefficient replications (28-30 s) and the n=25 scans
+(29-35 s), and NULLSEQ_HEAVY=1 for the k=12 pair (8 minutes and 2.5 GB of
 memory), all timed on one core of a shared 2-core host.
 """
 

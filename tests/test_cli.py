@@ -367,19 +367,6 @@ class TestUsageAndSettings:
         code, _, err = run_cli(["qs", "--lambda", "3;2"])
         assert code == 2 and "comma-separated" in err
 
-    def test_nonpositive_workers(self):
-        code, _, err = run_cli(
-            ["scan", "--n", "9", "--k", "3", "--workers", "0"]
-        )
-        assert code == 2
-
-    def test_workers_is_a_scan_flag(self):
-        with pytest.raises(SystemExit) as info:
-            run_cli(["prove", "--k", "4", "--t", "2", "--workers", "2"])
-        assert info.value.code == 2
-        code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3", "--workers", "2"])
-        assert code == 0 and recs[0]["scanned"] == 10
-
     def test_flags_only_where_read(self):
         parser = build_parser()
         commands = {

@@ -109,6 +109,47 @@ class TestAllSequencings:
             all_sequencings(list(range(1, 11)), Cyclic(20))
 
 
+def _points(group):
+    if isinstance(group, Cyclic):
+        return list(range(1, group.n))
+    return [(x, v) for x in range(group.p) for v in range(group.t) if (x, v) != (0, 0)]
+
+
+ORDER_GROUPS = [Cyclic(n) for n in range(2, 10)] + [
+    GroupConfig(p, t) for p, t in [(3, 1), (3, 2), (5, 2), (3, 4), (5, 3)]
+]
+
+
+class TestSearchOrder:
+    """The DFS order against itertools.permutations of the sorted subset.
+
+    Independent of the search: every permutation is classified with
+    groups.classify_sequencing, so a search that skips or reorders orderings
+    (for instance by sorting product-group elements by some encoding) fails.
+    """
+
+    @pytest.mark.parametrize("group", ORDER_GROUPS, ids=repr)
+    def test_first_and_all_orderings(self, group):
+        max_k = 5 if isinstance(group, Cyclic) else 4
+        accepts = {
+            AUTO: (LINEAR, ROTATIONAL),
+            LINEAR_ONLY: (LINEAR,),
+            ROTATIONAL_ONLY: (ROTATIONAL,),
+        }
+        points = _points(group)
+        for k in range(min(max_k, len(points)) + 1):
+            for subset in itertools.combinations(points, k):
+                kinds = [
+                    (perm, classify_sequencing(subset, perm, group))
+                    for perm in itertools.permutations(sorted(subset))
+                ]
+                for mode, ok in accepts.items():
+                    first = next((perm for perm, kind in kinds if kind in ok), None)
+                    assert find_sequencing(subset, group, mode) == first, (subset, mode)
+                expected = [perm for perm, kind in kinds if kind is not None]
+                assert all_sequencings(subset, group) == expected, subset
+
+
 class TestCanonicalSubset:
     def test_idempotent_and_unit_invariant(self):
         rng = random.Random(3)
@@ -148,6 +189,12 @@ class TestScanGroup:
                 == scan_group(n, k, reduce=False).all_sequenceable
             )
 
+    def test_reduction_keeps_one_subset_per_class(self):
+        for n, k in [(12, 4), (15, 5), (16, 6), (17, 4)]:
+            subsets = itertools.combinations(range(1, n), k)
+            classes = {canonical_subset(s, n) for s in subsets}
+            assert scan_group(n, k).scanned == len(classes)
+
     def test_kind_filter_partitions(self):
         full = scan_group(8, 3, AUTO, reduce=False)
         lin = scan_group(8, 3, LINEAR_ONLY, reduce=False)
@@ -165,11 +212,6 @@ class TestScanGroup:
         c = scan_group(25, 6, count=30, seed=6)
         assert c.scanned == 30
 
-    def test_worker_equivalence(self):
-        seq = scan_group(9, 4, reduce=False)
-        par = scan_group(9, 4, reduce=False, workers=2)
-        assert seq == par
-
     def test_guards(self):
         with pytest.raises(ValueError):
             scan_group(50, 3)  # exhaustive beyond the n cap
@@ -179,6 +221,8 @@ class TestScanGroup:
             scan_group(1, 1)
         with pytest.raises(ValueError):
             scan_group(6, 6)
+        with pytest.raises(ValueError, match="beyond 20 elements"):
+            scan_group(25, 21)  # k above MAX_ORACLE_SIZE
         scan_group(50, 3, count=5, seed=0)  # sampling is allowed past the cap
 
     def test_unknown_kind_refused_up_front(self):
