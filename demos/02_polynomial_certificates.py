@@ -19,9 +19,9 @@ is the certificate; this demo computes one end to end for lam = (3, 2).
 Run:  python demos/02_polynomial_certificates.py
 """
 
-from nullseq.certify import bounding_monomial, certify_type, exceptional_primes
+from nullseq.certify import certify_type, exceptional_primes
 from nullseq.engine import multiply_factors
-from nullseq.factors import build_p
+from nullseq.factors import bounding_monomial, build_p
 from nullseq.quotient import search_quotient
 
 

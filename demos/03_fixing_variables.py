@@ -18,9 +18,8 @@ be adjacent in the arrangement, and position 1 stays free.
 Run:  python demos/03_fixing_variables.py
 """
 
-from nullseq.certify import bounding_monomial
 from nullseq.engine import multiply_factors
-from nullseq.factors import build_p, choose_fixes
+from nullseq.factors import bounding_monomial, build_p, choose_fixes
 from nullseq.quotient import search_quotient, validate_quotient
 
 

@@ -24,17 +24,9 @@ from dataclasses import dataclass, replace
 import sympy
 
 from .engine import EngineAbort, multiply_factors, save_checkpoint
-from .factors import (
-    FULL,
-    REDUCED,
-    InfeasibleFixing,
-    bounding_monomial,
-    build_p,
-    build_q,
-    choose_fixes,
-)
+from .factors import FULL, REDUCED, InfeasibleFixing, choose_fixes, product
 from .groups import canonical_type, enumerate_types, rescale_type, type_orbit
-from .quotient import QuotientSequencing, search_quotient, validate_quotient
+from .quotient import QuotientSequencing, search_quotient
 
 
 @dataclass(frozen=True)
@@ -165,19 +157,18 @@ class Certificate:
     exceptional: tuple[int, ...]
 
     def __post_init__(self):
-        if self.variant not in (FULL, REDUCED):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.t != len(self.lam):
-            raise ValueError(f"t = {self.t} but the type {self.lam} has another length")
-        qs = validate_quotient(self.a, self.lam)
-        build = build_p if self.variant == FULL else build_q
-        fl = build(qs, self.fixes)
+        qs, fl, bound = product(self.lam, self.a, self.fixes, self.variant)
+        if (self.k, self.t) != (qs.k, qs.t):
+            raise ValueError(
+                f"k = {self.k}, t = {self.t} but the arrangement {self.a} of "
+                f"type {self.lam} has k = {qs.k}, t = {qs.t}"
+            )
         if fl.degree != self.degree:
             raise ValueError(
                 f"declared degree {self.degree} but the factor list has "
                 f"degree {fl.degree}"
             )
-        if bounding_monomial(self.lam, qs, self.fixes) != tuple(self.bound):
+        if bound != tuple(self.bound):
             raise ValueError("declared bound does not match the arrangement")
         if self.degree > sum(self.bound):
             raise ValueError("degree exceeds the bound: certificate unusable")
@@ -348,6 +339,12 @@ class CoefficientResult:
     note: str = ""
     checkpoint: str | None = None
 
+    @property
+    def outcome(self) -> str:
+        if self.coefficient is None:
+            return "aborted"
+        return "nonzero" if self.coefficient else "zero"
+
 
 def compute_coefficient(
     qs: QuotientSequencing, fl, bound, monomial, config: CaseConfig, resume=None
@@ -378,76 +375,50 @@ def compute_coefficient(
     return CoefficientResult(poly.coefficient(monomial), poly.num_terms())
 
 
-def _attempt(lam, qs, fixes, config, attempts, t):
+def _attempt(lam, a, fixes, config, attempts):
     """Try one (arrangement, fixes) pair; return a Certificate or None."""
-    k = qs.k
-    build = build_p if config.variant == FULL else build_q
+    fixes = tuple(sorted(fixes))
+
+    def tried(outcome, monomial=None, coefficient=None, note=""):
+        attempts.append(AttemptRecord(a, fixes, monomial, outcome, coefficient, note))
+
     try:
-        fl = build(qs, fixes)
-        bound = bounding_monomial(lam, qs, fixes)
+        qs, fl, bound = product(lam, a, fixes, config.variant)
     except InfeasibleFixing as exc:
-        attempts.append(
-            AttemptRecord(qs.a, tuple(sorted(fixes)), None, "infeasible", note=str(exc))
-        )
+        tried("infeasible", note=str(exc))
         return None
     if fl.degree > sum(bound):
-        attempts.append(
-            AttemptRecord(
-                qs.a,
-                tuple(sorted(fixes)),
-                None,
-                "infeasible",
-                note=f"degree {fl.degree} exceeds bound degree {sum(bound)}",
-            )
-        )
+        tried("infeasible", note=f"degree {fl.degree} exceeds bound degree {sum(bound)}")
         return None
     if fl.degree > config.max_degree:
-        attempts.append(
-            AttemptRecord(
-                qs.a,
-                tuple(sorted(fixes)),
-                None,
-                "skipped-degree",
-                note=f"degree {fl.degree} above budget {config.max_degree}",
-            )
-        )
+        tried("skipped-degree", note=f"degree {fl.degree} above budget {config.max_degree}")
         return None
     entries: list[CertificateEntry] = []
     for mono in candidate_monomials(bound, fl.degree, config.max_candidates):
         result = compute_coefficient(qs, fl, bound, mono, config)
-        if result.coefficient is None:
-            note = result.note
-            if result.checkpoint:
-                note += f"; checkpoint saved to {result.checkpoint}"
-            attempts.append(
-                AttemptRecord(qs.a, tuple(sorted(fixes)), mono, "aborted", note=note)
-            )
+        note = result.note
+        if result.checkpoint:
+            note += f"; checkpoint saved to {result.checkpoint}"
+        tried(result.outcome, mono, result.coefficient, note)
+        if result.outcome != "nonzero":
             continue
         coeff = result.coefficient
-        if coeff == 0:
-            attempts.append(
-                AttemptRecord(qs.a, tuple(sorted(fixes)), mono, "zero", coefficient=0)
-            )
-            continue
-        attempts.append(
-            AttemptRecord(qs.a, tuple(sorted(fixes)), mono, "nonzero", coefficient=coeff)
-        )
         entries.append(CertificateEntry(mono, coeff, factorize(coeff)))
-        if not exceptional_primes([e.coefficient for e in entries], k, t):
+        if not exceptional_primes([e.coefficient for e in entries], qs.k, qs.t):
             break
     if not entries:
         return None
     return Certificate(
-        k=k,
-        t=t,
+        k=qs.k,
+        t=qs.t,
         lam=tuple(lam),
         a=qs.a,
-        fixes=tuple(sorted(fixes)),
+        fixes=fixes,
         variant=config.variant,
         degree=fl.degree,
         bound=bound,
         entries=tuple(entries),
-        exceptional=exceptional_primes([e.coefficient for e in entries], k, t),
+        exceptional=exceptional_primes([e.coefficient for e in entries], qs.k, qs.t),
     )
 
 
@@ -464,27 +435,25 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     lam = tuple(lam)
     if len(lam) != t:
         raise ValueError(f"type {lam} does not have {t} parts")
-    k = sum(lam)
     attempts: list[AttemptRecord] = []
     best: Certificate | None = None
 
     ranked = [
-        s.qs
+        s.qs.a
         for s in search_quotient(
-            lam, "min-degree", limit=config.qs_limit,
-            budget=config.qs_budget, seed=config.seed,
+            lam, limit=config.qs_limit, budget=config.qs_budget, seed=config.seed
         ).candidates
     ]
 
-    for qs in ranked:
-        build = build_p if config.variant == FULL else build_q
+    for a in ranked:
         if config.use_greedy_fixes:
-            greedy = tuple(sorted(choose_fixes(build(qs), lam, qs)))
+            qs, fl, _ = product(lam, a, variant=config.variant)
+            greedy = tuple(sorted(choose_fixes(fl, lam, qs)))
             fix_plans = [greedy, ()] if greedy else [()]
         else:
             fix_plans = [()]
         for fixes in fix_plans:
-            cert = _attempt(lam, qs, fixes, config, attempts, t)
+            cert = _attempt(lam, a, fixes, config, attempts)
             if cert is not None:
                 if not cert.exceptional:
                     return TypeResult(

@@ -17,10 +17,13 @@ Settings come from flags only: a flag given overrides the default of the
 ``CaseConfig`` field it names, and ``CaseConfig`` holds every default.  A
 subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
 and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
-``--seed`` to ``prove``, ``qs`` and ``scan``; ``--output`` to all.
-``prove``, ``coeff`` and ``table1`` compute every coefficient through
+``--seed`` to ``prove``, ``qs`` and ``scan``; ``--qs-limit`` and
+``--qs-budget`` to ``prove`` and ``qs``; ``--output`` to all.
+``prove``, ``coeff`` and ``table1`` build every product with
+``factors.product`` and compute every coefficient through
 ``certify.compute_coefficient``, so caps and checkpoints act alike in all
-three.
+three; ``coeff`` and ``table1`` rows share one coefficient job
+(``_coefficient_job``) and its record.
 """
 
 from __future__ import annotations
@@ -40,19 +43,13 @@ from .certify import (
     factorize,
 )
 from .engine import load_checkpoint
-from .factors import (
-    FULL,
-    REDUCED,
-    bounding_monomial,
-    build_p,
-    build_q,
-)
+from .factors import FULL, REDUCED, product
 from .oracle import (
     AUTO,
     scan_group,
     verify_nonvanishing_conclusion,
 )
-from .quotient import search_quotient, validate_quotient
+from .quotient import search_quotient
 
 
 class UsageError(Exception):
@@ -101,6 +98,20 @@ def _cmd_prove(args) -> int:
     return 0 if report.complete else 1
 
 
+def _coefficient_job(qs, fl, bound, monomial, config, *, resume, split_budget):
+    """Compute, time and factor one coefficient of factors.product's
+    (qs, fl, bound); return the result and its record."""
+    start = time.monotonic()
+    result = compute_coefficient(qs, fl, bound, monomial, config, resume=resume)
+    value = result.coefficient
+    record = reports.coefficient_record(
+        result, qs, fl, bound, monomial,
+        factorization=factorize(value, split_budget=split_budget) if value else None,
+        elapsed=time.monotonic() - start,
+    )
+    return result, record
+
+
 def _coeff_inputs(args):
     k = args.k
     t = args.t if args.t is not None else 1
@@ -122,20 +133,17 @@ def _coeff_inputs(args):
     else:
         raise UsageError("--a is required when t > 1")
     fixes = _parse_vector(args.fixes, "fixes") if args.fixes else ()
-    return k, t, lam, a, fixes
+    return lam, a, fixes
 
 
 def _cmd_coeff(args) -> int:
     config = _case_config(args)
-    k, t, lam, a, fixes = _coeff_inputs(args)
-    qs = validate_quotient(a, lam)
-    build = build_p if config.variant == FULL else build_q
-    fl = build(qs, fixes)
-    bound = bounding_monomial(lam, qs, fixes)
+    lam, a, fixes = _coeff_inputs(args)
+    qs, fl, bound = product(lam, a, fixes, config.variant)
     if args.monomial:
         monomial = _parse_vector(args.monomial, "monomial")
-        if len(monomial) != k:
-            raise UsageError(f"--monomial must have {k} entries")
+        if len(monomial) != qs.k:
+            raise UsageError(f"--monomial must have {qs.k} entries")
     else:
         candidates = candidate_monomials(bound, fl.degree, 1)
         if not candidates:
@@ -147,14 +155,8 @@ def _cmd_coeff(args) -> int:
             resume = load_checkpoint(args.resume)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load checkpoint {args.resume}: {exc}") from exc
-    start = time.monotonic()
-    result = compute_coefficient(qs, fl, bound, monomial, config, resume=resume)
-    value = result.coefficient
-    record = reports.coefficient_record(
-        result, k=k, t=t, lam=lam, a=a, fixes=fixes, variant=config.variant,
-        monomial=monomial, degree=fl.degree, bound=bound,
-        factorization=factorize(value, split_budget=args.split_budget) if value else None,
-        elapsed=time.monotonic() - start,
+    result, record = _coefficient_job(
+        qs, fl, bound, monomial, config, resume=resume, split_budget=args.split_budget
     )
     _emit([record], args)
     return 0 if result.coefficient else 1
@@ -165,11 +167,7 @@ def _cmd_qs(args) -> int:
     lam = _parse_vector(args.lam, "lambda")
     start = time.monotonic()
     result = search_quotient(
-        lam,
-        objective=args.objective,
-        limit=config.qs_limit if args.limit is None else args.limit,
-        budget=config.qs_budget,
-        seed=config.seed,
+        lam, limit=config.qs_limit, budget=config.qs_budget, seed=config.seed
     )
     elapsed = time.monotonic() - start
     records = [
@@ -201,7 +199,6 @@ def _cmd_scan(args) -> int:
         count=args.count,
         seed=_case_config(args).seed,
         reduce=not args.no_reduce,
-        max_failures=args.max_failures,
     )
     _emit([reports.scan_record(report, elapsed=time.monotonic() - start)], args)
     return 0 if report.all_sequenceable else 1
@@ -250,17 +247,9 @@ def _cmd_table1(args) -> int:
     def rows():
         nonlocal failures
         for fx in targets:
-            qs = validate_quotient(fx.a, fx.lam)
-            fl = build_p(qs, fx.fixes)
-            bound = bounding_monomial(fx.lam, qs, fx.fixes)
-            start = time.monotonic()
-            result = compute_coefficient(qs, fl, bound, fx.monomial, config)
-            value = result.coefficient
-            record = reports.coefficient_record(
-                result, k=fx.k, t=fx.t, lam=fx.lam, a=fx.a, fixes=fx.fixes,
-                variant=FULL, monomial=fx.monomial, degree=fx.degree, bound=bound,
-                factorization=factorize(value) if value else None,
-                elapsed=time.monotonic() - start,
+            result, record = _coefficient_job(
+                *product(fx.lam, fx.a, fx.fixes), fx.monomial, config,
+                resume=None, split_budget=None,
             )
             record["name"] = fx.name
             if result.coefficient is not None:
@@ -333,9 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qs", parents=[output, seed],
                        help="rank quotient sequencings for a type")
     p.add_argument("--lambda", dest="lam", required=True, help="type vector")
-    p.add_argument("--objective", default="min-degree",
-                   choices=("min-degree", "min-max-multiplicity"))
-    p.add_argument("--limit", type=int, help="number of candidates to keep")
+    p.add_argument("--qs-limit", dest="qs_limit", type=int,
+                   help="number of candidates to keep")
     p.add_argument("--qs-budget", dest="qs_budget", type=int)
     p.set_defaults(func=_cmd_qs)
 
@@ -348,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, help="sample this many subsets instead")
     p.add_argument("--no-reduce", action="store_true",
                    help="scan all subsets, not one per unit-multiple class")
-    p.add_argument("--max-failures", dest="max_failures", type=int, default=20)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", parents=[output],

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quotient import QuotientSequencing
+from .quotient import QuotientSequencing, validate_quotient
 
 FULL = "full"
 REDUCED = "reduced"
@@ -238,6 +238,21 @@ def bounding_monomial(lam, qs: QuotientSequencing, fixes=()) -> tuple[int, ...]:
             )
         gamma.append(g)
     return tuple(gamma)
+
+
+def product(lam, a, fixes=(), variant=FULL):
+    """The product a certificate speaks for: (qs, fl, bound).
+
+    qs is arrangement a validated against type lam, fl the variant's factor
+    list with the given positions fixed, and bound the bounding monomial.
+    Raises ValueError for a bad arrangement or variant, InfeasibleFixing
+    for a bad fix set.
+    """
+    build = {FULL: build_p, REDUCED: build_q}.get(variant)
+    if build is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    qs = validate_quotient(a, lam)
+    return qs, build(qs, fixes), bounding_monomial(lam, qs, fixes)
 
 
 def choose_fixes(fl: FactorList, lam, qs: QuotientSequencing) -> frozenset[int]:

@@ -29,6 +29,8 @@ from .groups import GroupConfig, subset_sum, validate_subset
 from .quotient import validate_quotient
 
 MAX_ORACLE_SIZE = 20
+# scan and verify records list at most this many failing subsets
+MAX_LISTED_FAILURES = 20
 
 LINEAR_ONLY = "linear"
 ROTATIONAL_ONLY = "rotational"
@@ -203,7 +205,6 @@ def scan_group(
     count: int | None = None,
     seed: int = 0,
     reduce: bool = True,
-    max_failures: int = 20,
 ) -> ScanReport:
     """Scan size-k subsets of Z_n \\ {0} for sequencings.
 
@@ -265,7 +266,7 @@ def scan_group(
         kind,
         len(subsets),
         ok,
-        tuple(failures[:max_failures]),
+        tuple(failures[:MAX_LISTED_FAILURES]),
         reduce,
         sampled,
         used_seed,
@@ -342,6 +343,6 @@ def verify_nonvanishing_conclusion(
         checked += 1
         if not _search([pools[v] for v in a], sum(map(sum, pools)) % n, n, False):
             failures.append(tuple(sorted(element[r] for pool in pools for r in pool)))
-            if len(failures) >= 20:
+            if len(failures) >= MAX_LISTED_FAILURES:
                 break
     return VerificationReport(p, t, lam, a, checked, tuple(failures))

@@ -127,23 +127,14 @@ class QuotientSearchResult:
     scanned: int
 
 
-def _score_key(objective, degree, mult, a):
-    if objective == "min-degree":
-        return (degree, mult, a)
-    if objective == "min-max-multiplicity":
-        return (mult, degree, a)
-    raise ValueError(f"unknown objective {objective!r}")
-
-
-def search_quotient(lam, objective="min-degree", limit=10, budget=10**6, seed=0):
-    """Rank arrangements of a type by induced degree or by multiplicity.
+def search_quotient(lam, limit=10, budget=10**6, seed=0):
+    """Rank arrangements of a type by induced degree.
 
     Exhaustive when the number of distinct arrangements fits the budget;
     otherwise randomized hill climbing with restarts (pairwise swaps,
     first-improvement), deterministic for a given seed, and the result is
-    flagged non-exhaustive.  Ties break toward smaller max multiplicity
-    (or degree, for the multiplicity objective), then the smallest
-    arrangement lexicographically.
+    flagged non-exhaustive.  Ties break toward smaller max multiplicity,
+    then the smallest arrangement lexicographically.
     """
     lam = tuple(lam)
     if any(c < 0 for c in lam) or sum(lam) == 0:
@@ -163,7 +154,7 @@ def search_quotient(lam, objective="min-degree", limit=10, budget=10**6, seed=0)
         for a in enumerate_arrangements(lam):
             qs, deg, mult = score(a)
             scanned += 1
-            best.append((_score_key(objective, deg, mult, a), qs, deg, mult))
+            best.append(((deg, mult, a), qs, deg, mult))
         best.sort(key=lambda item: item[0])
         top = tuple(
             ScoredSequencing(qs, deg, mult, deg <= bdeg)
@@ -196,9 +187,7 @@ def search_quotient(lam, objective="min-degree", limit=10, budget=10**6, seed=0)
                     cand = tuple(cur)
                     cqs, cdeg, cmult = score(cand)
                     evals += 1
-                    if _score_key(objective, cdeg, cmult, cand) < _score_key(
-                        objective, deg, mult, a
-                    ):
+                    if (cdeg, cmult, cand) < (deg, mult, a):
                         a, qs, deg, mult = cand, cqs, cdeg, cmult
                         improved = True
                         break
@@ -208,9 +197,7 @@ def search_quotient(lam, objective="min-degree", limit=10, budget=10**6, seed=0)
                 if improved or evals >= budget:
                     break
         found[a] = (qs, deg, mult)
-    ranked = sorted(
-        found.values(), key=lambda item: _score_key(objective, item[1], item[2], item[0].a)
-    )
+    ranked = sorted(found.values(), key=lambda item: (item[1], item[2], item[0].a))
     top = tuple(
         ScoredSequencing(qs, deg, mult, deg <= bdeg) for qs, deg, mult in ranked[:limit]
     )

@@ -22,6 +22,7 @@ write-only.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import IO, Iterable, Iterator
 
@@ -36,7 +37,10 @@ from .certify import (
     TypeResult,
     UnresolvedType,
 )
+from .factors import FactorList
+from .groups import enumerate_types
 from .oracle import ScanReport, VerificationReport
+from .quotient import QuotientSequencing
 
 ENGINE_VERSION = "nullseq 0.1.0"
 
@@ -298,15 +302,26 @@ def case_records(report: CaseReport, *, elapsed: float | None = None) -> list[di
 
 
 def case_from_records(records: Iterable[dict]) -> CaseReport:
+    """The case a summary record and its type records describe.
+
+    The type records must be those of every type of the summary's (k, t),
+    in enumerate_types order, and the summary's counts must match them.
+    """
     records = list(records)
     summaries = [r for r in records if r["kind"] == "case"]
     if len(summaries) != 1:
         raise ValueError("expected exactly one case summary record")
     summary = summaries[0]
+    k, t = summary["k"], summary["t"]
     results = []
     for record in records:
         if record["kind"] not in ("certificate", "unresolved"):
             continue
+        if (record["k"], record["t"]) != (k, t):
+            raise ValueError(
+                f"type record {record['lam']} has k = {record['k']}, t = {record['t']} "
+                f"in a case with k = {k}, t = {t}"
+            )
         orbit = tuple(
             parse_exponents(part) for part in record.get("orbit", "").split(";") if part
         )
@@ -334,7 +349,22 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
                     **common,
                 )
             )
-    return CaseReport(k=summary["k"], t=summary["t"], results=tuple(results))
+    lams = [r.lam for r in results]
+    # count first, so that a forged k or t starts no huge enumeration
+    if len(lams) != math.comb(k + t - 1, t - 1) or lams != enumerate_types(k, t):
+        raise ValueError(f"the type records are not the types of k = {k}, t = {t} in order")
+    report = CaseReport(k=k, t=t, results=tuple(results))
+    certified = len(report.certificates())
+    parsed = dict(
+        types=len(results),
+        certified=certified,
+        unresolved=len(results) - certified,
+        complete=report.complete,
+    )
+    declared = {name: summary[name] for name in parsed}
+    if declared != parsed:
+        raise ValueError(f"case summary says {declared} but its type records give {parsed}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -343,44 +373,40 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
 
 def coefficient_record(
     result: CoefficientResult,
-    *,
-    k: int,
-    t: int,
-    lam: tuple[int, ...],
-    a: tuple[int, ...],
-    fixes: tuple[int, ...],
-    variant: str,
-    monomial: tuple[int, ...],
-    degree: int,
+    qs: QuotientSequencing,
+    fl: FactorList,
     bound: tuple[int, ...],
-    factorization: Factorization | None = None,
-    elapsed: float | None = None,
+    monomial: tuple[int, ...],
+    *,
+    factorization: Factorization | None,
+    elapsed: float | None,
 ) -> dict:
-    """The record of one compute_coefficient result and its outcome.
+    """The record of one compute_coefficient result for the product
+    (qs, fl, bound) of factors.product.
 
-    An aborted result (coefficient None) has no coefficient field; it gives
-    the abort's note and, when one was saved, its checkpoint path instead.
-    The caller factors a nonzero coefficient and passes the factorization.
+    An aborted result has no coefficient field; it gives the abort's note
+    and, when one was saved, its checkpoint path instead.  The caller
+    factors a nonzero coefficient and passes the factorization.
     """
     record = _base("coefficient", elapsed)
     record.update(
-        k=k,
-        t=t,
-        lam=format_exponents(lam),
-        a=format_exponents(a),
-        fixes=format_exponents(fixes),
-        variant=variant,
+        k=qs.k,
+        t=qs.t,
+        lam=format_exponents(qs.type_vector()),
+        a=format_exponents(qs.a),
+        fixes=format_exponents(sorted(fl.fixed)),
+        variant=fl.variant,
         monomial=format_exponents(monomial),
-        degree=degree,
+        degree=fl.degree,
         bound=format_exponents(bound),
+        outcome=result.outcome,
     )
-    value = result.coefficient
-    if value is None:
-        record.update(outcome="aborted", note=result.note)
+    if result.coefficient is None:
+        record["note"] = result.note
         if result.checkpoint:
             record["checkpoint"] = result.checkpoint
     else:
-        record.update(coefficient=str(value), outcome="nonzero" if value else "zero")
+        record["coefficient"] = str(result.coefficient)
     if factorization is not None:
         record["factorization"] = format_factorization(factorization)
     if result.terms is not None:

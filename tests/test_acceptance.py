@@ -16,7 +16,7 @@ import sympy
 
 from nullseq.applicability import applicability
 from nullseq.catalog import LIGHT, TABLE1, by_name
-from nullseq.certify import assemble_case, bounding_monomial
+from nullseq.certify import assemble_case
 from nullseq.engine import (
     EngineAbort,
     load_checkpoint,
@@ -24,7 +24,7 @@ from nullseq.engine import (
     naive_expand,
     save_checkpoint,
 )
-from nullseq.factors import build_p, build_q
+from nullseq.factors import bounding_monomial, build_p, build_q
 from nullseq.groups import enumerate_types
 from nullseq.oracle import scan_group, verify_nonvanishing_conclusion
 from nullseq.quotient import (

@@ -211,7 +211,7 @@ class TestQs:
         assert degrees == sorted(degrees)
 
     def test_limit(self):
-        code, recs, _ = run_cli(["qs", "--lambda", "3,2", "--limit", "2"])
+        code, recs, _ = run_cli(["qs", "--lambda", "3,2", "--qs-limit", "2"])
         assert code == 0 and len(recs) == 2
 
     def test_invalid_type(self):
@@ -219,10 +219,10 @@ class TestQs:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag", [["--limit", "-1"], ["--limit", "0"], ["--qs-budget", "0"]]
+        "flag", [["--qs-limit", "-1"], ["--qs-limit", "0"], ["--qs-budget", "0"]]
     )
     def test_nonpositive_count_is_usage_error(self, flag):
-        # --limit -1 used to slice off the last arrangement and print the rest
+        # a limit of -1 used to slice off the last arrangement and print the rest
         code, recs, err = run_cli(["qs", "--lambda", "3,2", *flag])
         assert code == 2 and not recs
         assert "at least 1" in err
@@ -384,6 +384,7 @@ class TestUsageAndSettings:
             ("--op-cap", "1"): {"prove", "coeff", "table1"},
             ("--checkpoint-dir", "ckpt"): {"prove", "coeff", "table1"},
             ("--seed", "1"): {"prove", "qs", "scan"},
+            ("--qs-limit", "1"): {"prove", "qs"},
             ("--output", "-"): set(commands),
         }
         for flag, accepted in readers.items():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nullseq import catalog
 from nullseq.factors import (
     FULL,
     REDUCED,
@@ -15,6 +16,7 @@ from nullseq.factors import (
     build_q,
     choose_fixes,
     fix_counts,
+    product,
     validate_fixes,
 )
 from nullseq.groups import enumerate_types
@@ -203,3 +205,28 @@ class TestGreedy:
         fl = apply_fixes(build_p(QS52), (3,))
         fixes = choose_fixes(fl, (5, 2), QS52)
         assert 3 in fixes
+
+
+class TestProduct:
+    def test_builder_per_variant(self):
+        assert product((5, 2), QS52.a, (6, 3)) == (
+            QS52, build_p(QS52, (3, 6)), bounding_monomial((5, 2), QS52, (3, 6))
+        )
+        assert product((3, 2), QS32.a, (), REDUCED)[1] == build_q(QS32)
+
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError, match="unknown variant"):
+            product((3, 2), QS32.a, (), "bogus")
+        with pytest.raises(ValueError, match="not an arrangement"):
+            product((2, 3), QS32.a)
+        with pytest.raises(InfeasibleFixing):
+            product((3, 2), QS32.a, (1, 2))
+
+    def test_catalog_agrees_with_its_products(self):
+        # factor lists only, no expansion: every tier, in milliseconds
+        for fx in catalog.ALL_FIXTURES:
+            qs, fl, bound = product(fx.lam, fx.a, fx.fixes)
+            assert (fx.k, fx.t) == (len(fx.a), len(fx.lam)) == (qs.k, qs.t), fx.name
+            assert fx.degree == fl.degree, fx.name
+            assert len(fx.monomial) == fx.k and sum(fx.monomial) == fx.degree, fx.name
+            assert all(m <= b for m, b in zip(fx.monomial, bound)), fx.name

@@ -101,11 +101,6 @@ class TestSearch:
         assert result.candidates[0].qs.a == (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
         assert result.candidates[0].degree == 52
 
-    def test_multiplicity_objective(self):
-        result = search_quotient((3, 3), objective="min-max-multiplicity")
-        mults = [s.max_multiplicity for s in result.candidates]
-        assert mults == sorted(mults)
-
     def test_heuristic_deterministic_and_sound(self):
         # budget below the arrangement count forces the heuristic path
         assert arrangement_count((5, 5)) == 252
@@ -119,8 +114,6 @@ class TestSearch:
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             search_quotient((0, 0))
-        with pytest.raises(ValueError):
-            search_quotient((3, 2), objective="fastest")
         for counts in ({"limit": 0}, {"limit": -1}, {"budget": 0}):
             with pytest.raises(ValueError, match="at least 1"):
                 search_quotient((3, 2), **counts)

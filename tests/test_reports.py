@@ -13,6 +13,7 @@ from nullseq.certify import (
     certify_type,
     factorize,
 )
+from nullseq.factors import product
 from nullseq.oracle import (
     ScanReport,
     VerificationReport,
@@ -184,40 +185,40 @@ class TestCaseRecords:
 class TestCoefficientAndQuotientRecords:
     def test_coefficient_record_shape(self):
         rec = coefficient_record(
-            CoefficientResult(-1, terms=17),
-            k=5,
-            t=2,
-            lam=(3, 2),
-            a=(0, 1, 0, 0, 1),
-            fixes=(),
-            variant="full",
-            monomial=(2, 0, 2, 1, 1),
-            factorization=factorize(-1),
-            degree=6,
-            bound=(2, 2, 2, 1, 1),
+            CoefficientResult(-2, terms=17),
+            *product((5, 2), (0, 0, 1, 0, 0, 0, 1), (6, 3)),
+            (3, 3, 0, 3, 3, 0, 0),
+            factorization=factorize(-2),
+            elapsed=None,
         )
-        assert rec["kind"] == "coefficient"
-        assert rec["coefficient"] == "-1"
-        assert rec["outcome"] == "nonzero"
-        assert rec["factorization"] == "-1"
-        assert rec["monomial"] == "2,0,2,1,1"
-        assert rec["terms"] == 17
+        assert rec == {
+            "kind": "coefficient", "engine": ENGINE_VERSION, "k": 7, "t": 2,
+            "lam": "5,2", "a": "0,0,1,0,0,0,1", "fixes": "3,6", "variant": "full",
+            "monomial": "3,3,0,3,3,0,0", "degree": 12, "bound": "3,3,0,3,3,0,0",
+            "outcome": "nonzero", "coefficient": "-2", "factorization": "-2",
+            "terms": 17,
+        }
         json.loads(dumps_record(rec))
+        rec = coefficient_record(
+            CoefficientResult(0, terms=3), *product((3,), (0, 0, 0), (), "reduced"),
+            (0, 1, 2), factorization=None, elapsed=None,
+        )
+        assert (rec["variant"], rec["degree"], rec["fixes"]) == ("reduced", 3, "")
 
     def test_coefficient_record_outcomes(self):
-        job = dict(k=2, t=1, lam=(2,), a=(0, 0), fixes=(), variant="full",
-                   monomial=(0, 1), degree=1, bound=(1, 1))
-        rec = coefficient_record(CoefficientResult(0, terms=0), **job)
+        job = dict(factorization=None, elapsed=None)
+        args = (*product((2,), (0, 0)), (0, 1))
+        rec = coefficient_record(CoefficientResult(0, terms=0), *args, **job)
         assert (rec["coefficient"], rec["outcome"], rec["terms"]) == ("0", "zero", 0)
         assert "factorization" not in rec
         aborted = CoefficientResult(None, note="term count 8 exceeds cap 5",
                                     checkpoint="ckpt.bin")
-        rec = coefficient_record(aborted, **job)
+        rec = coefficient_record(aborted, *args, **job)
         assert "coefficient" not in rec and "terms" not in rec
         assert (rec["outcome"], rec["note"], rec["checkpoint"]) == (
             "aborted", "term count 8 exceeds cap 5", "ckpt.bin"
         )
-        rec = coefficient_record(CoefficientResult(None, note="cap"), **job)
+        rec = coefficient_record(CoefficientResult(None, note="cap"), *args, **job)
         assert "checkpoint" not in rec
 
     def test_quotient_record_shape(self):
@@ -353,9 +354,40 @@ class TestCertificateRecordTamper:
         with pytest.raises(ValueError, match="t = 35"):
             certificate_from_record(rec)
 
+    def test_tampered_k_rejected(self):
+        # k = 4 with a monomial cut to 4 entries of the right degree used to
+        # parse and claim every prime p > 4 for a 5-element type
+        rec = certificate_record(certify_type((3, 2), 2).certificate)
+        rec.update(k=4, entry0_monomial="1,1,2,2")
+        with pytest.raises(ValueError, match="k = 4"):
+            certificate_from_record(rec)
+
     def test_tampered_coefficient_rejected(self):
         cert = certify_type((3, 2), 2).certificate
         rec = certificate_record(cert)
         rec["entry0_coefficient"] = "7"
         with pytest.raises(ValueError):
             certificate_from_record(rec)
+
+
+class TestCaseRecordTamper:
+    @pytest.fixture(scope="class")
+    def records(self):
+        return {k: case_records(assemble_case(k, 2)) for k in (5, 7)}
+
+    def test_missing_type_rejected(self, records):
+        # without the unresolved (0,7) record the rest read as a complete case
+        kept = [r for r in records[7] if r.get("lam") != "0,7"]
+        assert len(kept) == len(records[7]) - 1
+        kept[0] = dict(kept[0], types=7, certified=7, unresolved=0, complete=True)
+        with pytest.raises(ValueError, match="not the types of k = 7"):
+            case_from_records(kept)
+
+    def test_type_records_of_another_case_rejected(self, records):
+        with pytest.raises(ValueError, match="in a case with k = 5"):
+            case_from_records(records[5][:1] + records[7][1:])
+
+    def test_summary_counts_must_match(self, records):
+        summary = dict(records[7][0], certified=8, unresolved=0, complete=True)
+        with pytest.raises(ValueError, match="case summary says"):
+            case_from_records([summary] + records[7][1:])
