@@ -12,12 +12,22 @@ k and are coprime to t are the exceptional primes: the certificate is silent
 for them (smaller primes and divisors of t are outside the usable range
 anyway).  An empty exceptional set means the certificate covers every
 admissible prime.
+
+certify_type walks up to CaseConfig.qs_limit arrangements of a type, ranked
+by quotient.search_quotient, each with its greedy fixes and then with none.
+For each (arrangement, fixes) it computes the coefficients of up to
+max_candidates monomials, drawn uniformly from the monomials of the
+product's degree dividing the bound (sample_monomials).  The draw is seeded
+by CaseConfig.seed, the arrangement, the fixes and the variant, so records
+are reproducible.  Nonzero coefficients are collected until their gcd has
+no exceptional prime.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
 import re
 from dataclasses import dataclass, replace
 
@@ -263,7 +273,7 @@ class CaseReport:
 
 @dataclass(frozen=True)
 class CaseConfig:
-    qs_limit: int = 8
+    qs_limit: int = 30
     qs_budget: int = 10**6
     max_candidates: int = 24
     term_cap: int | None = 200_000_000
@@ -280,41 +290,44 @@ class CaseConfig:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
-def candidate_monomials(bound, degree: int, limit: int):
-    """Monomials of the given total degree dividing bound.
+def sample_monomials(bound, degree: int, limit: int, seed: str):
+    """Up to limit distinct monomials of the given total degree dividing
+    bound, drawn uniformly at random from all of them.
 
-    Enumerated by distributing the total deficit sum(bound) - degree over
-    positions left to right, each position taking as much as possible first:
-    the first monomial shorts the first position the most.
+    A monomial dividing bound is its deficit vector d (d_i = bound_i - m_i,
+    0 <= d_i <= bound_i) summing to sum(bound) - degree.  ways[i][r] counts
+    the ways positions i..k-1 give up r units; min(limit, count) distinct
+    ranks are drawn with random.Random(seed).sample and each is unranked
+    position by position, so every subset of that size is equally likely
+    and a box of at most limit monomials comes back whole.  seed is a
+    string, which Random hashes with SHA-512: the same seed gives the same
+    monomials in every process.  A generator, so a caller that stops early
+    unranks nothing more.
     """
     bound = tuple(bound)
-    total = sum(bound) - degree
-    if total < 0:
-        return []
+    deficit = sum(bound) - degree
+    if deficit < 0:
+        return
     k = len(bound)
-    suffix = [0] * (k + 1)
+    ways = [[0] * (deficit + 1) for _ in range(k + 1)]
+    ways[k][0] = 1
     for i in range(k - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bound[i]
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: int, cur: list[int]) -> None:
-        if len(out) >= limit:
-            return
-        if i == k:
-            if rem == 0:
-                out.append(tuple(b - d for b, d in zip(bound, cur)))
-            return
-        top = min(bound[i], rem)
-        for d in range(top, -1, -1):
-            if rem - d <= suffix[i + 1]:
-                cur.append(d)
-                rec(i + 1, rem - d, cur)
-                cur.pop()
-            if len(out) >= limit:
-                return
-
-    rec(0, total, [])
-    return out
+        below = ways[i + 1]
+        ways[i] = [
+            sum(below[r - d] for d in range(min(bound[i], r) + 1))
+            for r in range(deficit + 1)
+        ]
+    count = ways[0][deficit]
+    for rank in random.Random(seed).sample(range(count), min(limit, count)):
+        mono, r = [], deficit
+        for i in range(k):
+            d = 0
+            while rank >= ways[i + 1][r - d]:
+                rank -= ways[i + 1][r - d]
+                d += 1
+            mono.append(bound[i] - d)
+            r -= d
+        yield tuple(mono)
 
 
 def _checkpoint_path(directory, qs: QuotientSequencing, fl, monomial):
@@ -394,7 +407,8 @@ def _attempt(lam, a, fixes, config, attempts):
         tried("skipped-degree", note=f"degree {fl.degree} above budget {config.max_degree}")
         return None
     entries: list[CertificateEntry] = []
-    for mono in candidate_monomials(bound, fl.degree, config.max_candidates):
+    seed = f"{config.seed}:{a}:{fixes}:{config.variant}"
+    for mono in sample_monomials(bound, fl.degree, config.max_candidates, seed):
         result = compute_coefficient(qs, fl, bound, mono, config)
         note = result.note
         if result.checkpoint:

@@ -38,7 +38,6 @@ from .applicability import applicability
 from .certify import (
     CaseConfig,
     assemble_case,
-    candidate_monomials,
     compute_coefficient,
     factorize,
 )
@@ -140,15 +139,9 @@ def _cmd_coeff(args) -> int:
     config = _case_config(args)
     lam, a, fixes = _coeff_inputs(args)
     qs, fl, bound = product(lam, a, fixes, config.variant)
-    if args.monomial:
-        monomial = _parse_vector(args.monomial, "monomial")
-        if len(monomial) != qs.k:
-            raise UsageError(f"--monomial must have {qs.k} entries")
-    else:
-        candidates = candidate_monomials(bound, fl.degree, 1)
-        if not candidates:
-            raise UsageError("bounding monomial has smaller degree than the product")
-        monomial = candidates[0]
+    monomial = _parse_vector(args.monomial, "monomial")
+    if len(monomial) != qs.k:
+        raise UsageError(f"--monomial must have {qs.k} entries")
     resume = None
     if args.resume:
         try:
@@ -296,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", dest="max_degree", type=int,
                    help="skip types whose product degree exceeds this")
     p.add_argument("--max-candidates", dest="max_candidates", type=int,
-                   help="monomials tried per arrangement")
+                   help="monomials sampled per arrangement")
     p.add_argument("--qs-limit", dest="qs_limit", type=int,
                    help="arrangements tried per type")
     p.add_argument("--qs-budget", dest="qs_budget", type=int,
@@ -312,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", help="type vector (default k,0,... for t=1)")
     p.add_argument("--a", help="arrangement (default all zeros for t=1)")
     p.add_argument("--fixes", help="positions fixed to zero, comma-separated")
-    p.add_argument("--monomial", help="target monomial exponents")
+    p.add_argument("--monomial", required=True, help="target monomial exponents")
     p.add_argument("--variant", choices=(FULL, REDUCED))
     p.add_argument("--resume", help="resume from an engine checkpoint file")
     p.add_argument("--split-budget", dest="split_budget", type=int,

@@ -422,6 +422,12 @@ def _run_factors(plans, terms, start, k, term_cap, op_cap, on_step):
         terms = new
         if on_step is not None:
             on_step(f, live)
+        if not live:
+            # the product is 0; the steps left would each see no term
+            if on_step is not None:
+                for g in range(f + 1, len(plans)):
+                    on_step(g, 0)
+            return {}
     return _as_dict(terms, k)
 
 
@@ -464,6 +470,8 @@ def multiply_factors(
 
     Factors are multiplied in one at a time, in list order, and
     on_step(f, live_terms) is called after each for f = 0, 1, ..., n - 1.
+    Once no term is live the product is 0: the factors left are not
+    multiplied in, and on_step sees each of them with 0 live terms.
     Exceeding term_cap or op_cap (None: no cap) raises TermCapExceeded / OpCapExceeded
     carrying a resumable checkpoint for this factor list (pass it back via
     resume); the checkpoint holds the engine's term dict itself, not a copy,

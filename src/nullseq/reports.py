@@ -38,7 +38,7 @@ from .certify import (
     UnresolvedType,
 )
 from .factors import FactorList
-from .groups import enumerate_types
+from .groups import canonical_type, enumerate_types, type_orbit
 from .oracle import ScanReport, VerificationReport
 from .quotient import QuotientSequencing
 
@@ -305,7 +305,9 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     """The case a summary record and its type records describe.
 
     The type records must be those of every type of the summary's (k, t),
-    in enumerate_types order, and the summary's counts must match them.
+    in enumerate_types order, and the summary's counts must match them.  Each
+    type record's orbit must be its type's, and derived_from must name the
+    orbit's representative, or be absent on the representative itself.
     """
     records = list(records)
     summaries = [r for r in records if r["kind"] == "case"]
@@ -322,15 +324,21 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
                 f"type record {record['lam']} has k = {record['k']}, t = {record['t']} "
                 f"in a case with k = {k}, t = {t}"
             )
+        lam = parse_exponents(record["lam"])
         orbit = tuple(
             parse_exponents(part) for part in record.get("orbit", "").split(";") if part
         )
+        if orbit != type_orbit(lam):
+            raise ValueError(f"type record {record['lam']} gives a wrong orbit")
         derived = record.get("derived_from")
-        common = dict(
-            orbit=orbit,
-            attempts=_get_attempts(record),
-            derived_from=parse_exponents(derived) if derived is not None else None,
-        )
+        derived = parse_exponents(derived) if derived is not None else None
+        rep = canonical_type(lam)
+        if derived != (None if rep == lam else rep):
+            raise ValueError(
+                f"type record {record['lam']} says it is derived from {derived}; "
+                f"its orbit representative is {rep}"
+            )
+        common = dict(orbit=orbit, attempts=_get_attempts(record), derived_from=derived)
         if record["kind"] == "certificate":
             cert = certificate_from_record(record)
             results.append(
@@ -341,11 +349,9 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
         else:
             results.append(
                 TypeResult(
-                    lam=parse_exponents(record["lam"]),
+                    lam=lam,
                     certificate=None,
-                    unresolved=UnresolvedType(
-                        lam=parse_exponents(record["lam"]), reason=record["reason"]
-                    ),
+                    unresolved=UnresolvedType(lam=lam, reason=record["reason"]),
                     **common,
                 )
             )

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -10,10 +11,10 @@ from nullseq.certify import (
     Factorization,
     UnresolvedType,
     assemble_case,
-    candidate_monomials,
     certify_type,
     exceptional_primes,
     factorize,
+    sample_monomials,
     transfer_certificate,
 )
 from nullseq.engine import load_checkpoint
@@ -131,24 +132,68 @@ class TestExceptionalPrimes:
             assert after <= before
 
 
-class TestCandidateMonomials:
-    def test_deficit_one(self):
-        assert candidate_monomials((3, 3, 3, 3), 11, 3) == [
-            (2, 3, 3, 3), (3, 2, 3, 3), (3, 3, 2, 3),
-        ]
+def box(bound, degree):
+    """Every monomial of the given degree dividing bound, by brute force."""
+    return [
+        mono
+        for mono in itertools.product(*(range(b + 1) for b in bound))
+        if sum(mono) == degree
+    ]
 
-    def test_full_degree_bound_is_single(self):
-        assert candidate_monomials((2, 1), 3, 10) == [(2, 1)]
 
-    def test_impossible_degree(self):
-        assert candidate_monomials((2, 2), 5, 10) == []
+class TestSampleMonomials:
+    @pytest.mark.parametrize(
+        "bound, degree",
+        [((3, 3, 3, 3), 11), ((4, 2, 3), 7), ((4, 2, 3), 2), ((0, 5, 1, 2), 4),
+         ((2, 1), 3), ((3,), 1), ((1, 1, 1, 1, 1), 0)],
+    )
+    def test_unranking_covers_the_box_once(self, bound, degree):
+        # a limit at least the box size draws every rank, so each monomial
+        # of the box must come out exactly once
+        out = list(sample_monomials(bound, degree, 10**6, "s"))
+        assert sorted(out) == sorted(box(bound, degree))
 
     def test_all_divide_and_sum(self):
-        out = candidate_monomials((4, 2, 3), 7, 50)
-        assert len(set(out)) == len(out)
-        for mono in out:
-            assert sum(mono) == 7
-            assert all(0 <= m <= b for m, b in zip(mono, (4, 2, 3)))
+        rng = random.Random(5)
+        for n in range(40):
+            bound = tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 8)))
+            degree = rng.randint(0, sum(bound))
+            out = list(sample_monomials(bound, degree, 7, f"seed{n}"))
+            assert len(out) == min(7, len(box(bound, degree)))
+            assert len(set(out)) == len(out)
+            for mono in out:
+                assert sum(mono) == degree
+                assert all(0 <= m <= b for m, b in zip(mono, bound))
+
+    def test_same_seed_same_list(self):
+        # the seed string prove builds from (seed, a, fixes, variant)
+        seed = f"0:{(0, 1, 0, 1, 1, 0)}:{(2,)}:full"
+        first = list(sample_monomials((5, 4, 5, 4, 4, 5), 20, 6, seed))
+        assert first == list(sample_monomials((5, 4, 5, 4, 4, 5), 20, 6, seed))
+        others = {
+            tuple(sample_monomials((5, 4, 5, 4, 4, 5), 20, 6, f"{n}:{seed}"))
+            for n in range(5)
+        }
+        assert len(others) > 1
+
+    def test_small_box_returned_whole(self):
+        assert list(sample_monomials((2, 1), 3, 10, "s")) == [(2, 1)]
+        assert sorted(sample_monomials((3, 3, 3, 3), 11, 4, "s")) == sorted(
+            box((3, 3, 3, 3), 11)
+        )
+
+    def test_uniform_over_the_box(self):
+        # one draw per seed: each of the 8 monomials of the box should turn
+        # up about 375 times in 3000 draws (standard deviation about 18)
+        counts = dict.fromkeys(box((3, 2, 2), 4), 0)
+        for n in range(3000):
+            (mono,) = sample_monomials((3, 2, 2), 4, 1, str(n))
+            counts[mono] += 1
+        assert len(counts) == 8
+        assert all(275 < c < 475 for c in counts.values())
+
+    def test_impossible_degree(self):
+        assert list(sample_monomials((2, 2), 5, 10, "s")) == []
 
 
 class TestCertificateEntry:
@@ -224,6 +269,16 @@ class TestCertifyType:
             "nonzero", "zero", "aborted", "infeasible", "skipped-degree",
         }
         assert any(a.outcome == "nonzero" for a in res.attempts)
+
+    def test_targets_follow_the_seed(self):
+        # (4, 4)'s arrangement search is exhaustive, so the seed moves only
+        # the sampled monomials
+        def tried(seed):
+            res = certify_type((4, 4), 2, CaseConfig(seed=seed))
+            return [a.monomial for a in res.attempts]
+
+        assert tried(0) == tried(0)
+        assert len({tuple(tried(seed)) for seed in range(4)}) > 1
 
     def test_type_arity_mismatch(self):
         with pytest.raises(ValueError):

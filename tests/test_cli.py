@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import subprocess
 import sys
 
@@ -36,7 +37,7 @@ class TestCoeff:
         assert rec["degree"] == 6
 
     def test_t1_defaults(self):
-        code, recs, _ = run_cli(["coeff", "--k", "4"])
+        code, recs, _ = run_cli(["coeff", "--k", "4", "--monomial", "2,3,3,3"])
         assert code == 0
         rec = recs[0]
         assert rec["lam"] == "4"
@@ -47,11 +48,16 @@ class TestCoeff:
     def test_zero_coefficient_exits_one(self):
         code, recs, _ = run_cli(
             ["coeff", "--k", "5", "--t", "2", "--lambda", "3,2",
-             "--a", "0,1,0,0,1", "--fixes", "1"]
+             "--a", "0,1,0,0,1", "--fixes", "1", "--monomial", "0,1,1,1,1"]
         )
         assert code == 1
         assert recs[0]["outcome"] == "zero"
         assert recs[0]["coefficient"] == "0"
+
+    def test_monomial_is_required(self):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["coeff", "--k", "4"])
+        assert info.value.code == 2
 
     def test_monomial_arity_usage_error(self):
         code, recs, err = run_cli(
@@ -61,19 +67,17 @@ class TestCoeff:
         assert "monomial" in err
 
     def test_k_and_t_must_match_lambda(self):
-        vectors = ["--lambda", "3,2", "--a", "0,1,0,0,1"]
+        vectors = ["--lambda", "3,2", "--a", "0,1,0,0,1", "--monomial", "2,0,2,1,1"]
         for kt in (["--k", "6", "--t", "2"], ["--k", "5", "--t", "3"]):
             code, recs, err = run_cli(["coeff", *kt, *vectors])
             assert code == 2 and not recs
             assert "--lambda" in err
-        code, recs, _ = run_cli(
-            ["coeff", "--k", "5", *vectors, "--monomial", "2,0,2,1,1"]
-        )
+        code, recs, _ = run_cli(["coeff", "--k", "5", *vectors])
         assert code == 0 and (recs[0]["k"], recs[0]["t"]) == (5, 2)
 
     def test_abort_checkpoint_resume_cycle(self, tmp_path):
         base = ["coeff", "--k", "6", "--t", "2", "--lambda", "6,0",
-                "--a", "0,0,0,0,0,0"]
+                "--a", "0,0,0,0,0,0", "--monomial", "4,5,5,5,5,5"]
         code, recs, _ = run_cli(
             base + ["--term-cap", "5", "--checkpoint-dir", str(tmp_path)]
         )
@@ -109,13 +113,14 @@ class TestCoeff:
 
     def test_bad_resume_path(self, tmp_path):
         code, _, err = run_cli(
-            ["coeff", "--k", "4", "--resume", str(tmp_path / "missing.bin")]
+            ["coeff", "--k", "4", "--monomial", "2,3,3,3",
+             "--resume", str(tmp_path / "missing.bin")]
         )
         assert code == 2 and "checkpoint" in err
 
     def test_split_budget_flag(self):
         code, recs, _ = run_cli(
-            ["coeff", "--k", "5", "--split-budget", "0"]
+            ["coeff", "--k", "5", "--monomial", "3,4,4,4,4", "--split-budget", "0"]
         )
         assert code == 0
         assert recs[0]["factorization"].startswith(("+", "-"))
@@ -170,6 +175,40 @@ class TestProve:
                 (code, [{key: v for key, v in rec.items() if key != "elapsed"}
                         for rec in records])
             )
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("k, t", [("7", "2"), ("8", "3")])
+    def test_complete_cases_exit_zero(self, k, t):
+        code, recs, _ = run_cli(["prove", "--k", k, "--t", t])
+        assert code == 0
+        assert recs[0]["complete"] is True and recs[0]["unresolved"] == 0
+
+    def test_k9_t3_leaves_only_the_skipped_single_coset(self):
+        # (9,0,0) sits in one coset: its product has degree 71, above the
+        # default degree budget, so each of its arrangements is skipped
+        code, recs, _ = run_cli(["prove", "--k", "9", "--t", "3"])
+        assert code == 1
+        assert recs[0]["unresolved"] == 1
+        (rec,) = [r for r in recs[1:] if r["kind"] == "unresolved"]
+        assert rec["lam"] == "9,0,0"
+        outcomes = {rec[f"attempt{i}_outcome"] for i in range(rec["attempts"])}
+        assert outcomes == {"skipped-degree"}
+
+    def test_records_do_not_depend_on_the_hash_seed(self):
+        # target draws are seeded by strings, which Random hashes with
+        # SHA-512, so separate processes write the same records
+        runs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nullseq", "prove", "--k", "6", "--t", "3"],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs.append([
+                {key: v for key, v in loads_record(ln).items() if key != "elapsed"}
+                for ln in proc.stdout.splitlines()
+            ])
         assert runs[0] == runs[1]
 
     def test_incomplete_exits_one(self):
@@ -371,7 +410,7 @@ class TestUsageAndSettings:
         parser = build_parser()
         commands = {
             "prove": ["prove", "--k", "4", "--t", "2"],
-            "coeff": ["coeff", "--k", "4"],
+            "coeff": ["coeff", "--k", "4", "--monomial", "2,3,3,3"],
             "qs": ["qs", "--lambda", "3,2"],
             "scan": ["scan", "--n", "9", "--k", "3"],
             "verify": ["verify", "--p", "11", "--t", "2", "--lambda", "3,2",

@@ -436,6 +436,44 @@ class TestPruningProperties:
             assert all(c != 0 for c in poly.terms.values())
 
 
+class TestVanishingProduct:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_steps_after_the_last_term_are_not_multiplied(self, monkeypatch, kernel):
+        # targets whose term dict empties before the last factor: on_step
+        # and the result must match the full walk, and no empty step runs
+        use_kernel(monkeypatch, kernel)
+        multiplied = []
+        for name in ("_dict_step", "_array_step"):
+            step = getattr(engine, name)
+
+            def counted(*args, _step=step):
+                multiplied.append(1)
+                return _step(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        rng = random.Random(91)
+        checked = 0
+        while checked < 15:
+            fl, lam, qs = random_factor_list(rng, max_k=7, max_degree=16)
+            bound = bounding_monomial(lam, qs)
+            if fl.degree > sum(bound):
+                continue
+            target = list(bound)
+            while sum(target) > fl.degree:
+                v = rng.randrange(len(target))
+                target[v] -= target[v] > 0
+            full = digit_loop_live_counts(engine._factor_plan(fl, bound, target))
+            if 0 not in full[:-1]:
+                continue
+            seen, multiplied[:] = [], []
+            got = multiply_factors(fl, bound=bound, target=target,
+                                   on_step=lambda f, n: seen.append((f, n)))
+            assert got.terms == {}
+            assert seen == list(enumerate(full))
+            assert len(multiplied) == full.index(0) + 1
+            checked += 1
+
+
 class TestFactorOrder:
     """The engine multiplies 1-9-b's factors in the order build_p lists them."""
 

@@ -376,7 +376,7 @@ class TestCaseRecordTamper:
         return {k: case_records(assemble_case(k, 2)) for k in (5, 7)}
 
     def test_missing_type_rejected(self, records):
-        # without the unresolved (0,7) record the rest read as a complete case
+        # without the (0,7) record the other seven read as a complete case
         kept = [r for r in records[7] if r.get("lam") != "0,7"]
         assert len(kept) == len(records[7]) - 1
         kept[0] = dict(kept[0], types=7, certified=7, unresolved=0, complete=True)
@@ -388,6 +388,38 @@ class TestCaseRecordTamper:
             case_from_records(records[5][:1] + records[7][1:])
 
     def test_summary_counts_must_match(self, records):
-        summary = dict(records[7][0], certified=8, unresolved=0, complete=True)
+        # every type of k = 7, t = 2 is certified; claim one is not
+        assert records[7][0]["complete"] is True
+        summary = dict(records[7][0], certified=7, unresolved=1, complete=False)
         with pytest.raises(ValueError, match="case summary says"):
             case_from_records([summary] + records[7][1:])
+
+    @pytest.fixture(scope="class")
+    def derived(self):
+        # (4,0,0), then the orbit {(3,1,0), (3,0,1)} whose second type is derived
+        return case_records(assemble_case(4, 3))
+
+    def test_wrong_orbit_rejected(self, derived):
+        assert derived[1]["orbit"] == "4,0,0"
+        for orbit in ("1,2,1", "4,0,0;0,4,0", ""):
+            forged = list(derived)
+            forged[1] = dict(forged[1], orbit=orbit)
+            with pytest.raises(ValueError, match="wrong orbit"):
+                case_from_records(forged)
+
+    def test_wrong_derived_from_rejected(self, derived):
+        assert "derived_from" not in derived[2]
+        assert derived[3]["derived_from"] == "3,1,0"
+        forged = {
+            "on a representative": (2, dict(derived[2], derived_from="0,0,4")),
+            "from itself": (2, dict(derived[2], derived_from="3,1,0")),
+            "from another orbit": (3, dict(derived[3], derived_from="4,0,0")),
+            "missing": (3, {key: v for key, v in derived[3].items()
+                            if key != "derived_from"}),
+        }
+        for i, record in forged.values():
+            records = list(derived)
+            records[i] = record
+            with pytest.raises(ValueError, match="representative is"):
+                case_from_records(records)
+        assert case_from_records(derived) == assemble_case(4, 3)
