@@ -285,9 +285,17 @@ class CaseConfig:
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        for name in ("qs_limit", "qs_budget", "max_candidates"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # a cap or budget below its least meaningful value would report
+        # every type unresolved for a false reason
+        for name, least in (
+            ("qs_limit", 1), ("qs_budget", 1), ("max_candidates", 1),
+            ("term_cap", 1), ("op_cap", 1), ("max_degree", 0),
+        ):
+            value = getattr(self, name)
+            if value is None and name.endswith("_cap"):
+                continue  # no cap
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def sample_monomials(bound, degree: int, limit: int, seed: str):

@@ -5,11 +5,30 @@ An arrangement a = (a_1 .. a_k) over Z_t has partial sums b = (b_0 .. b_k)
 with b_0 = 0.  No residue of Z_t can occur more than k + 1 times in b, so
 for every prime p > k each residue class of Z_p x Z_t has room for the full
 partial sums that land in it; max_multiplicity reports the largest count.
+
+How the induced degree splits up.  induced_degree is sum C(lam_v, 2) plus
+the pairs i < j with b_i = b_j, less the adjacent pairs (j = i + 1) and the
+wrap pair (0, k).  Taking the partial sums in order, b_j pairs with every
+earlier equal b_i, so the equal pairs total the sum over j of the count
+b_j's residue already has.  b_j = b_{j+1} exactly when a_{j+1} = 0, so there
+are lam_0 adjacent pairs, and b_k = sum v * lam_v mod t, so the wrap pair is
+a constant of the type too.  Hence
+
+    degree = sum C(lam_v, 2) - lam_0 - [k >= 2 and sum v * lam_v = 0 mod t]
+             + sum over j = 1..k of #{i < j : b_i = b_j},
+
+where every term of the last sum is >= 0.  search_quotient walks the
+arrangements depth first with a running degree; once it holds limit
+arrangements it cuts every prefix whose running degree is strictly above
+the worst degree kept, since no completion can come back down.  The cut is
+strict: a completion tied on degree can still win on max multiplicity.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -127,14 +146,73 @@ class QuotientSearchResult:
     scanned: int
 
 
+def _ranked_walk(lam, limit):
+    """The best limit (degree, max multiplicity, a) triples of a type, sorted.
+
+    A depth-first walk over the type's multiset in lexicographic order,
+    carrying the histogram of partial sums (see the module docstring for
+    the running degree and the cut).  A heap keeps the best limit leaves;
+    a leaf ties with a kept one on (degree, multiplicity) only after it in
+    lexicographic order, so the order leaves are reached in breaks ties.
+    """
+    t, k = len(lam), sum(lam)
+    wrap = 1 if k >= 2 and sum(v * c for v, c in enumerate(lam)) % t == 0 else 0
+    left = list(lam)
+    hist = [0] * t
+    hist[0] = 1
+    a = [0] * k
+    heap = []  # (-degree, -multiplicity, -leaf number, a): heap[0] is the worst kept
+    leaves = 0
+    worst = None  # heap[0]'s degree once the heap holds limit leaves
+
+    def walk(i, s, deg, mult):
+        nonlocal leaves, worst
+        if i == k:
+            leaves += 1
+            item = (-deg, -mult, -leaves, tuple(a))
+            if len(heap) < limit:
+                heapq.heappush(heap, item)
+            elif item > heap[0]:
+                heapq.heapreplace(heap, item)
+            if len(heap) == limit:
+                worst = -heap[0][0]
+            return
+        for v in range(t):
+            if not left[v]:
+                continue
+            r = s + v - t if s + v >= t else s + v
+            c = hist[r]
+            if worst is not None and deg + c > worst:
+                continue
+            left[v] -= 1
+            hist[r] = c + 1
+            a[i] = v
+            walk(i + 1, r, deg + c, c + 1 if c >= mult else mult)
+            hist[r] = c
+            left[v] += 1
+
+    # One frame per position: a type with thousands of parts and few
+    # arrangements (say (2000,)) is deeper than the default limit.
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(depth, k + 100))
+    try:
+        walk(0, 0, sum(c * (c - 1) // 2 for c in lam) - lam[0] - wrap, 1)
+    finally:
+        sys.setrecursionlimit(depth)
+    return sorted((-d, -m, a) for d, m, _, a in heap)
+
+
 def search_quotient(lam, limit=10, budget=10**6, seed=0):
     """Rank arrangements of a type by induced degree.
 
-    Exhaustive when the number of distinct arrangements fits the budget;
-    otherwise randomized hill climbing with restarts (pairwise swaps,
-    first-improvement), deterministic for a given seed, and the result is
-    flagged non-exhaustive.  Ties break toward smaller max multiplicity,
-    then the smallest arrangement lexicographically.
+    Exhaustive when the number of distinct arrangements fits the budget:
+    one pruned depth-first walk (module docstring) that keeps only the best
+    limit arrangements, in O(limit) memory beyond the walk's O(k) state,
+    and reports every arrangement as scanned.  Otherwise randomized hill
+    climbing with restarts (pairwise swaps, first-improvement),
+    deterministic for a given seed, and the result is flagged
+    non-exhaustive.  Ties break toward smaller max multiplicity, then the
+    smallest arrangement lexicographically.
     """
     lam = tuple(lam)
     if any(c < 0 for c in lam) or sum(lam) == 0:
@@ -143,24 +221,17 @@ def search_quotient(lam, limit=10, budget=10**6, seed=0):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     bdeg = bounding_degree(lam)
+    count = arrangement_count(lam)
+    if count <= budget:
+        top = tuple(
+            ScoredSequencing(QuotientSequencing(a, len(lam)), deg, mult, deg <= bdeg)
+            for deg, mult, a in _ranked_walk(lam, limit)
+        )
+        return QuotientSearchResult(top, True, count)
 
     def score(a):
         qs = QuotientSequencing(a, len(lam))
         return qs, induced_degree(lam, qs.b), qs.max_multiplicity
-
-    if arrangement_count(lam) <= budget:
-        best = []
-        scanned = 0
-        for a in enumerate_arrangements(lam):
-            qs, deg, mult = score(a)
-            scanned += 1
-            best.append(((deg, mult, a), qs, deg, mult))
-        best.sort(key=lambda item: item[0])
-        top = tuple(
-            ScoredSequencing(qs, deg, mult, deg <= bdeg)
-            for _, qs, deg, mult in best[:limit]
-        )
-        return QuotientSearchResult(top, True, scanned)
 
     # heuristic: random restarts + first-improvement swap climbing
     rng = random.Random(seed)

@@ -290,6 +290,15 @@ class TestCertifyType:
             with pytest.raises(ValueError, match=f"{name} must be at least 1"):
                 CaseConfig(**{name: value})
 
+    def test_meaningless_caps_refused(self):
+        for name, value, least in (
+            ("term_cap", 0, 1), ("op_cap", -5, 1), ("max_degree", -1, 0),
+        ):
+            with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
+                CaseConfig(**{name: value})
+        config = CaseConfig(term_cap=None, op_cap=None, max_degree=0)
+        assert (config.term_cap, config.op_cap) == (None, None)
+
     def test_budget_exhaustion_reports_unresolved(self):
         res = certify_type((3, 2), 2, CaseConfig(max_degree=0))
         assert res.certificate is None

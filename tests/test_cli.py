@@ -238,6 +238,35 @@ class TestProve:
         assert "at least 1" in err
 
 
+class TestCapsAndBudgets:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["prove", "--k", "3", "--t", "2"],
+            ["coeff", "--k", "4", "--monomial", "2,3,3,3"],
+            ["table1", "--name", "worked-3-2"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--op-cap", "-5"], "op_cap must be at least 1"),
+            (["--op-cap", "0"], "op_cap must be at least 1"),
+            (["--term-cap", "0"], "term_cap must be at least 1"),
+        ],
+    )
+    def test_meaningless_cap_is_usage_error(self, command, flag, message):
+        # prove used to report (0,3) unresolved, "work budget exhausted"
+        code, recs, err = run_cli([*command, *flag])
+        assert code == 2 and not recs
+        assert message in err
+
+    def test_negative_max_degree_is_usage_error(self):
+        code, recs, err = run_cli(["prove", "--k", "3", "--t", "2", "--max-degree", "-1"])
+        assert code == 2 and not recs
+        assert "max_degree must be at least 0" in err
+
+
 class TestQs:
     def test_ranked_candidates(self):
         code, recs, _ = run_cli(["qs", "--lambda", "3,2"])

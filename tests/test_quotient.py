@@ -1,4 +1,6 @@
+import heapq
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -101,6 +103,20 @@ class TestSearch:
         assert result.candidates[0].qs.a == (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
         assert result.candidates[0].degree == 52
 
+    def test_budget_boundary(self):
+        # the walk runs exactly when the count fits the budget; one below,
+        # the hill climber runs, with the results it gave before the walk
+        count = arrangement_count((5, 5))
+        walk = search_quotient((5, 5), budget=count, seed=3, limit=5)
+        assert walk.exhaustive and walk.scanned == count
+        assert _ranked(walk) == _brute_force((5, 5))[:5]
+        heur = search_quotient((5, 5), budget=count - 1, seed=3, limit=5)
+        assert not heur.exhaustive and heur.scanned == count - 1
+        assert _ranked(heur) == [(40, 6, (0, 0, 0, 1, 0, 0, 1, 1, 1, 1))]
+        heur = search_quotient((5, 5), budget=50, seed=3, limit=5)
+        assert not heur.exhaustive and heur.scanned == 50
+        assert _ranked(heur) == [(40, 6, (0, 0, 0, 1, 0, 1, 1, 1, 1, 0))]
+
     def test_heuristic_deterministic_and_sound(self):
         # budget below the arrangement count forces the heuristic path
         assert arrangement_count((5, 5)) == 252
@@ -118,14 +134,48 @@ class TestSearch:
             with pytest.raises(ValueError, match="at least 1"):
                 search_quotient((3, 2), **counts)
 
-    def test_exhaustive_best_never_beaten_anywhere(self):
-        # on every small type the reported best equals the true minimum
-        for lam in enumerate_types(5, 3):
-            if sum(lam) == 0:
-                continue
-            result = search_quotient(lam, limit=1)
-            best = min(
-                induced_degree(lam, QuotientSequencing(a, 3).b)
-                for a in enumerate_arrangements(lam)
-            )
-            assert result.candidates[0].degree == best
+def _ranked(result):
+    return [(s.degree, s.max_multiplicity, s.qs.a) for s in result.candidates]
+
+
+def _brute_force(lam, limit=None):
+    """(degree, max multiplicity, a) of every arrangement, sorted, scored by
+    the reference functions."""
+    def scored():
+        for a in enumerate_arrangements(lam):
+            qs = QuotientSequencing(a, len(lam))
+            yield induced_degree(lam, qs.b), qs.max_multiplicity, a
+
+    if limit is None:
+        return sorted(scored())
+    return heapq.nsmallest(limit, scored())
+
+
+class TestRankedWalk:
+    def test_matches_the_brute_force_sort(self):
+        for t in range(1, 5):
+            for k in range(1, 8):
+                for lam in enumerate_types(k, t):
+                    brute = _brute_force(lam)
+                    for limit in (1, 3, 30, len(brute)):
+                        result = search_quotient(lam, limit=limit)
+                        assert result.exhaustive and result.scanned == len(brute)
+                        assert _ranked(result) == brute[:limit], (lam, limit)
+                        bdeg = bounding_degree(lam)
+                        assert all(
+                            s.feasible == (s.degree <= bdeg) for s in result.candidates
+                        )
+
+    def test_ties_at_the_cut(self):
+        # every one of the top 30 has degree 24, the worst kept degree, so
+        # the order among them rests on multiplicity and on a alone
+        result = search_quotient((3, 3, 3, 3), limit=30)
+        top = _ranked(result)
+        assert {deg for deg, _, _ in top} == {24}
+        assert top == _brute_force((3, 3, 3, 3), limit=30)
+
+    def test_deeper_than_the_default_recursion_limit(self):
+        depth = sys.getrecursionlimit()
+        lam = (depth + 1000,)
+        assert _ranked(search_quotient(lam)) == _brute_force(lam)
+        assert sys.getrecursionlimit() == depth
