@@ -22,7 +22,7 @@ Run:  python demos/02_polynomial_certificates.py
 from nullseq.certify import certify_type, exceptional_primes
 from nullseq.engine import multiply_factors
 from nullseq.factors import bounding_monomial, build_p
-from nullseq.quotient import search_quotient
+from nullseq.quotient import search_quotient, validate_quotient
 
 
 def main():
@@ -32,20 +32,19 @@ def main():
 
     print("1. pick an arrangement by scanning the quotient Z_2")
     result = search_quotient(lam)
-    best = result.candidates[0]
-    a = best.qs.a
-    print(f"   scanned {result.scanned} arrangements "
-          f"(exhaustive={result.exhaustive})")
-    print(f"   best: a = {a}, quotient walk b = {best.qs.b}, "
-          f"induced degree {best.degree}\n")
+    degree, _, a = result.candidates[0]
+    qs = validate_quotient(a, lam)
+    print(f"   ranked all {result.scanned} arrangements")
+    print(f"   best: a = {a}, quotient walk b = {qs.b}, "
+          f"induced degree {degree}\n")
 
     print("2. build the collision factors")
-    fl = build_p(best.qs)
+    fl = build_p(qs)
     print(f"   {len(fl.factors)} factors: {', '.join(fl.labels())}")
     print(f"   total degree {fl.degree}\n")
 
     print("3. expand, pruned by the bounding monomial")
-    bound = bounding_monomial(lam, best.qs)
+    bound = bounding_monomial(lam, qs)
     print(f"   bound = {bound} (position i may use exponent <= bound_i)")
     poly = multiply_factors(fl, bound=bound)
     print(f"   {poly.num_terms()} surviving terms of degree {fl.degree}")

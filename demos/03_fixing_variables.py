@@ -20,15 +20,16 @@ Run:  python demos/03_fixing_variables.py
 
 from nullseq.engine import multiply_factors
 from nullseq.factors import bounding_monomial, build_p, choose_fixes
-from nullseq.quotient import search_quotient, validate_quotient
+from nullseq.quotient import bounding_degree, search_quotient, validate_quotient
 
 
 def main():
     print("== an arrangement that cannot work unfixed ==\n")
     res = search_quotient((3, 2))
-    bad = next(c for c in res.candidates if not c.feasible)
-    print(f"type (3,2), a = {bad.qs.a}: degree {bad.degree} exceeds the "
-          f"ceiling total {sum(bounding_monomial((3, 2), bad.qs))};")
+    ceiling = bounding_degree((3, 2))
+    degree, a = next((d, a) for d, _, a in res.candidates if d > ceiling)
+    print(f"type (3,2), a = {a}: degree {degree} exceeds the "
+          f"ceiling total {ceiling};")
     print("no candidate monomial exists -- pin a position or pick another "
           "arrangement.\n")
 

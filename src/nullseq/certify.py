@@ -13,8 +13,9 @@ for them (smaller primes and divisors of t are outside the usable range
 anyway).  An empty exceptional set means the certificate covers every
 admissible prime.
 
-certify_type walks up to CaseConfig.qs_limit arrangements of a type, ranked
-by quotient.search_quotient, each with its greedy fixes and then with none.
+certify_type walks the CaseConfig.qs_limit best arrangements of a type,
+ranked exactly by quotient.search_quotient, each with its greedy fixes and
+then with none.
 For each (arrangement, fixes) it computes the coefficients of up to
 max_candidates monomials, drawn uniformly from the monomials of the
 product's degree dividing the bound (sample_monomials).  The draw is seeded
@@ -270,11 +271,16 @@ class CaseReport:
     def certificates(self) -> tuple[Certificate, ...]:
         return tuple(r.certificate for r in self.results if r.certificate)
 
+    @property
+    def exceptional(self) -> tuple[int, ...]:
+        """The primes some certificate of the case is silent for, sorted:
+        a complete case covers every admissible prime outside them."""
+        return tuple(sorted({p for c in self.certificates() for p in c.exceptional}))
+
 
 @dataclass(frozen=True)
 class CaseConfig:
     qs_limit: int = 30
-    qs_budget: int = 10**6
     max_candidates: int = 24
     term_cap: int | None = 200_000_000
     op_cap: int | None = None
@@ -288,7 +294,7 @@ class CaseConfig:
         # a cap or budget below its least meaningful value would report
         # every type unresolved for a false reason
         for name, least in (
-            ("qs_limit", 1), ("qs_budget", 1), ("max_candidates", 1),
+            ("qs_limit", 1), ("max_candidates", 1),
             ("term_cap", 1), ("op_cap", 1), ("max_degree", 0),
         ):
             value = getattr(self, name)
@@ -460,14 +466,7 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     attempts: list[AttemptRecord] = []
     best: Certificate | None = None
 
-    ranked = [
-        s.qs.a
-        for s in search_quotient(
-            lam, limit=config.qs_limit, budget=config.qs_budget, seed=config.seed
-        ).candidates
-    ]
-
-    for a in ranked:
+    for _, _, a in search_quotient(lam, limit=config.qs_limit).candidates:
         if config.use_greedy_fixes:
             qs, fl, _ = product(lam, a, variant=config.variant)
             greedy = tuple(sorted(choose_fixes(fl, lam, qs)))

@@ -17,8 +17,8 @@ Settings come from flags only: a flag given overrides the default of the
 ``CaseConfig`` field it names, and ``CaseConfig`` holds every default.  A
 subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
 and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
-``--seed`` to ``prove``, ``qs`` and ``scan``; ``--qs-limit`` and
-``--qs-budget`` to ``prove`` and ``qs``; ``--output`` to all.
+``--seed`` to ``prove`` and ``scan``; ``--qs-limit`` to ``prove`` and
+``qs``; ``--output`` to all.
 ``prove``, ``coeff`` and ``table1`` build every product with
 ``factors.product`` and compute every coefficient through
 ``certify.compute_coefficient``, so caps and checkpoints act alike in all
@@ -48,7 +48,7 @@ from .oracle import (
     scan_group,
     verify_nonvanishing_conclusion,
 )
-from .quotient import search_quotient
+from .quotient import QuotientSequencing, bounding_degree, search_quotient
 
 
 class UsageError(Exception):
@@ -159,28 +159,26 @@ def _cmd_qs(args) -> int:
     config = _case_config(args)
     lam = _parse_vector(args.lam, "lambda")
     start = time.monotonic()
-    result = search_quotient(
-        lam, limit=config.qs_limit, budget=config.qs_budget, seed=config.seed
-    )
+    result = search_quotient(lam, limit=config.qs_limit)
     elapsed = time.monotonic() - start
+    bdeg = bounding_degree(lam)
     records = [
         reports.quotient_record(
             rank=i,
             t=len(lam),
             lam=lam,
-            a=sc.qs.a,
-            b=sc.qs.b,
-            degree=sc.degree,
-            max_multiplicity=sc.max_multiplicity,
-            feasible=sc.feasible,
-            exhaustive=result.exhaustive,
+            a=a,
+            b=QuotientSequencing(a, len(lam)).b,
+            degree=degree,
+            max_multiplicity=mult,
+            feasible=degree <= bdeg,
             scanned=result.scanned,
             elapsed=elapsed,
         )
-        for i, sc in enumerate(result.candidates)
+        for i, (degree, mult, a) in enumerate(result.candidates)
     ]
     _emit(records, args)
-    return 0 if any(sc.feasible for sc in result.candidates) else 1
+    return 0 if any(rec["feasible"] for rec in records) else 1
 
 
 def _cmd_scan(args) -> int:
@@ -292,8 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monomials sampled per arrangement")
     p.add_argument("--qs-limit", dest="qs_limit", type=int,
                    help="arrangements tried per type")
-    p.add_argument("--qs-budget", dest="qs_budget", type=int,
-                   help="exhaustive-search cutoff for arrangements")
     p.add_argument("--no-greedy-fixes", action="store_true",
                    help="skip the greedy fixing pass")
     p.set_defaults(func=_cmd_prove)
@@ -312,12 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bit budget for factoring the coefficient")
     p.set_defaults(func=_cmd_coeff)
 
-    p = sub.add_parser("qs", parents=[output, seed],
+    p = sub.add_parser("qs", parents=[output],
                        help="rank quotient sequencings for a type")
     p.add_argument("--lambda", dest="lam", required=True, help="type vector")
     p.add_argument("--qs-limit", dest="qs_limit", type=int,
                    help="number of candidates to keep")
-    p.add_argument("--qs-budget", dest="qs_budget", type=int)
     p.set_defaults(func=_cmd_qs)
 
     p = sub.add_parser("scan", parents=[output, seed],

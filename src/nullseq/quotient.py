@@ -17,17 +17,18 @@ a constant of the type too.  Hence
     degree = sum C(lam_v, 2) - lam_0 - [k >= 2 and sum v * lam_v = 0 mod t]
              + sum over j = 1..k of #{i < j : b_i = b_j},
 
-where every term of the last sum is >= 0.  search_quotient walks the
-arrangements depth first with a running degree; once it holds limit
-arrangements it cuts every prefix whose running degree is strictly above
-the worst degree kept, since no completion can come back down.  The cut is
-strict: a completion tied on degree can still win on max multiplicity.
+where every term of the last sum is >= 0.  search_quotient walks every
+arrangement of a type depth first with a running degree; once it holds
+limit arrangements it cuts every prefix whose running degree is strictly
+above the worst degree kept, since no completion can come back down.  The
+cut is strict: a completion tied on degree can still win on max
+multiplicity.  The ranking is exact at every size; its cost grows with the
+prefixes the cut leaves.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -132,29 +133,32 @@ def enumerate_arrangements(lam):
 
 
 @dataclass(frozen=True)
-class ScoredSequencing:
-    qs: QuotientSequencing
-    degree: int
-    max_multiplicity: int
-    feasible: bool  # degree <= bounding monomial degree (reported, not enforced)
-
-
-@dataclass(frozen=True)
 class QuotientSearchResult:
-    candidates: tuple[ScoredSequencing, ...]
-    exhaustive: bool
+    """The best arrangements of a type as sorted (degree, max multiplicity,
+    a) triples, and the number of arrangements the ranking covers."""
+
+    candidates: tuple[tuple[int, int, tuple[int, ...]], ...]
     scanned: int
 
 
-def _ranked_walk(lam, limit):
-    """The best limit (degree, max multiplicity, a) triples of a type, sorted.
+def search_quotient(lam, limit=10):
+    """Rank the arrangements of a type by induced degree, exactly.
 
-    A depth-first walk over the type's multiset in lexicographic order,
+    Returns the best limit (degree, max multiplicity, a) triples, sorted, so
+    ties break toward smaller max multiplicity, then the smallest
+    arrangement lexicographically; every arrangement counts as scanned.
+    One depth-first walk over the type's multiset in lexicographic order,
     carrying the histogram of partial sums (see the module docstring for
-    the running degree and the cut).  A heap keeps the best limit leaves;
-    a leaf ties with a kept one on (degree, multiplicity) only after it in
-    lexicographic order, so the order leaves are reached in breaks ties.
+    the running degree and the cut), in O(limit) memory beyond the walk's
+    O(k) state.  A heap keeps the best limit leaves; a leaf ties with a
+    kept one on (degree, multiplicity) only after it in lexicographic
+    order, so the order leaves are reached in breaks ties.
     """
+    lam = tuple(lam)
+    if any(c < 0 for c in lam) or sum(lam) == 0:
+        raise ValueError("type must be nonnegative with positive size")
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     t, k = len(lam), sum(lam)
     wrap = 1 if k >= 2 and sum(v * c for v, c in enumerate(lam)) % t == 0 else 0
     left = list(lam)
@@ -199,77 +203,5 @@ def _ranked_walk(lam, limit):
         walk(0, 0, sum(c * (c - 1) // 2 for c in lam) - lam[0] - wrap, 1)
     finally:
         sys.setrecursionlimit(depth)
-    return sorted((-d, -m, a) for d, m, _, a in heap)
-
-
-def search_quotient(lam, limit=10, budget=10**6, seed=0):
-    """Rank arrangements of a type by induced degree.
-
-    Exhaustive when the number of distinct arrangements fits the budget:
-    one pruned depth-first walk (module docstring) that keeps only the best
-    limit arrangements, in O(limit) memory beyond the walk's O(k) state,
-    and reports every arrangement as scanned.  Otherwise randomized hill
-    climbing with restarts (pairwise swaps, first-improvement),
-    deterministic for a given seed, and the result is flagged
-    non-exhaustive.  Ties break toward smaller max multiplicity, then the
-    smallest arrangement lexicographically.
-    """
-    lam = tuple(lam)
-    if any(c < 0 for c in lam) or sum(lam) == 0:
-        raise ValueError("type must be nonnegative with positive size")
-    for name, value in (("limit", limit), ("budget", budget)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    bdeg = bounding_degree(lam)
-    count = arrangement_count(lam)
-    if count <= budget:
-        top = tuple(
-            ScoredSequencing(QuotientSequencing(a, len(lam)), deg, mult, deg <= bdeg)
-            for deg, mult, a in _ranked_walk(lam, limit)
-        )
-        return QuotientSearchResult(top, True, count)
-
-    def score(a):
-        qs = QuotientSequencing(a, len(lam))
-        return qs, induced_degree(lam, qs.b), qs.max_multiplicity
-
-    # heuristic: random restarts + first-improvement swap climbing
-    rng = random.Random(seed)
-    pool = []
-    for v, c in enumerate(lam):
-        pool.extend([v] * c)
-    k = len(pool)
-    found = {}
-    evals = 0
-    while evals < budget:
-        cur = pool[:]
-        rng.shuffle(cur)
-        a = tuple(cur)
-        qs, deg, mult = score(a)
-        evals += 1
-        improved = True
-        while improved and evals < budget:
-            improved = False
-            for i in range(k - 1):
-                for j in range(i + 1, k):
-                    if cur[i] == cur[j]:
-                        continue
-                    cur[i], cur[j] = cur[j], cur[i]
-                    cand = tuple(cur)
-                    cqs, cdeg, cmult = score(cand)
-                    evals += 1
-                    if (cdeg, cmult, cand) < (deg, mult, a):
-                        a, qs, deg, mult = cand, cqs, cdeg, cmult
-                        improved = True
-                        break
-                    cur[i], cur[j] = cur[j], cur[i]
-                    if evals >= budget:
-                        break
-                if improved or evals >= budget:
-                    break
-        found[a] = (qs, deg, mult)
-    ranked = sorted(found.values(), key=lambda item: (item[1], item[2], item[0].a))
-    top = tuple(
-        ScoredSequencing(qs, deg, mult, deg <= bdeg) for qs, deg, mult in ranked[:limit]
-    )
-    return QuotientSearchResult(top, False, evals)
+    top = sorted((-d, -m, a) for d, m, _, a in heap)
+    return QuotientSearchResult(tuple(top), arrangement_count(lam))

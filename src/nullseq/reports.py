@@ -274,6 +274,7 @@ def case_records(report: CaseReport, *, elapsed: float | None = None) -> list[di
         certified=certified,
         unresolved=len(report.results) - certified,
         complete=report.complete,
+        exceptional=format_exponents(report.exceptional),
     )
     records = [summary]
     for result in report.results:
@@ -305,8 +306,9 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     """The case a summary record and its type records describe.
 
     The type records must be those of every type of the summary's (k, t),
-    in enumerate_types order, and the summary's counts must match them.  Each
-    type record's orbit must be its type's, and derived_from must name the
+    in enumerate_types order, and the summary's counts and exceptional
+    primes (the union of its certificates') must match them.  Each type
+    record's orbit must be its type's, and derived_from must name the
     orbit's representative, or be absent on the representative itself.
     """
     records = list(records)
@@ -366,8 +368,9 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
         certified=certified,
         unresolved=len(results) - certified,
         complete=report.complete,
+        exceptional=format_exponents(report.exceptional),
     )
-    declared = {name: summary[name] for name in parsed}
+    declared = {name: summary.get(name) for name in parsed}
     if declared != parsed:
         raise ValueError(f"case summary says {declared} but its type records give {parsed}")
     return report
@@ -430,7 +433,6 @@ def quotient_record(
     degree: int,
     max_multiplicity: int,
     feasible: bool,
-    exhaustive: bool,
     scanned: int,
     elapsed: float | None = None,
 ) -> dict:
@@ -444,7 +446,6 @@ def quotient_record(
         degree=degree,
         max_multiplicity=max_multiplicity,
         feasible=feasible,
-        exhaustive=exhaustive,
         scanned=scanned,
     )
     return record

@@ -284,7 +284,7 @@ class TestCertifyType:
         with pytest.raises(ValueError):
             certify_type((3, 2), 3)
 
-    @pytest.mark.parametrize("name", ["qs_limit", "qs_budget", "max_candidates"])
+    @pytest.mark.parametrize("name", ["qs_limit", "max_candidates"])
     def test_nonpositive_search_counts_refused(self, name):
         for value in (0, -1):
             with pytest.raises(ValueError, match=f"{name} must be at least 1"):

@@ -228,7 +228,6 @@ class TestProve:
         [
             ["--k", "4", "--t", "2", "--max-candidates", "0"],
             ["--k", "4", "--t", "2", "--qs-limit", "-1"],
-            ["--k", "3", "--t", "1", "--qs-budget", "0"],
         ],
     )
     def test_nonpositive_search_count_is_usage_error(self, argv):
@@ -272,8 +271,12 @@ class TestQs:
         code, recs, _ = run_cli(["qs", "--lambda", "3,2"])
         assert code == 0
         assert recs[0]["a"] == "0,1,0,0,1"
+        assert recs[0]["b"] == "0,0,1,1,1,0"
         assert recs[0]["degree"] == 6
         assert recs[0]["rank"] == 0
+        # feasible: the degree is at most the bounding degree 8
+        assert {r["feasible"] for r in recs} == {True, False}
+        assert all(r["feasible"] == (r["degree"] <= 8) for r in recs)
         assert [r["rank"] for r in recs] == list(range(len(recs)))
         degrees = [r["degree"] for r in recs]
         assert degrees == sorted(degrees)
@@ -287,7 +290,7 @@ class TestQs:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag", [["--qs-limit", "-1"], ["--qs-limit", "0"], ["--qs-budget", "0"]]
+        "flag", [["--qs-limit", "-1"], ["--qs-limit", "0"]]
     )
     def test_nonpositive_count_is_usage_error(self, flag):
         # a limit of -1 used to slice off the last arrangement and print the rest
@@ -451,8 +454,9 @@ class TestUsageAndSettings:
             ("--term-cap", "1"): {"prove", "coeff", "table1"},
             ("--op-cap", "1"): {"prove", "coeff", "table1"},
             ("--checkpoint-dir", "ckpt"): {"prove", "coeff", "table1"},
-            ("--seed", "1"): {"prove", "qs", "scan"},
+            ("--seed", "1"): {"prove", "scan"},
             ("--qs-limit", "1"): {"prove", "qs"},
+            ("--qs-budget", "1"): set(),
             ("--output", "-"): set(commands),
         }
         for flag, accepted in readers.items():

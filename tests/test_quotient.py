@@ -79,63 +79,39 @@ class TestCountingFormulas:
 class TestSearch:
     def test_exhaustive_small(self):
         result = search_quotient((3, 2))
-        assert result.exhaustive
         assert result.scanned == 10
         top = result.candidates
-        assert (top[0].qs.a, top[0].degree, top[0].max_multiplicity) == (
-            (0, 1, 0, 0, 1), 6, 3,
-        )
-        assert top[1].qs.a == (1, 0, 0, 1, 0)
-        degrees = [s.degree for s in top]
-        assert degrees == sorted(degrees)
-        assert all(s.feasible == (s.degree <= bounding_degree((3, 2))) for s in top)
+        assert top[0] == (6, 3, (0, 1, 0, 0, 1))
+        assert top[1][2] == (1, 0, 0, 1, 0)
+        assert list(top) == sorted(top)
 
     def test_single_arrangement_type(self):
         result = search_quotient((10, 0))
-        assert result.exhaustive and result.scanned == 1
-        only = result.candidates[0]
-        assert only.qs.a == (0,) * 10
-        assert only.degree == 89
-        assert only.feasible  # 89 <= bounding degree 90
+        assert result.scanned == 1
+        assert result.candidates == ((89, 11, (0,) * 10),)
 
     def test_size_10_balanced_type(self):
         result = search_quotient((9, 1), limit=3)
-        assert result.candidates[0].qs.a == (0, 0, 0, 0, 0, 1, 0, 0, 0, 0)
-        assert result.candidates[0].degree == 52
-
-    def test_budget_boundary(self):
-        # the walk runs exactly when the count fits the budget; one below,
-        # the hill climber runs, with the results it gave before the walk
-        count = arrangement_count((5, 5))
-        walk = search_quotient((5, 5), budget=count, seed=3, limit=5)
-        assert walk.exhaustive and walk.scanned == count
-        assert _ranked(walk) == _brute_force((5, 5))[:5]
-        heur = search_quotient((5, 5), budget=count - 1, seed=3, limit=5)
-        assert not heur.exhaustive and heur.scanned == count - 1
-        assert _ranked(heur) == [(40, 6, (0, 0, 0, 1, 0, 0, 1, 1, 1, 1))]
-        heur = search_quotient((5, 5), budget=50, seed=3, limit=5)
-        assert not heur.exhaustive and heur.scanned == 50
-        assert _ranked(heur) == [(40, 6, (0, 0, 0, 1, 0, 1, 1, 1, 1, 0))]
-
-    def test_heuristic_deterministic_and_sound(self):
-        # budget below the arrangement count forces the heuristic path
-        assert arrangement_count((5, 5)) == 252
-        exact = search_quotient((5, 5), budget=10**6)
-        heur1 = search_quotient((5, 5), budget=50, seed=3, limit=5)
-        heur2 = search_quotient((5, 5), budget=50, seed=3, limit=5)
-        assert not heur1.exhaustive
-        assert heur1 == heur2
-        assert heur1.candidates[0].degree >= exact.candidates[0].degree
+        assert result.candidates[0][::2] == (52, (0, 0, 0, 0, 0, 1, 0, 0, 0, 0))
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             search_quotient((0, 0))
-        for counts in ({"limit": 0}, {"limit": -1}, {"budget": 0}):
+        for limit in (0, -1):
             with pytest.raises(ValueError, match="at least 1"):
-                search_quotient((3, 2), **counts)
+                search_quotient((3, 2), limit=limit)
 
-def _ranked(result):
-    return [(s.degree, s.max_multiplicity, s.qs.a) for s in result.candidates]
+    def test_past_a_million_arrangements(self):
+        # past a million arrangements (k = 13) the ranking is still exact
+        lam = (4, 3, 3, 3)
+        result = search_quotient(lam, limit=30)
+        assert result.scanned == arrangement_count(lam) == 1_201_200
+        top = result.candidates
+        assert len(top) == 30
+        assert list(top) == sorted(set(top))
+        for degree, mult, a in top:
+            qs = validate_quotient(a, lam)
+            assert (degree, mult) == (induced_degree(lam, qs.b), qs.max_multiplicity)
 
 
 def _brute_force(lam, limit=None):
@@ -159,23 +135,19 @@ class TestRankedWalk:
                     brute = _brute_force(lam)
                     for limit in (1, 3, 30, len(brute)):
                         result = search_quotient(lam, limit=limit)
-                        assert result.exhaustive and result.scanned == len(brute)
-                        assert _ranked(result) == brute[:limit], (lam, limit)
-                        bdeg = bounding_degree(lam)
-                        assert all(
-                            s.feasible == (s.degree <= bdeg) for s in result.candidates
-                        )
+                        assert result.scanned == len(brute)
+                        assert list(result.candidates) == brute[:limit], (lam, limit)
 
     def test_ties_at_the_cut(self):
         # every one of the top 30 has degree 24, the worst kept degree, so
         # the order among them rests on multiplicity and on a alone
         result = search_quotient((3, 3, 3, 3), limit=30)
-        top = _ranked(result)
+        top = list(result.candidates)
         assert {deg for deg, _, _ in top} == {24}
         assert top == _brute_force((3, 3, 3, 3), limit=30)
 
     def test_deeper_than_the_default_recursion_limit(self):
         depth = sys.getrecursionlimit()
         lam = (depth + 1000,)
-        assert _ranked(search_quotient(lam)) == _brute_force(lam)
+        assert list(search_quotient(lam).candidates) == _brute_force(lam)
         assert sys.getrecursionlimit() == depth

@@ -20,7 +20,7 @@ from nullseq.oracle import (
     scan_group,
     verify_nonvanishing_conclusion,
 )
-from nullseq.quotient import search_quotient
+from nullseq.quotient import QuotientSequencing, search_quotient
 from nullseq.reports import (
     ENGINE_VERSION,
     applicability_record,
@@ -223,17 +223,16 @@ class TestCoefficientAndQuotientRecords:
 
     def test_quotient_record_shape(self):
         res = search_quotient((3, 2))
-        top = res.candidates[0]
+        degree, mult, a = res.candidates[0]
         rec = quotient_record(
             rank=0,
             t=2,
             lam=(3, 2),
-            a=top.qs.a,
-            b=top.qs.b,
-            degree=top.degree,
-            max_multiplicity=top.max_multiplicity,
-            feasible=top.feasible,
-            exhaustive=res.exhaustive,
+            a=a,
+            b=QuotientSequencing(a, 2).b,
+            degree=degree,
+            max_multiplicity=mult,
+            feasible=True,
             scanned=res.scanned,
         )
         assert rec["kind"] == "quotient"
@@ -393,6 +392,19 @@ class TestCaseRecordTamper:
         summary = dict(records[7][0], certified=7, unresolved=1, complete=False)
         with pytest.raises(ValueError, match="case summary says"):
             case_from_records([summary] + records[7][1:])
+
+    def test_exceptional_primes_must_match(self):
+        # one sampled monomial per arrangement leaves one type of k = 6,
+        # t = 2 with p = 7 excluded; the summary must name it
+        records = case_records(assemble_case(6, 2, CaseConfig(max_candidates=1)))
+        summary = records[0]
+        assert summary["complete"] is True and summary["exceptional"] == "7"
+        assert [r["exceptional"] for r in records[1:] if r["exceptional"]] == ["7"]
+        for forged in (dict(summary, exceptional=""), dict(summary, exceptional="7,11"),
+                       {key: v for key, v in summary.items() if key != "exceptional"}):
+            with pytest.raises(ValueError, match="case summary says"):
+                case_from_records([forged] + records[1:])
+        assert case_from_records(records).exceptional == (7,)
 
     @pytest.fixture(scope="class")
     def derived(self):
