@@ -31,7 +31,7 @@ def main():
           "the (x, 0) coset\nand 2 from the (x, 1) coset\n")
 
     print("1. pick an arrangement by scanning the quotient Z_2")
-    result = search_quotient(lam)
+    result = search_quotient(lam, limit=10)
     degree, _, a = result.candidates[0]
     qs = validate_quotient(a, lam)
     print(f"   ranked all {result.scanned} arrangements")

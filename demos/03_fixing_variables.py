@@ -25,7 +25,7 @@ from nullseq.quotient import bounding_degree, search_quotient, validate_quotient
 
 def main():
     print("== an arrangement that cannot work unfixed ==\n")
-    res = search_quotient((3, 2))
+    res = search_quotient((3, 2), limit=10)
     ceiling = bounding_degree((3, 2))
     degree, a = next((d, a) for d, _, a in res.candidates if d > ceiling)
     print(f"type (3,2), a = {a}: degree {degree} exceeds the "

@@ -13,9 +13,17 @@ for them (smaller primes and divisors of t are outside the usable range
 anyway).  An empty exceptional set means the certificate covers every
 admissible prime.
 
-certify_type walks the CaseConfig.qs_limit best arrangements of a type,
-ranked exactly by quotient.search_quotient, each with its greedy fixes and
-then with none.
+certify_type takes the arrangements of a type best first, in the exact
+ranking of quotient.search_quotient, each with its greedy fixes and then
+with none.  It tries the first RANKED_BLOCK arrangements; past them it walks
+on only while every attempt of the type has come back zero, so it ends at
+the first nonzero, aborted, skipped or infeasible attempt or when the
+ranking runs out.  An abort or a skip means the budget failed, and later
+arrangements only cost more; an infeasible arrangement has every later one
+infeasible too, as the ranking is by degree.  A type that stops within the
+first block makes one search_quotient call; a longer walk reruns it at 4,
+16, ... times the block and skips what it has tried.
+
 For each (arrangement, fixes) it computes the coefficients of up to
 max_candidates monomials, drawn uniformly from the monomials of the
 product's degree dividing the bound (sample_monomials).  The draw is seeded
@@ -241,6 +249,17 @@ class AttemptRecord:
     coefficient: int | None = None
     note: str = ""
 
+    def __post_init__(self):
+        if self.outcome not in ("nonzero", "zero", "aborted", "infeasible", "skipped-degree"):
+            raise ValueError(f"unknown attempt outcome {self.outcome!r}")
+        # a coefficient is given exactly for zero and nonzero, and tells them apart
+        says = None if self.coefficient is None else "nonzero" if self.coefficient else "zero"
+        if says != (self.outcome if self.outcome in ("zero", "nonzero") else None):
+            raise ValueError(
+                f"an attempt with outcome {self.outcome} cannot have coefficient "
+                f"{self.coefficient}"
+            )
+
 
 @dataclass(frozen=True)
 class UnresolvedType:
@@ -278,9 +297,12 @@ class CaseReport:
         return tuple(sorted({p for c in self.certificates() for p in c.exceptional}))
 
 
+# Arrangements every type tries, and the default of qs --qs-limit.
+RANKED_BLOCK = 30
+
+
 @dataclass(frozen=True)
 class CaseConfig:
-    qs_limit: int = 30
     max_candidates: int = 24
     term_cap: int | None = 200_000_000
     op_cap: int | None = None
@@ -294,8 +316,7 @@ class CaseConfig:
         # a cap or budget below its least meaningful value would report
         # every type unresolved for a false reason
         for name, least in (
-            ("qs_limit", 1), ("max_candidates", 1),
-            ("term_cap", 1), ("op_cap", 1), ("max_degree", 0),
+            ("max_candidates", 1), ("term_cap", 1), ("op_cap", 1), ("max_degree", 0),
         ):
             value = getattr(self, name)
             if value is None and name.endswith("_cap"):
@@ -450,13 +471,30 @@ def _attempt(lam, a, fixes, config, attempts):
     )
 
 
+def _ranked(lam):
+    """The type's arrangements best first.  The first RANKED_BLOCK come from
+    one search_quotient call; each later call keeps four times as many and
+    yields only those not yielded before."""
+    done, limit = 0, RANKED_BLOCK
+    while True:
+        ranking = search_quotient(lam, limit=limit)
+        for _, _, a in ranking.candidates[done:]:
+            yield a
+        if ranking.scanned <= limit:
+            return
+        done, limit = limit, 4 * limit
+
+
 def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     """Search a certificate for one type.
 
-    Arrangements come ranked by induced degree; for each, the greedy fixing
-    is tried first (when enabled), then no fixes.  The first certificate
-    with no exceptional primes wins; otherwise the one with the fewest
-    exceptional primes (ties: fewer entries) is kept.
+    Arrangements come best first from the exact ranking by induced degree;
+    for each, the greedy fixing is tried first (when enabled), then no
+    fixes.  The first certificate with no exceptional primes wins;
+    otherwise the one with the fewest exceptional primes (ties: fewer
+    entries) is kept.  The first RANKED_BLOCK arrangements are always
+    tried; an attempt past them is made only while every attempt so far
+    came back zero (see the module docstring).
     """
     if config is None:
         config = CaseConfig()
@@ -466,7 +504,13 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     attempts: list[AttemptRecord] = []
     best: Certificate | None = None
 
-    for _, _, a in search_quotient(lam, limit=config.qs_limit).candidates:
+    def walk_on(rank):
+        return rank < RANKED_BLOCK or all(rec.outcome == "zero" for rec in attempts)
+
+    # checked before each arrangement is drawn, so that a type which stops
+    # at the block's end does not rerun the search
+    arrangements, rank = _ranked(lam), 0
+    while walk_on(rank) and (a := next(arrangements, None)) is not None:
         if config.use_greedy_fixes:
             qs, fl, _ = product(lam, a, variant=config.variant)
             greedy = tuple(sorted(choose_fixes(fl, lam, qs)))
@@ -474,6 +518,8 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
         else:
             fix_plans = [()]
         for fixes in fix_plans:
+            if not walk_on(rank):
+                break
             cert = _attempt(lam, a, fixes, config, attempts)
             if cert is not None:
                 if not cert.exceptional:
@@ -485,6 +531,7 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
                     < (len(best.exceptional), len(best.entries))
                 ):
                     best = cert
+        rank += 1
     if best is not None:
         return TypeResult(lam, type_orbit(lam), best, None, tuple(attempts))
     outcomes = {rec.outcome for rec in attempts}

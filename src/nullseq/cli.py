@@ -14,11 +14,12 @@ Output is line-delimited JSON on stdout (or ``--output``).  Exit status:
 0 success, 1 for unresolved/failed cases, 2 for usage errors.
 
 Settings come from flags only: a flag given overrides the default of the
-``CaseConfig`` field it names, and ``CaseConfig`` holds every default.  A
-subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
+``CaseConfig`` field it names, and ``certify`` holds every default, in
+``CaseConfig`` and in ``RANKED_BLOCK`` (the default of ``qs --qs-limit``).
+A subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
 and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
-``--seed`` to ``prove`` and ``scan``; ``--qs-limit`` to ``prove`` and
-``qs``; ``--output`` to all.
+``--seed`` to ``prove`` and ``scan``; ``--qs-limit`` to ``qs``;
+``--output`` to all.
 ``prove``, ``coeff`` and ``table1`` build every product with
 ``factors.product`` and compute every coefficient through
 ``certify.compute_coefficient``, so caps and checkpoints act alike in all
@@ -36,6 +37,7 @@ import time
 from . import catalog, reports
 from .applicability import applicability
 from .certify import (
+    RANKED_BLOCK,
     CaseConfig,
     assemble_case,
     compute_coefficient,
@@ -156,10 +158,9 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_qs(args) -> int:
-    config = _case_config(args)
     lam = _parse_vector(args.lam, "lambda")
     start = time.monotonic()
-    result = search_quotient(lam, limit=config.qs_limit)
+    result = search_quotient(lam, limit=args.qs_limit)
     elapsed = time.monotonic() - start
     bdeg = bounding_degree(lam)
     records = [
@@ -288,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip types whose product degree exceeds this")
     p.add_argument("--max-candidates", dest="max_candidates", type=int,
                    help="monomials sampled per arrangement")
-    p.add_argument("--qs-limit", dest="qs_limit", type=int,
-                   help="arrangements tried per type")
     p.add_argument("--no-greedy-fixes", action="store_true",
                    help="skip the greedy fixing pass")
     p.set_defaults(func=_cmd_prove)
@@ -311,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qs", parents=[output],
                        help="rank quotient sequencings for a type")
     p.add_argument("--lambda", dest="lam", required=True, help="type vector")
-    p.add_argument("--qs-limit", dest="qs_limit", type=int,
-                   help="number of candidates to keep")
+    p.add_argument("--qs-limit", dest="qs_limit", type=int, default=RANKED_BLOCK,
+                   help=f"number of candidates to keep (default {RANKED_BLOCK})")
     p.set_defaults(func=_cmd_qs)
 
     p = sub.add_parser("scan", parents=[output, seed],

@@ -141,7 +141,7 @@ class QuotientSearchResult:
     scanned: int
 
 
-def search_quotient(lam, limit=10):
+def search_quotient(lam, limit):
     """Rank the arrangements of a type by induced degree, exactly.
 
     Returns the best limit (degree, max multiplicity, a) triples, sorted, so

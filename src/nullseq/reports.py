@@ -162,21 +162,43 @@ def _put_attempts(record: dict, attempts: tuple[AttemptRecord, ...]) -> None:
         record[f"attempt{i}_note"] = at.note
 
 
+def _label(record: dict) -> str:
+    """How a parse error names a record: by its lam."""
+    if "lam" in record:
+        return f"record lam={record['lam']!r}"
+    return f"{record.get('kind', 'untyped')} record without lam"
+
+
+def _field(record: dict, key: str, kind: type = str):
+    """record[key], which must be present and of exactly the type kind (so
+    not a bool for int); otherwise a ValueError naming the record."""
+    value = record.get(key)
+    if type(value) is not kind:
+        got = repr(value) if key in record else "nothing"
+        raise ValueError(f"{_label(record)}: {key} must be {kind.__name__}, got {got}")
+    return value
+
+
 def _get_attempts(record: dict) -> tuple[AttemptRecord, ...]:
     out = []
-    for i in range(record.get("attempts", 0)):
-        monomial = record[f"attempt{i}_monomial"]
-        coefficient = record[f"attempt{i}_coefficient"]
-        out.append(
-            AttemptRecord(
-                a=parse_exponents(record[f"attempt{i}_a"]),
-                fixes=parse_exponents(record[f"attempt{i}_fixes"]),
-                monomial=parse_exponents(monomial) if monomial else None,
-                outcome=record[f"attempt{i}_outcome"],
-                coefficient=int(coefficient) if coefficient else None,
-                note=record[f"attempt{i}_note"],
-            )
+    for i in range(_field(record, "attempts", int) if "attempts" in record else 0):
+        a, fixes, monomial, outcome, coefficient, note = (
+            _field(record, f"attempt{i}_{name}")
+            for name in ("a", "fixes", "monomial", "outcome", "coefficient", "note")
         )
+        try:
+            out.append(
+                AttemptRecord(
+                    a=parse_exponents(a),
+                    fixes=parse_exponents(fixes),
+                    monomial=parse_exponents(monomial) if monomial else None,
+                    outcome=outcome,
+                    coefficient=int(coefficient) if coefficient else None,
+                    note=note,
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"{_label(record)}: attempt {i}: {exc}") from exc
     return tuple(out)
 
 
@@ -222,23 +244,23 @@ def certificate_record(
 def certificate_from_record(record: dict) -> Certificate:
     entries = tuple(
         CertificateEntry(
-            monomial=parse_exponents(record[f"entry{i}_monomial"]),
-            coefficient=int(record[f"entry{i}_coefficient"]),
-            factorization=parse_factorization(record[f"entry{i}_factorization"]),
+            monomial=parse_exponents(_field(record, f"entry{i}_monomial")),
+            coefficient=int(_field(record, f"entry{i}_coefficient")),
+            factorization=parse_factorization(_field(record, f"entry{i}_factorization")),
         )
-        for i in range(record["entries"])
+        for i in range(_field(record, "entries", int))
     )
     return Certificate(
-        k=record["k"],
-        t=record["t"],
-        lam=parse_exponents(record["lam"]),
-        a=parse_exponents(record["a"]),
-        fixes=parse_exponents(record["fixes"]),
-        variant=record["variant"],
-        degree=record["degree"],
-        bound=parse_exponents(record["bound"]),
+        k=_field(record, "k", int),
+        t=_field(record, "t", int),
+        lam=parse_exponents(_field(record, "lam")),
+        a=parse_exponents(_field(record, "a")),
+        fixes=parse_exponents(_field(record, "fixes")),
+        variant=_field(record, "variant"),
+        degree=_field(record, "degree", int),
+        bound=parse_exponents(_field(record, "bound")),
         entries=entries,
-        exceptional=parse_exponents(record["exceptional"]),
+        exceptional=parse_exponents(_field(record, "exceptional")),
     )
 
 
@@ -312,28 +334,29 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     orbit's representative, or be absent on the representative itself.
     """
     records = list(records)
-    summaries = [r for r in records if r["kind"] == "case"]
+    summaries = [r for r in records if _field(r, "kind") == "case"]
     if len(summaries) != 1:
         raise ValueError("expected exactly one case summary record")
     summary = summaries[0]
-    k, t = summary["k"], summary["t"]
+    k, t = _field(summary, "k", int), _field(summary, "t", int)
     results = []
     for record in records:
         if record["kind"] not in ("certificate", "unresolved"):
             continue
-        if (record["k"], record["t"]) != (k, t):
+        lam = parse_exponents(_field(record, "lam"))
+        if (_field(record, "k", int), _field(record, "t", int)) != (k, t):
             raise ValueError(
                 f"type record {record['lam']} has k = {record['k']}, t = {record['t']} "
                 f"in a case with k = {k}, t = {t}"
             )
-        lam = parse_exponents(record["lam"])
         orbit = tuple(
-            parse_exponents(part) for part in record.get("orbit", "").split(";") if part
+            parse_exponents(part) for part in _field(record, "orbit").split(";") if part
         )
         if orbit != type_orbit(lam):
             raise ValueError(f"type record {record['lam']} gives a wrong orbit")
-        derived = record.get("derived_from")
-        derived = parse_exponents(derived) if derived is not None else None
+        derived = None
+        if "derived_from" in record:
+            derived = parse_exponents(_field(record, "derived_from"))
         rep = canonical_type(lam)
         if derived != (None if rep == lam else rep):
             raise ValueError(
@@ -353,7 +376,7 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
                 TypeResult(
                     lam=lam,
                     certificate=None,
-                    unresolved=UnresolvedType(lam=lam, reason=record["reason"]),
+                    unresolved=UnresolvedType(lam=lam, reason=_field(record, "reason")),
                     **common,
                 )
             )

@@ -5,7 +5,10 @@ import random
 import pytest
 import sympy
 
+from nullseq import certify
 from nullseq.certify import (
+    RANKED_BLOCK,
+    AttemptRecord,
     CaseConfig,
     CertificateEntry,
     Factorization,
@@ -20,6 +23,7 @@ from nullseq.certify import (
 from nullseq.engine import load_checkpoint
 from nullseq.factors import REDUCED
 from nullseq.groups import enumerate_types
+from nullseq.quotient import search_quotient
 
 
 class TestFactorization:
@@ -284,7 +288,7 @@ class TestCertifyType:
         with pytest.raises(ValueError):
             certify_type((3, 2), 3)
 
-    @pytest.mark.parametrize("name", ["qs_limit", "max_candidates"])
+    @pytest.mark.parametrize("name", ["max_candidates"])
     def test_nonpositive_search_counts_refused(self, name):
         for value in (0, -1):
             with pytest.raises(ValueError, match=f"{name} must be at least 1"):
@@ -320,7 +324,6 @@ class TestCertifyType:
         config = CaseConfig(
             term_cap=2,
             checkpoint_dir=str(tmp_path),
-            qs_limit=1,
             max_candidates=1,
             use_greedy_fixes=False,
         )
@@ -356,7 +359,6 @@ class TestCertifyType:
         config = CaseConfig(
             term_cap=2,
             checkpoint_dir=str(directory),
-            qs_limit=1,
             max_candidates=1,
             use_greedy_fixes=False,
         )
@@ -364,6 +366,63 @@ class TestCertifyType:
         assert [a.outcome for a in res.attempts] == ["aborted"]
         (path,) = directory.glob("ckpt_*.bin")
         assert load_checkpoint(path).k == 4
+
+
+class TestAttemptRecord:
+    def test_outcomes_and_coefficients(self):
+        for outcome, coefficient in (
+            ("nonzero", -3), ("zero", 0), ("aborted", None),
+            ("infeasible", None), ("skipped-degree", None),
+        ):
+            AttemptRecord((0, 1), (), None, outcome, coefficient)
+        for outcome, coefficient in (
+            ("bogus", None), ("nonzero", 0), ("nonzero", None), ("zero", 5),
+            ("zero", None), ("aborted", 0), ("infeasible", 7), ("skipped-degree", 0),
+        ):
+            with pytest.raises(ValueError, match="outcome"):
+                AttemptRecord((0, 1), (), None, outcome, coefficient)
+
+
+class TestRankedWalk:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The limits of every search_quotient call certify makes."""
+        limits = []
+
+        def counted(lam, limit):
+            limits.append(limit)
+            return search_quotient(lam, limit=limit)
+
+        monkeypatch.setattr(certify, "search_quotient", counted)
+        return limits
+
+    def test_walks_on_past_the_block_while_every_attempt_is_zero(self, searches):
+        # every attempt on the 30 best arrangements of (1,3,2,3) comes back
+        # zero; the 39th arrangement certifies it for every admissible prime
+        lam = (1, 3, 2, 3)
+        res = certify_type(lam, 4)
+        cert = res.certificate
+        assert cert is not None and cert.exceptional == ()
+        ranked = [a for _, _, a in search_quotient(lam, limit=120).candidates]
+        assert ranked.index(cert.a) == 38
+        assert {rec.outcome for rec in res.attempts if rec.a != cert.a} == {"zero"}
+        assert len(res.attempts) == 343
+        assert searches == [RANKED_BLOCK, 4 * RANKED_BLOCK]
+
+    def test_a_failed_budget_ends_the_walk_at_the_block(self, searches):
+        res = certify_type((1, 3, 2, 3), 4, CaseConfig(term_cap=1))
+        assert res.certificate is None
+        assert len({rec.a for rec in res.attempts}) == RANKED_BLOCK == 30
+        assert {rec.outcome for rec in res.attempts} == {"aborted"}
+        assert searches == [RANKED_BLOCK]
+
+    def test_a_certificate_within_the_block_searches_once(self, searches):
+        # (5,5) keeps p = 157 after its 30 arrangements (one monomial
+        # each), and a nonzero attempt ends the walk
+        res = certify_type((5, 5), 2)
+        assert res.certificate.exceptional == (157,)
+        assert len({rec.a for rec in res.attempts}) == RANKED_BLOCK
+        assert searches == [RANKED_BLOCK]
 
 
 class TestTransfer:

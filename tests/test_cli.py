@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from nullseq import certify
-from nullseq.certify import CaseConfig, assemble_case
+from nullseq.certify import RANKED_BLOCK, CaseConfig, assemble_case
 from nullseq.cli import _case_config, build_parser, main
 from nullseq.engine import load_checkpoint
 from nullseq.reports import case_from_records, loads_record, parse_exponents
@@ -227,7 +227,6 @@ class TestProve:
         "argv",
         [
             ["--k", "4", "--t", "2", "--max-candidates", "0"],
-            ["--k", "4", "--t", "2", "--qs-limit", "-1"],
         ],
     )
     def test_nonpositive_search_count_is_usage_error(self, argv):
@@ -455,7 +454,7 @@ class TestUsageAndSettings:
             ("--op-cap", "1"): {"prove", "coeff", "table1"},
             ("--checkpoint-dir", "ckpt"): {"prove", "coeff", "table1"},
             ("--seed", "1"): {"prove", "scan"},
-            ("--qs-limit", "1"): {"prove", "qs"},
+            ("--qs-limit", "1"): {"qs"},
             ("--qs-budget", "1"): set(),
             ("--output", "-"): set(commands),
         }
@@ -473,6 +472,7 @@ class TestUsageAndSettings:
         for argv in (["prove", "--k", "4", "--t", "2"], ["table1"],
                      ["qs", "--lambda", "3,2"]):
             assert _case_config(parser.parse_args(argv)) == CaseConfig()
+        assert parser.parse_args(["qs", "--lambda", "3,2"]).qs_limit == RANKED_BLOCK
         args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--seed", "7",
                                   "--term-cap", "9"])
         assert _case_config(args) == CaseConfig(seed=7, term_cap=9)

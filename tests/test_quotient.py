@@ -78,7 +78,7 @@ class TestCountingFormulas:
 
 class TestSearch:
     def test_exhaustive_small(self):
-        result = search_quotient((3, 2))
+        result = search_quotient((3, 2), limit=10)
         assert result.scanned == 10
         top = result.candidates
         assert top[0] == (6, 3, (0, 1, 0, 0, 1))
@@ -86,7 +86,7 @@ class TestSearch:
         assert list(top) == sorted(top)
 
     def test_single_arrangement_type(self):
-        result = search_quotient((10, 0))
+        result = search_quotient((10, 0), limit=10)
         assert result.scanned == 1
         assert result.candidates == ((89, 11, (0,) * 10),)
 
@@ -96,7 +96,7 @@ class TestSearch:
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
-            search_quotient((0, 0))
+            search_quotient((0, 0), limit=10)
         for limit in (0, -1):
             with pytest.raises(ValueError, match="at least 1"):
                 search_quotient((3, 2), limit=limit)
@@ -149,5 +149,5 @@ class TestRankedWalk:
     def test_deeper_than_the_default_recursion_limit(self):
         depth = sys.getrecursionlimit()
         lam = (depth + 1000,)
-        assert list(search_quotient(lam).candidates) == _brute_force(lam)
+        assert list(search_quotient(lam, limit=10).candidates) == _brute_force(lam)
         assert sys.getrecursionlimit() == depth

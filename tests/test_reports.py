@@ -222,7 +222,7 @@ class TestCoefficientAndQuotientRecords:
         assert "checkpoint" not in rec
 
     def test_quotient_record_shape(self):
-        res = search_quotient((3, 2))
+        res = search_quotient((3, 2), limit=10)
         degree, mult, a = res.candidates[0]
         rec = quotient_record(
             rank=0,
@@ -405,6 +405,38 @@ class TestCaseRecordTamper:
             with pytest.raises(ValueError, match="case summary says"):
                 case_from_records([forged] + records[1:])
         assert case_from_records(records).exceptional == (7,)
+
+    # name: (forgery, whether certificate_from_record reads the forged key)
+    MALFORMED = {
+        "no kind": (lambda rec: rec.pop("kind"), False),
+        "no lam": (lambda rec: rec.pop("lam"), True),
+        "no entry key": (lambda rec: rec.pop("entry0_coefficient"), True),
+        "no attempt key": (lambda rec: rec.pop("attempt0_outcome"), False),
+        "string attempts": (lambda rec: rec.update(attempts="3"), False),
+        "string entries": (lambda rec: rec.update(entries="1"), True),
+        "string k": (lambda rec: rec.update(k="5"), True),
+        "bogus outcome": (lambda rec: rec.update(attempt0_outcome="bogus"), False),
+        "forged coefficient": (lambda rec: rec.update(attempt0_coefficient="0"), False),
+    }
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_type_record_named_by_its_lam(self, records, name):
+        # each of these used to raise KeyError or TypeError, or parse
+        forge, in_certificate = self.MALFORMED[name]
+        forged = [dict(rec) for rec in records[5]]
+        assert forged[1]["lam"] == "5,0" and forged[1]["attempt0_outcome"] == "nonzero"
+        forge(forged[1])
+        label = "record lam='5,0'" if "lam" in forged[1] else "record without lam"
+        with pytest.raises(ValueError, match=label):
+            case_from_records(forged)
+        if in_certificate:
+            with pytest.raises(ValueError, match=label):
+                certificate_from_record(forged[1])
+
+    def test_summary_with_a_string_k_rejected(self, records):
+        summary = dict(records[5][0], k="5")
+        with pytest.raises(ValueError, match="case record without lam: k must be int"):
+            case_from_records([summary] + records[5][1:])
 
     @pytest.fixture(scope="class")
     def derived(self):
