@@ -16,12 +16,23 @@ that reaches S early cannot end with distinct partial sums.  The last
 element is then S minus the sum before it and needs no test.  The cut only
 removes subtrees without a valid leaf, so the orderings found, and their
 order, are those of the uncut search.
+
+A reduced scan searches one subset per class of unit multiples, the class's
+lexicographic minimum, and generates only the subsets that can be one.  A
+subset S that holds a unit s but not 1 is never a minimum: s^-1 S holds 1,
+so it sorts below S.  If 1 is in S and some unit multiple uS sorts below S,
+then uS starts with 1 as well, so u*s = 1 for some s in S: u is the inverse
+of a unit of S.  The scan therefore walks the sets (1,) + rest, testing only
+the inverses of the units in rest, then the sets made of non-units only,
+testing every unit; every set of the first kind sorts before every set of
+the second, so the kept list is in lexicographic order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -149,32 +160,47 @@ def all_sequencings(elements, group):
     return _orderings(elems, group, True)
 
 
-def _units(n: int) -> list[int]:
-    """The units of Z_n other than 1."""
-    return [u for u in range(2, n) if math.gcd(u, n) == 1]
-
-
-def _smaller_multiple(subset: tuple[int, ...], n: int, units):
-    """The first unit multiple of the sorted subset that sorts below it, or None."""
-    for u in units:
-        image = tuple(sorted([u * s % n for s in subset]))
-        if image < subset:
-            return image
-    return None
-
-
 def canonical_subset(subset, n: int) -> tuple[int, ...]:
     """Smallest unit multiple of the subset of Z_n, as a sorted tuple.
 
     Multiplying a subset by a unit is a group automorphism, so it preserves
-    sequenceability; scanning one representative per class suffices.  A
-    subset that no unit multiple sorts below is the smallest of its class.
+    sequenceability; scanning one representative per class suffices.
     """
-    best = tuple(sorted(s % n for s in subset))
-    units = _units(n)
-    while (smaller := _smaller_multiple(best, n, units)) is not None:
-        best = smaller
-    return best
+    return min(
+        tuple(sorted([u * s % n for s in subset]))
+        for u in range(1, n)
+        if math.gcd(u, n) == 1
+    )
+
+
+def _none_below(subset: tuple[int, ...], rows) -> bool:
+    """Does no image of the sorted subset under the maps in rows (lists
+    indexed by residue) sort below it?"""
+    for row in rows:
+        if tuple(sorted(map(row.__getitem__, subset))) < subset:
+            return False
+    return True
+
+
+def _class_minima(n: int, k: int, allows):
+    """The k-subsets of Z_n \\ {0} that are the smallest of their unit-multiple
+    class and whose sum the kind allows, in lexicographic order (the rule is
+    in the module docstring)."""
+    # by_inverse[x] maps e to x^-1 * e when x is a unit, and is None otherwise
+    by_inverse = [None] * n
+    for x in range(2, n):
+        if math.gcd(x, n) == 1:
+            by_inverse[x] = [pow(x, -1, n) * e % n for e in range(n)]
+    for rest in itertools.combinations(range(2, n), k - 1):
+        s = (1,) + rest
+        inverses = filter(None, map(by_inverse.__getitem__, rest))
+        if allows[sum(s) % n == 0] and _none_below(s, inverses):
+            yield s
+    every_unit = [row for row in by_inverse if row]  # the inverses are all units
+    nonunits = [x for x in range(2, n) if by_inverse[x] is None]
+    for s in itertools.combinations(nonunits, k):
+        if allows[sum(s) % n == 0] and _none_below(s, every_unit):
+            yield s
 
 
 @dataclass(frozen=True)
@@ -209,10 +235,14 @@ def scan_group(
     """Scan size-k subsets of Z_n \\ {0} for sequencings.
 
     Exhaustive by default; reduce=True keeps only the subsets that no unit
-    multiple maps to a lexicographically smaller one.  count switches to
-    sampling mode: that many random subsets (seeded, recorded in the report,
-    no reduction).  kind filters to subsets whose sum permits that kind of
-    sequencing.
+    multiple maps to a lexicographically smaller one, and generates only
+    candidates for that.  A subset S holding a unit s but not 1 is never
+    kept, since s^-1 S holds 1 and sorts below it.  A subset S holding 1 is
+    kept unless s^-1 S < S for a unit s in S, since a multiple below S must
+    hold 1 too.  Subsets of non-units are tested against every unit.  count
+    switches to sampling mode: that many random subsets (seeded, recorded in
+    the report, no reduction).  kind filters to subsets whose sum permits
+    that kind of sequencing.
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n} k={k}")
@@ -232,12 +262,12 @@ def scan_group(
                 f"{math.comb(n - 1, k)} subsets exceed the exhaustive budget; "
                 f"use sampling (count=...)"
             )
-        units = _units(n) if reduce else []
-        subsets = [
-            s
-            for s in itertools.combinations(population, k)
-            if allows[sum(s) % n == 0] and _smaller_multiple(s, n, units) is None
-        ]
+        if reduce:
+            subsets = list(_class_minima(n, k, allows))
+        else:
+            subsets = [
+                s for s in itertools.combinations(population, k) if allows[sum(s) % n == 0]
+            ]
         sampled = False
         used_seed = None
     else:
@@ -337,11 +367,17 @@ def verify_nonvanishing_conclusion(
         element.update((residue(e), e) for e in universe)
         choices = itertools.combinations(universe, lam[v])
         pools_space.append([tuple(map(residue, pool)) for pool in choices])
+    sums_space = [list(map(sum, pools)) for pools in pools_space]
+    # the slots of one subset: its pool of residue a_d at each depth d
+    # (itemgetter returns a bare item for one index and refuses none)
+    slots = operator.itemgetter(*a) if len(a) > 1 else lambda pools: [pools[v] for v in a]
     checked = 0
     failures = []
-    for pools in itertools.product(*pools_space):
+    for pools, sums in zip(
+        itertools.product(*pools_space), itertools.product(*sums_space)
+    ):
         checked += 1
-        if not _search([pools[v] for v in a], sum(map(sum, pools)) % n, n, False):
+        if not _search(slots(pools), sum(sums) % n, n, False):
             failures.append(tuple(sorted(element[r] for pool in pools for r in pool)))
             if len(failures) >= MAX_LISTED_FAILURES:
                 break

@@ -202,6 +202,23 @@ def _get_attempts(record: dict) -> tuple[AttemptRecord, ...]:
     return tuple(out)
 
 
+def _check_entries_attempted(record: dict, cert: Certificate, attempts) -> None:
+    """Each entry of a computed certificate must come from the one attempt on
+    the certificate's arrangement and fixes with the entry's monomial, and
+    that attempt must be nonzero with the entry's coefficient."""
+    for i, entry in enumerate(cert.entries):
+        tried = [
+            (rec.outcome, rec.coefficient)
+            for rec in attempts
+            if (rec.a, rec.fixes, rec.monomial) == (cert.a, cert.fixes, entry.monomial)
+        ]
+        if tried != [("nonzero", entry.coefficient)]:
+            raise ValueError(
+                f"{_label(record)}: entry {i} has coefficient {entry.coefficient}, "
+                f"but the attempts on its arrangement, fixes and monomial give {tried}"
+            )
+
+
 def _put_type_tail(record, attempts, orbit, derived_from) -> None:
     """The orbit / derived_from / attempts fields every per-type record ends with."""
     if orbit:
@@ -331,7 +348,8 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     in enumerate_types order, and the summary's counts and exceptional
     primes (the union of its certificates') must match them.  Each type
     record's orbit must be its type's, and derived_from must name the
-    orbit's representative, or be absent on the representative itself.
+    orbit's representative, or be absent on the representative itself.  A
+    certificate that is not derived must carry the attempt behind each entry.
     """
     records = list(records)
     summaries = [r for r in records if _field(r, "kind") == "case"]
@@ -366,6 +384,8 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
         common = dict(orbit=orbit, attempts=_get_attempts(record), derived_from=derived)
         if record["kind"] == "certificate":
             cert = certificate_from_record(record)
+            if derived is None:
+                _check_entries_attempted(record, cert, common["attempts"])
             results.append(
                 TypeResult(
                     lam=cert.lam, certificate=cert, unresolved=None, **common

@@ -2,8 +2,8 @@
 pass/fail line under ``pytest -v``.
 
 Criteria 3 and 6 also have opt-in long-running halves: set NULLSEQ_EXTENDED=1
-for the exact large-k coefficient replications (28-30 s) and the n=25 scans
-(29-35 s), and NULLSEQ_HEAVY=1 for the k=12 pair (8 minutes and 2.5 GB of
+for the exact large-k coefficient replications (27-30 s) and the n=25 scans
+(9-12 s), and NULLSEQ_HEAVY=1 for the k=12 pair (8 minutes and 2.5 GB of
 memory), all timed on one core of a shared 2-core host.
 """
 
@@ -146,12 +146,36 @@ def test_criterion_5_degree_formulas():
     assert time.monotonic() - start < 5 * 60
 
 
+def _unit_classes(n, k):
+    """The number of k-subsets of Z_n \\ {0} up to unit multiples, by
+    Burnside's lemma: the mean over units u of the k-subsets that u fixes,
+    which are the unions of cycles of x -> u*x."""
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    fixed = 0
+    for u in units:
+        unions = [1] + [0] * k  # unions[j]: unions of the cycles so far of size j
+        left = set(range(1, n))
+        while left:
+            x = y = left.pop()
+            length = 1
+            while (y := u * y % n) != x:
+                left.remove(y)
+                length += 1
+            unions = [c + (unions[j - length] if j >= length else 0)
+                      for j, c in enumerate(unions)]
+        fixed += unions[k]
+    assert fixed % len(units) == 0
+    return fixed // len(units)
+
+
 def test_criterion_6_oracle_scans():
     start = time.monotonic()
     for n in range(2, 14):
         for k in range(1, n):
             report = scan_group(n, k)
             assert report.all_sequenceable, (n, k, report.failures[:3])
+            # a scan that dropped classes would still read all sequenceable
+            assert report.scanned == _unit_classes(n, k), (n, k)
     assert time.monotonic() - start < 10 * 60
 
 
@@ -160,6 +184,7 @@ def test_criterion_6_extended_n25():
     for k in (10, 11):
         report = scan_group(25, k)
         assert report.all_sequenceable, (k, report.failures[:3])
+        assert report.scanned == _unit_classes(25, k), k
 
 
 def test_criterion_7_certificate_soundness():

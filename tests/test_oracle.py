@@ -19,6 +19,8 @@ from nullseq.oracle import (
     MAX_ORACLE_SIZE,
     ROTATIONAL_ONLY,
     InfeasibleVerification,
+    _class_minima,
+    _kind_allows,
     all_sequencings,
     canonical_subset,
     find_sequencing,
@@ -170,6 +172,28 @@ class TestCanonicalSubset:
         assert canonical_subset((2, 4), 5) == (1, 2)
 
 
+class TestClassMinima:
+    """The reduced scan's candidates against canonical_subset of every subset.
+
+    Composite n gives subsets made of non-units only, which the rule walks
+    separately (n = 21 has 8 non-units, n = 18 and 20 have 11).
+    """
+
+    @pytest.mark.parametrize("n", [2, 9, 12, 16, 18, 20, 21])
+    def test_kept_sets_are_the_class_minima(self, n):
+        for k in range(1, n):
+            if math.comb(n - 1, k) > 20_000:
+                continue
+            minima = sorted(
+                {canonical_subset(s, n) for s in itertools.combinations(range(1, n), k)}
+            )
+            for kind in (AUTO, LINEAR_ONLY, ROTATIONAL_ONLY):
+                allows = {zero: _kind_allows(zero, kind) for zero in (False, True)}
+                expected = [s for s in minima if allows[sum(s) % n == 0]]
+                assert list(_class_minima(n, k, allows)) == expected, (n, k, kind)
+                assert scan_group(n, k, kind).scanned == len(expected)
+
+
 class TestScanGroup:
     def test_frozen_small(self):
         r = scan_group(9, 3)
@@ -251,6 +275,14 @@ class TestVerifyConclusion:
     def test_worked_case_larger_prime(self):
         r = verify_nonvanishing_conclusion(7, 2, (3, 2), (0, 1, 0, 0, 1))
         assert r.ok and r.subsets_checked == 420
+
+    @pytest.mark.parametrize(
+        "lam, a, subsets",
+        [((0, 0), (), 1), ((1, 0), (0,), 4), ((0, 1), (1,), 5)],
+    )
+    def test_zero_and_one_element_types(self, lam, a, subsets):
+        r = verify_nonvanishing_conclusion(5, 2, lam, a)
+        assert r.ok and r.subsets_checked == subsets
 
     def test_max_subsets_refuses(self):
         with pytest.raises(ValueError, match="40 subsets"):

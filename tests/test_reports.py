@@ -433,6 +433,29 @@ class TestCaseRecordTamper:
             with pytest.raises(ValueError, match=label):
                 certificate_from_record(forged[1])
 
+    def test_attempt_log_must_back_each_entry(self):
+        records = case_records(assemble_case(4, 2))
+        rec = records[1]
+        assert (rec["lam"], rec["attempts"], rec["entry0_coefficient"]) == ("4,0", 1, "1")
+        assert rec["attempt0_monomial"] == rec["entry0_monomial"]
+        second = {f"attempt1_{key[9:]}": value
+                  for key, value in rec.items() if key.startswith("attempt0_")}
+        forgeries = {
+            "other coefficient": dict(attempt0_coefficient="7"),
+            "other monomial": dict(attempt0_monomial="3,3,3,2"),
+            "zero outcome": dict(attempt0_outcome="zero", attempt0_coefficient="0"),
+            "no attempts": dict(attempts=0),
+            "attempted twice": dict(second, attempts=2),
+        }
+        for name, forgery in forgeries.items():
+            forged = list(records)
+            forged[1] = dict(rec, **forgery)
+            with pytest.raises(ValueError, match="record lam='4,0': entry 0"):
+                case_from_records(forged)
+            # the certificate alone carries no attempts to check
+            certificate_from_record(forged[1])
+        assert case_from_records(records) == assemble_case(4, 2)
+
     def test_summary_with_a_string_k_rejected(self, records):
         summary = dict(records[5][0], k="5")
         with pytest.raises(ValueError, match="case record without lam: k must be int"):
