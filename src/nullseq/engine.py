@@ -31,7 +31,20 @@ So a digit d plus 128 - x sets its byte's bit 7 exactly when d >= x, with no
 carry into the next byte.  With a = sum of (128 - threshold) and
 b = sum of (128 - cap) over the factor's bytes and m their bit-7 mask,
 (((key + a) & m) << 1) | ((key + b) & m) is a state that selects the term's
-successors from a per-factor table, filled lazily by the rule above.
+successors from a table filled lazily by the rule above.
+
+Set-up paid once.  Targeted calls are many and small (prove --k 9 --t 3
+makes 987, most of a few thousand term-ops), so their fixed costs are shared:
+
+* the plan skeleton, each variable's occurrence count and each factor's
+  entries with the occurrences left after it, depends on the factor list
+  alone: FactorList.occurrences computes it once per list, which serves
+  every monomial tried on it, and a call only applies its bound or target;
+* a state's bits mean "reached threshold" and "reached cap" whatever the
+  numeric thresholds and caps are, so a term's successors depend on the
+  factor's shape ((variable, sign) per lane) and its state alone: the
+  tables are keyed by shape and shared by every step, call and product in
+  the process (_successors says what bounds them).
 
 Array kernel.  A job whose term dict grows past BIG_STEP_TERMS (2**16) live
 terms moves, before its next step, to a pair of numpy arrays and stays there
@@ -212,35 +225,26 @@ def _factor_plan(fl: FactorList, bound, target):
     terms live; it must be at most 127 for the lane test.  threshold is the
     minimum exponent the variable must hold *after* this step for the target
     to stay reachable (0 when no target: never binding), clamped to cap + 1.
+    The counts come from fl.occurrences, computed once per factor list.
     """
-    k = fl.k
-    count = [0] * k
-    for factor in fl.factors:
-        for v in factor.variables():
-            count[v - 1] += 1
+    counts, steps = fl.occurrences
     eff = target if target is not None else bound
-    caps = [min(e, c) for e, c in zip(eff, count)]
+    caps = [min(e, c) for e, c in zip(eff, counts)]
     for v, cap in enumerate(caps, 1):
         if cap > 127:
             raise ValueError(
-                f"x{v} occurs in {count[v - 1]} factors with exponent cap "
+                f"x{v} occurs in {counts[v - 1]} factors with exponent cap "
                 f"{eff[v - 1]}; the engine allows caps of at most 127"
             )
-    remaining = [0] * k
-    plans: list[tuple[tuple[int, int, int, int], ...]] = [()] * len(fl.factors)
-    for f in range(len(fl.factors) - 1, -1, -1):
-        terms = fl.factors[f].terms()
-        entries = []
-        for v, sign in terms:
-            cap = caps[v - 1]
-            thr = 0
-            if target is not None:
-                thr = min(max(target[v - 1] - remaining[v - 1], 0), cap + 1)
-            entries.append((8 * (v - 1), sign, thr, cap))
-        plans[f] = tuple(entries)
-        for v, _ in terms:
-            remaining[v - 1] += 1
-    return plans
+    need = target if target is not None else (0,) * fl.k
+    return [
+        tuple(
+            (8 * (v - 1), sign, min(max(need[v - 1] - left, 0), caps[v - 1] + 1),
+             caps[v - 1])
+            for (v, sign), left in zip(terms, lefts)
+        )
+        for terms, lefts in steps
+    ]
 
 
 # A dict of more than 2**16 terms (about 18 MB with its keys and values)
@@ -251,25 +255,40 @@ BIG_STEP_TERMS = 1 << 16
 INT64_LIMIT = 1 << 63
 
 
-def _successors(fac, state: int) -> tuple[tuple[int, int], ...]:
+# factor shape -> {lane state -> successors}: a memo of _successors, shared
+# by every step, call and product in the process
+_SUCCESSORS: dict[tuple[tuple[int, int], ...], dict[int, tuple[tuple[int, int], ...]]] = {}
+
+
+def _successors(shape, state: int) -> tuple[tuple[int, int], ...]:
     """(key increment, sign) pairs for a term in the given lane state.
 
-    Bit shift + 8 of state is set when the digit at shift has reached its
-    threshold, bit shift + 7 when it has reached its cap.  Two digits below
-    threshold: the term is dead.  One: only its increment can keep the
-    target reachable.  None: every digit below its cap may grow.
+    shape is a factor's terms(), (v, sign) per lane; the lane of x_v sits at
+    shift 8(v - 1).  Bit shift + 8 of state is set when the digit at shift
+    has reached its threshold, bit shift + 7 when it has reached its cap.
+    Two digits below threshold: the term is dead.  One: only its increment
+    can keep the target reachable.  None: every digit below its cap may grow.
+
+    The bits say "reached" whatever the numeric thresholds and caps are, so
+    the answer depends on the shape and the state alone: _SUCCESSORS keeps
+    it for the life of the process and can never hold a stale entry.  Its
+    size is bounded by the shapes that occur (a difference per pair of
+    positions, a window per run of positions less its fixed ones) times the
+    states their terms reach, at most 4**len(shape) each; the k <= 9 prove
+    sweep fills about 2 200 entries.
     """
-    below = [e for e in fac if not state >> (e[0] + 8) & 1]
+    lanes = [(8 * (v - 1), sign) for v, sign in shape]
+    below = [lane for lane in lanes if not state >> (lane[0] + 8) & 1]
     if len(below) > 1:
         return ()
     return tuple(
         (1 << shift, sign)
-        for shift, sign, _, _ in (below or fac)
+        for shift, sign in (below or lanes)
         if not state >> (shift + 7) & 1
     )
 
 
-def _dict_step(fac, terms: dict[int, int]) -> dict[int, int]:
+def _dict_step(fac, shape, terms: dict[int, int]) -> dict[int, int]:
     """Multiply the terms by one factor, classifying each by the lane test."""
     # lane constants: a digit d plus 128 - x sets its lane's bit 7 iff
     # d >= x, with no carry out of the lane since d, x <= 127 (x <= 128
@@ -279,7 +298,7 @@ def _dict_step(fac, terms: dict[int, int]) -> dict[int, int]:
         a |= (128 - thr) << shift
         b |= (128 - cap) << shift
         m |= 128 << shift
-    table: dict[int, tuple[tuple[int, int], ...]] = {}
+    table = _SUCCESSORS.setdefault(shape, {})
     new: dict[int, int] = {}
     get = new.get
     for key, coef in terms.items():
@@ -287,7 +306,7 @@ def _dict_step(fac, terms: dict[int, int]) -> dict[int, int]:
         try:
             succ = table[state]
         except KeyError:
-            succ = table[state] = _successors(fac, state)
+            succ = table[state] = _successors(shape, state)
         for delta, sign in succ:
             nk = key + delta
             c = get(nk, 0) + sign * coef
@@ -386,8 +405,10 @@ def _as_dict(terms, k: int) -> dict[int, int]:
     return terms if isinstance(terms, dict) else _to_dict(*terms, k)
 
 
-def _run_factors(plans, terms, start, k, term_cap, op_cap, on_step):
-    """Multiply in plans[start:]; terms is a dict or, past the switch, arrays."""
+def _run_factors(plans, shapes, terms, start, k, term_cap, op_cap, on_step):
+    """Multiply in plans[start:]; terms is a dict or, past the switch, arrays.
+
+    shapes[f] is fl.factors[f].terms(), the key of its successor table."""
     ops = 0
     for f in range(start, len(plans)):
         fac = plans[f]
@@ -397,7 +418,7 @@ def _run_factors(plans, terms, start, k, term_cap, op_cap, on_step):
             terms = _to_arrays(terms, k)
         if isinstance(terms, dict):
             size = len(terms)
-            new = _dict_step(fac, terms)
+            new = _dict_step(fac, shapes[f], terms)
             live = len(new)
         else:
             keys, coefs = terms
@@ -523,7 +544,8 @@ def multiply_factors(
         start = 0
         terms = {0: 1}
 
-    terms = _run_factors(plans, terms, start, k, term_cap, op_cap, on_step)
+    shapes = [shape for shape, _ in fl.occurrences[1]]
+    terms = _run_factors(plans, shapes, terms, start, k, term_cap, op_cap, on_step)
     return SparsePolynomial(k, terms)
 
 

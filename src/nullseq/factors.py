@@ -27,7 +27,7 @@ first (see _emit), and fixing keeps it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .quotient import QuotientSequencing, validate_quotient
 
@@ -98,6 +98,24 @@ class FactorList:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(f.label() for f in self.factors)
+
+    @cached_property
+    def occurrences(self):
+        """(counts, steps), the part of an engine plan that no bound or
+        target changes, computed once per list.
+
+        counts[v - 1] is the number of factors containing x_v.  steps[f]
+        holds factors[f].terms() and, per term, how many later factors
+        contain its variable.
+        """
+        left = [0] * self.k
+        steps = []
+        for factor in reversed(self.factors):
+            terms = factor.terms()
+            steps.append((terms, tuple(left[v - 1] for v, _ in terms)))
+            for v, _ in terms:
+                left[v - 1] += 1
+        return tuple(left), tuple(reversed(steps))
 
 
 def validate_fixes(fixes, k) -> frozenset[int]:
@@ -264,34 +282,31 @@ def choose_fixes(fl: FactorList, lam, qs: QuotientSequencing) -> frozenset[int]:
     degree and no factor dies.  Zero-gain fixes are taken too: they still
     shrink the bound.  Stops when no position qualifies; may return the
     empty set.
+
+    No trial list is built.  While no two fixed positions are adjacent,
+    fixing never removes a window (each keeps a variable), so the fixed
+    product's degree is fl.degree minus the difference factors of fl that
+    touch the fixed set, and only the bounding monomial is computed per
+    candidate.
     """
     lam = tuple(lam)
-    current = fl
+    diffs = [set(f.variables()) for f in fl.factors if isinstance(f, Difference)]
     fixes: set[int] = set(fl.fixed)
     while True:
-        candidates = []
-        for pos in range(1, fl.k + 1):
-            if pos in fixes or (pos - 1) in fixes or (pos + 1) in fixes:
-                continue
-            gain = sum(
-                1
-                for f in current.factors
-                if isinstance(f, Difference) and pos in f.variables()
-            )
-            candidates.append((-gain, pos))
-        candidates.sort()
-        chosen = None
-        for _, pos in candidates:
-            trial = fixes | {pos}
+        live = [d for d in diffs if not d & fixes]
+        degree = fl.degree - (len(diffs) - len(live))
+        gain = {
+            pos: sum(pos in d for d in live)
+            for pos in range(1, fl.k + 1)
+            if not {pos - 1, pos, pos + 1} & fixes
+        }
+        for pos in sorted(gain, key=lambda pos: (-gain[pos], pos)):
             try:
-                fixed_fl = apply_fixes(fl, trial)
-                gamma = bounding_monomial(lam, qs, trial)
+                gamma = bounding_monomial(lam, qs, fixes | {pos})
             except InfeasibleFixing:
                 continue
-            if fixed_fl.degree <= sum(gamma):
-                chosen = pos
-                current = fixed_fl
+            if degree - gain[pos] <= sum(gamma):
+                fixes.add(pos)
                 break
-        if chosen is None:
+        else:
             return frozenset(fixes)
-        fixes.add(chosen)

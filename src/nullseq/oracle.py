@@ -309,10 +309,15 @@ class InfeasibleVerification(ValueError):
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """subsets is the type's subset count.  The check stops at the
+    MAX_LISTED_FAILURES-th failing subset, so subsets_checked is below it
+    exactly when some subsets went unchecked."""
+
     p: int
     t: int
     lam: tuple[int, ...]
     a: tuple[int, ...]
+    subsets: int
     subsets_checked: int
     failures: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -331,7 +336,9 @@ def verify_nonvanishing_conclusion(
     whose partial sums are all distinct (with the usual closing allowance
     for zero-sum subsets).  Certificates assert such an ordering exists
     whenever they are valid for p.  A type with more than max_subsets
-    subsets is refused with ValueError, not checked in part.
+    subsets is refused with ValueError, not checked in part.  The check
+    stops at the MAX_LISTED_FAILURES-th failing subset; the report's
+    subsets, the type's subset count, shows how far it got.
     """
     group = GroupConfig(p, t)
     lam = tuple(lam)
@@ -381,4 +388,4 @@ def verify_nonvanishing_conclusion(
             failures.append(tuple(sorted(element[r] for pool in pools for r in pool)))
             if len(failures) >= MAX_LISTED_FAILURES:
                 break
-    return VerificationReport(p, t, lam, a, checked, tuple(failures))
+    return VerificationReport(p, t, lam, a, total, checked, tuple(failures))

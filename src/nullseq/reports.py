@@ -526,6 +526,7 @@ def verification_record(
         t=report.t,
         lam=format_exponents(report.lam),
         a=format_exponents(report.a),
+        subsets=report.subsets,
         subsets_checked=report.subsets_checked,
         ok=report.ok,
         failures=len(report.failures),

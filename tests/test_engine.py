@@ -9,6 +9,7 @@ import pytest
 
 from nullseq import engine
 from nullseq.catalog import LIGHT, TABLE1, WORKED, by_name
+from nullseq.certify import sample_monomials
 from nullseq.engine import (
     EngineCheckpoint,
     OpCapExceeded,
@@ -25,6 +26,7 @@ from nullseq.factors import (
     Difference,
     FactorList,
     Window,
+    apply_fixes,
     bounding_monomial,
     build_p,
     build_q,
@@ -82,6 +84,28 @@ def digit_loop_live_counts(plans):
         terms = {key: c for key, c in new.items() if c}
         counts.append(len(terms))
     return counts
+
+
+def plain_factor_plan(fl, bound, target):
+    """The engine plan recomputed from fl.factors alone on every call: the
+    reference for _factor_plan and FactorList.occurrences."""
+    count = [0] * fl.k
+    for factor in fl.factors:
+        for v in factor.variables():
+            count[v - 1] += 1
+    eff = target if target is not None else bound
+    caps = [min(e, c) for e, c in zip(eff, count)]
+    plans = []
+    for f, factor in enumerate(fl.factors):
+        entries = []
+        for v, sign in factor.terms():
+            later = sum(v in g.variables() for g in fl.factors[f + 1:])
+            thr = 0
+            if target is not None:
+                thr = min(max(target[v - 1] - later, 0), caps[v - 1] + 1)
+            entries.append((8 * (v - 1), sign, thr, caps[v - 1]))
+        plans.append(tuple(entries))
+    return plans
 
 
 class TestPacking:
@@ -534,6 +558,64 @@ class TestFactorOrder:
         with pytest.raises(ValueError, match="different computation"):
             multiply_factors(reversed_fl, bound=self.bound, target=self.FX.monomial,
                              resume=load_checkpoint(path))
+
+
+class TestSharedSetUp:
+    """The plan skeleton is computed once per factor list and the successor
+    tables once per factor shape; neither may change a live term."""
+
+    def test_plan_matches_a_plain_recomputation(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            fl, lam, qs = random_factor_list(rng, max_k=8, max_degree=20)
+            fixes = set()
+            for pos in rng.sample(range(1, fl.k + 1), rng.randint(0, min(3, fl.k))):
+                if not {pos - 1, pos + 1} & fixes:
+                    fixes.add(pos)
+            fl = apply_fixes(fl, fixes)
+            bound = tuple(rng.randint(0, 6) for _ in range(fl.k))
+            target = tuple(rng.randint(0, b) for b in bound)
+            for tgt in (None, target):
+                got = engine._factor_plan(fl, bound, tgt)
+                want = plain_factor_plan(fl, bound, tgt)
+                assert got == want
+                # checkpoints hash the plan, so it keeps its type too
+                assert engine._plan_hash(fl.k, got) == engine._plan_hash(fl.k, want)
+
+    # QS52 with 3 and 6 fixed and unfixed share 8 factor shapes, among them
+    # x4+x5 beside x5-x4 and x1+x2 beside x2-x1: tables keyed without signs
+    # would hand one factor the other's successors
+    PRODUCTS = ((), (3, 6))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_tables_shared_across_targets_and_products(self, monkeypatch, kernel,
+                                                       first):
+        use_kernel(monkeypatch, kernel)
+        monkeypatch.setattr(engine, "_SUCCESSORS", {})
+        qs = validate_quotient((0, 0, 1, 0, 0, 0, 1), (5, 2))
+        order = self.PRODUCTS[first:] + self.PRODUCTS[:first]
+        nonzero = 0
+        for fixes in order:
+            fl = build_p(qs, fixes)
+            bound = bounding_monomial((5, 2), qs, fixes)
+            naive = naive_expand(fl)
+            targets = [m for m in naive.to_tuple_dict()
+                       if all(e <= b for e, b in zip(m, bound))][:4]
+            targets += sample_monomials(bound, fl.degree, 8, f"shared:{fixes}")
+            for target in targets:
+                counts = []
+                got = multiply_factors(fl, bound=bound, target=target,
+                                       on_step=lambda f, n: counts.append(n))
+                plans = engine._factor_plan(fl, bound, target)
+                assert counts == digit_loop_live_counts(plans), (fixes, target)
+                want = naive.coefficient(target)
+                assert got.to_tuple_dict() == ({target: want} if want else {})
+                nonzero += want != 0
+        assert nonzero >= 5
+        if kernel == "dict":
+            shapes = {f.terms() for fixes in order for f in build_p(qs, fixes).factors}
+            assert set(engine._SUCCESSORS) == shapes
 
 
 class TestArrayKernel:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -174,6 +175,40 @@ class TestFixes:
             bounding_monomial((2, 3), QS32)
 
 
+def trial_list_choose_fixes(fl, lam, qs):
+    """The greedy rule of choose_fixes computed with a whole trial list
+    (apply_fixes) per candidate position: the reference."""
+    current = fl
+    fixes = set(fl.fixed)
+    while True:
+        candidates = []
+        for pos in range(1, fl.k + 1):
+            if pos in fixes or (pos - 1) in fixes or (pos + 1) in fixes:
+                continue
+            gain = sum(
+                1
+                for f in current.factors
+                if isinstance(f, Difference) and pos in f.variables()
+            )
+            candidates.append((-gain, pos))
+        candidates.sort()
+        chosen = None
+        for _, pos in candidates:
+            trial = fixes | {pos}
+            try:
+                fixed_fl = apply_fixes(fl, trial)
+                gamma = bounding_monomial(lam, qs, trial)
+            except InfeasibleFixing:
+                continue
+            if fixed_fl.degree <= sum(gamma):
+                chosen = pos
+                current = fixed_fl
+                break
+        if chosen is None:
+            return frozenset(fixes)
+        fixes.add(chosen)
+
+
 class TestGreedy:
     def test_worked_seven_position_case(self):
         assert sorted(choose_fixes(build_p(QS52), (5, 2), QS52)) == [1, 3, 7]
@@ -200,6 +235,26 @@ class TestGreedy:
             else:
                 # nothing accepted: the unfixed list is returned unchanged
                 assert fixed is fl
+
+    @pytest.mark.parametrize("build", [build_p, build_q])
+    def test_matches_trial_lists(self, build):
+        # every arrangement with k <= 7 at t <= 3, and lists already fixed
+        checked = 0
+        for t in range(1, 4):
+            for k in range(1, 8):
+                for a in itertools.product(range(t), repeat=k):
+                    lam = tuple(a.count(v) for v in range(t))
+                    qs = validate_quotient(a, lam)
+                    fl = build(qs)
+                    assert choose_fixes(fl, lam, qs) == trial_list_choose_fixes(
+                        fl, lam, qs
+                    ), a
+                    checked += 1
+        assert checked == sum(t**k for t in range(1, 4) for k in range(1, 8))
+        for fixes in [(3,), (1, 6), (2, 4, 7)]:
+            fl = build(QS52, fixes)
+            want = trial_list_choose_fixes(fl, (5, 2), QS52)
+            assert choose_fixes(fl, (5, 2), QS52) == want >= set(fixes)
 
     def test_greedy_respects_preexisting_fixes(self):
         fl = apply_fixes(build_p(QS52), (3,))

@@ -16,6 +16,7 @@ from nullseq.groups import (
 from nullseq.oracle import (
     AUTO,
     LINEAR_ONLY,
+    MAX_LISTED_FAILURES,
     MAX_ORACLE_SIZE,
     ROTATIONAL_ONLY,
     InfeasibleVerification,
@@ -27,6 +28,7 @@ from nullseq.oracle import (
     scan_group,
     verify_nonvanishing_conclusion,
 )
+from nullseq.reports import verification_record
 
 
 class TestFindSequencing:
@@ -314,6 +316,20 @@ class TestVerifyConclusion:
             ((1, 0), (1, 1), (2, 1)),
             ((1, 1), (2, 0), (2, 1)),
         )
+
+    @pytest.mark.parametrize(
+        "p, lam, a, subsets, checked",
+        [(5, (2, 2), (1, 1, 0, 0), 60, 36), (7, (3, 2), (1, 1, 0, 0, 0), 420, 38)],
+    )
+    def test_a_check_stopped_early_says_so(self, p, lam, a, subsets, checked):
+        # the listing stops at MAX_LISTED_FAILURES; the record still names
+        # the type's subset count, so the partial count reads as partial
+        r = verify_nonvanishing_conclusion(p, 2, lam, a)
+        assert len(r.failures) == MAX_LISTED_FAILURES
+        assert (r.subsets, r.subsets_checked) == (subsets, checked)
+        assert r.subsets == math.comb(p - 1, lam[0]) * math.comb(p, lam[1])
+        rec = verification_record(r)
+        assert (rec["subsets"], rec["subsets_checked"]) == (subsets, checked)
 
     @pytest.mark.parametrize(
         "p, t, lam, a",

@@ -273,13 +273,15 @@ class TestScanVerificationApplicability:
         rec = verification_record(report)
         assert rec["kind"] == "verification"
         assert (rec["p"], rec["t"], rec["lam"], rec["a"]) == (5, 2, "3,2", "0,1,0,0,1")
-        assert rec["subsets_checked"] == report.subsets_checked > 0
+        assert rec["subsets"] == rec["subsets_checked"] == report.subsets_checked > 0
         assert rec["ok"] is True and rec["failures"] == 0
         assert not any(key.startswith("failure0") for key in rec)
         failed = VerificationReport(
-            5, 2, (3, 2), (0, 1, 0, 0, 1), 7, (((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)),)
+            5, 2, (3, 2), (0, 1, 0, 0, 1), 40, 7,
+            (((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)),),
         )
         rec = verification_record(failed)
+        assert (rec["subsets"], rec["subsets_checked"]) == (40, 7)
         assert rec["ok"] is False and rec["failures"] == 1
         assert rec["failure0"] == "1:0,2:0,3:0,1:1,2:1"
 
