@@ -50,11 +50,10 @@ from .quotient import QuotientSequencing, search_quotient
 
 @dataclass(frozen=True)
 class Factorization:
-    """sign * product(p^e) * cofactor, cofactor None when fully factored."""
+    """sign * product(p^e), the full factorization of a nonzero integer."""
 
     sign: int
     primes: tuple[tuple[int, int], ...]
-    cofactor: int | None = None
 
     def __post_init__(self):
         if self.sign not in (-1, 1):
@@ -67,56 +66,20 @@ class Factorization:
         for p in ps:
             if not sympy.isprime(p):
                 raise ValueError(f"{p} is listed as prime but is not")
-        if self.cofactor is not None and self.cofactor < 2:
-            raise ValueError("cofactor must be an integer >= 2 or None")
-
-    @property
-    def complete(self) -> bool:
-        return self.cofactor is None
 
     @property
     def value(self) -> int:
         v = self.sign
         for p, e in self.primes:
             v *= p**e
-        if self.cofactor is not None:
-            v *= self.cofactor
         return v
 
 
-def factorize(n: int, trial_limit: int = 10**6, split_budget: int | None = None) -> Factorization:
-    """Factor n into the Factorization record.
-
-    split_budget=None: full factorization (no cofactor).  split_budget=0:
-    trial division up to trial_limit only; any remaining composite part is
-    reported as a cofactor.  split_budget=b>0: composite remainders of at
-    most b bits are factored fully, larger ones become the cofactor.
-
-    The budget caps effort, not completeness: if the factors happen to be
-    found cheaply (for example from an earlier call in the same process),
-    the result may be complete even when a cofactor would have been allowed.
-    """
+def factorize(n: int) -> Factorization:
+    """The full factorization of the nonzero integer n."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    sign = -1 if n < 0 else 1
-    a = abs(n)
-    if a == 1:
-        return Factorization(sign, ())
-    if split_budget is None:
-        fac = sympy.factorint(a)
-        return Factorization(sign, tuple(sorted(fac.items())))
-    fac = sympy.factorint(a, limit=trial_limit, multiple=False)
-    primes: dict[int, int] = {}
-    cof = 1
-    for q, e in fac.items():
-        if sympy.isprime(q):
-            primes[q] = primes.get(q, 0) + e
-        elif split_budget > 0 and q.bit_length() <= split_budget:
-            for p2, e2 in sympy.factorint(q).items():
-                primes[p2] = primes.get(p2, 0) + e2 * e
-        else:
-            cof *= q**e
-    return Factorization(sign, tuple(sorted(primes.items())), None if cof == 1 else cof)
+    return Factorization(-1 if n < 0 else 1, tuple(sorted(sympy.factorint(abs(n)).items())))
 
 
 def exceptional_primes(coefficients, k: int, t: int) -> tuple[int, ...]:
@@ -380,12 +343,21 @@ def _checkpoint_path(directory, qs: QuotientSequencing, fl, monomial):
 
 @dataclass(frozen=True)
 class CoefficientResult:
-    """One target coefficient, or the abort that stopped it (coefficient None)."""
+    """One target coefficient, or the abort that stopped it (coefficient
+    None).  factorization is given exactly when the coefficient is nonzero."""
 
     coefficient: int | None
     terms: int | None = None
     note: str = ""
     checkpoint: str | None = None
+    factorization: Factorization | None = None
+
+    def __post_init__(self):
+        value = None if self.factorization is None else self.factorization.value
+        if value != (self.coefficient or None):
+            raise ValueError(
+                f"coefficient {self.coefficient} with factorization {self.factorization}"
+            )
 
     @property
     def outcome(self) -> str:
@@ -397,7 +369,8 @@ class CoefficientResult:
 def compute_coefficient(
     qs: QuotientSequencing, fl, bound, monomial, config: CaseConfig, resume=None
 ) -> CoefficientResult:
-    """Coefficient of monomial in the product fl, within config's caps.
+    """Coefficient of monomial in the product fl, within config's caps,
+    factored when nonzero.
 
     An abort at term_cap or op_cap is returned, not raised.  With
     config.checkpoint_dir set, the abort's checkpoint is saved there under a
@@ -420,7 +393,9 @@ def compute_coefficient(
             path = _checkpoint_path(config.checkpoint_dir, qs, fl, monomial)
             save_checkpoint(path, abort.checkpoint)
         return CoefficientResult(None, note=str(abort), checkpoint=path)
-    return CoefficientResult(poly.coefficient(monomial), poly.num_terms())
+    value = poly.coefficient(monomial)
+    factorization = factorize(value) if value else None
+    return CoefficientResult(value, poly.num_terms(), factorization=factorization)
 
 
 def _attempt(lam, a, fixes, config, attempts):
@@ -451,8 +426,7 @@ def _attempt(lam, a, fixes, config, attempts):
         tried(result.outcome, mono, result.coefficient, note)
         if result.outcome != "nonzero":
             continue
-        coeff = result.coefficient
-        entries.append(CertificateEntry(mono, coeff, factorize(coeff)))
+        entries.append(CertificateEntry(mono, result.coefficient, result.factorization))
         if not exceptional_primes([e.coefficient for e in entries], qs.k, qs.t):
             break
     if not entries:

@@ -41,7 +41,6 @@ from .certify import (
     CaseConfig,
     assemble_case,
     compute_coefficient,
-    factorize,
 )
 from .engine import load_checkpoint
 from .factors import FULL, REDUCED, product
@@ -99,16 +98,13 @@ def _cmd_prove(args) -> int:
     return 0 if report.complete else 1
 
 
-def _coefficient_job(qs, fl, bound, monomial, config, *, resume, split_budget):
-    """Compute, time and factor one coefficient of factors.product's
-    (qs, fl, bound); return the result and its record."""
+def _coefficient_job(qs, fl, bound, monomial, config, *, resume):
+    """Compute and time one coefficient of factors.product's (qs, fl,
+    bound); return the result and its record."""
     start = time.monotonic()
     result = compute_coefficient(qs, fl, bound, monomial, config, resume=resume)
-    value = result.coefficient
     record = reports.coefficient_record(
-        result, qs, fl, bound, monomial,
-        factorization=factorize(value, split_budget=split_budget) if value else None,
-        elapsed=time.monotonic() - start,
+        result, qs, fl, bound, monomial, elapsed=time.monotonic() - start
     )
     return result, record
 
@@ -150,9 +146,7 @@ def _cmd_coeff(args) -> int:
             resume = load_checkpoint(args.resume)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load checkpoint {args.resume}: {exc}") from exc
-    result, record = _coefficient_job(
-        qs, fl, bound, monomial, config, resume=resume, split_budget=args.split_budget
-    )
+    result, record = _coefficient_job(qs, fl, bound, monomial, config, resume=resume)
     _emit([record], args)
     return 0 if result.coefficient else 1
 
@@ -240,8 +234,7 @@ def _cmd_table1(args) -> int:
         nonlocal failures
         for fx in targets:
             result, record = _coefficient_job(
-                *product(fx.lam, fx.a, fx.fixes), fx.monomial, config,
-                resume=None, split_budget=None,
+                *product(fx.lam, fx.a, fx.fixes), fx.monomial, config, resume=None
             )
             record["name"] = fx.name
             if result.coefficient is not None:
@@ -303,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monomial", required=True, help="target monomial exponents")
     p.add_argument("--variant", choices=(FULL, REDUCED))
     p.add_argument("--resume", help="resume from an engine checkpoint file")
-    p.add_argument("--split-budget", dest="split_budget", type=int,
-                   help="bit budget for factoring the coefficient")
     p.set_defaults(func=_cmd_coeff)
 
     p = sub.add_parser("qs", parents=[output],

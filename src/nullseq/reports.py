@@ -4,13 +4,13 @@ Every command emits UTF-8 JSON objects, one per line.  Records are flat
 key-value maps so they stay diff-able and stream-appendable; repeated
 sub-structures (certificate entries, scan failures, splits) are indexed
 fields like ``entry0_monomial``.  Integers that can grow beyond 64 bits
-(coefficients, moduli, cofactors) are encoded as decimal strings.
+(coefficients, moduli) are encoded as decimal strings.
 
 Shared text formats:
 
 * exponent vectors: comma-separated decimals, ``"8,9,9"``;
-* factorizations: ``±p1^e1*p2^e2[*C<cofactor>]`` with the sign always
-  present, ``^1`` omitted, and the unit values rendered ``+1`` / ``-1``;
+* factorizations: ``±p1^e1*p2^e2`` with the sign always present, ``^1``
+  omitted, and the unit values rendered ``+1`` / ``-1``;
 * point sets in Z_p x Z_t: ``x:v`` pairs, comma-separated.
 
 Certificate and case records parse back (``certificate_from_record``,
@@ -69,8 +69,6 @@ def format_points(points: Iterable[tuple[int, int]]) -> str:
 def format_factorization(f: Factorization) -> str:
     sign = "+" if f.sign > 0 else "-"
     parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in f.primes]
-    if f.cofactor is not None:
-        parts.append(f"C{f.cofactor}")
     if not parts:
         return sign + "1"
     return sign + "*".join(parts)
@@ -85,19 +83,12 @@ def parse_factorization(text: str) -> Factorization:
     if body == "1":
         return Factorization(sign, ())
     primes: list[tuple[int, int]] = []
-    cofactor: int | None = None
-    parts = body.split("*")
-    for idx, part in enumerate(parts):
-        if part.startswith("C"):
-            if idx != len(parts) - 1 or cofactor is not None:
-                raise ValueError(f"cofactor must be the single last term: {text!r}")
-            cofactor = int(part[1:])
-            continue
+    for part in body.split("*"):
         m = _FACTOR_RE.match(part)
         if not m:
             raise ValueError(f"bad factor {part!r} in {text!r}")
         primes.append((int(m.group(1)), int(m.group(2) or 1)))
-    return Factorization(sign, tuple(primes), cofactor)
+    return Factorization(sign, tuple(primes))
 
 
 def _tri(state: bool | None) -> str:
@@ -430,15 +421,14 @@ def coefficient_record(
     bound: tuple[int, ...],
     monomial: tuple[int, ...],
     *,
-    factorization: Factorization | None,
     elapsed: float | None,
 ) -> dict:
     """The record of one compute_coefficient result for the product
     (qs, fl, bound) of factors.product.
 
     An aborted result has no coefficient field; it gives the abort's note
-    and, when one was saved, its checkpoint path instead.  The caller
-    factors a nonzero coefficient and passes the factorization.
+    and, when one was saved, its checkpoint path instead; a nonzero one
+    gives its factorization.
     """
     record = _base("coefficient", elapsed)
     record.update(
@@ -459,8 +449,8 @@ def coefficient_record(
             record["checkpoint"] = result.checkpoint
     else:
         record["coefficient"] = str(result.coefficient)
-    if factorization is not None:
-        record["factorization"] = format_factorization(factorization)
+    if result.factorization is not None:
+        record["factorization"] = format_factorization(result.factorization)
     if result.terms is not None:
         record["terms"] = result.terms
     return record

@@ -11,6 +11,7 @@ from nullseq.certify import (
     AttemptRecord,
     CaseConfig,
     CertificateEntry,
+    CoefficientResult,
     Factorization,
     UnresolvedType,
     assemble_case,
@@ -29,13 +30,7 @@ from nullseq.quotient import search_quotient
 class TestFactorization:
     def test_value_and_complete(self):
         f = Factorization(1, ((2, 5), (7, 1), (11, 2), (21966239, 1)))
-        assert f.complete
         assert f.value == 595372941856
-
-    def test_cofactor_value(self):
-        f = Factorization(-1, ((3, 1),), 91)
-        assert not f.complete
-        assert f.value == -273
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,8 +41,6 @@ class TestFactorization:
             Factorization(1, ((4, 1),))  # not prime
         with pytest.raises(ValueError):
             Factorization(1, ((3, 0),))  # exponent must be positive
-        with pytest.raises(ValueError):
-            Factorization(1, (), 1)  # cofactor too small
 
 
 class TestFactorize:
@@ -70,41 +63,7 @@ class TestFactorize:
             if n == 0:
                 continue
             f = factorize(n)
-            assert f.complete
             assert f.value == n
-
-    def test_split_budget_zero_leaves_cofactor(self):
-        n = 1000003 * 1000033
-        f = factorize(n, trial_limit=10**3, split_budget=0)
-        assert not f.complete
-        assert f.cofactor == n
-        assert f.value == n
-
-    def test_split_budget_bits_allow_full_split(self):
-        n = 1000003 * 1000033
-        f = factorize(n, trial_limit=10**3, split_budget=64)
-        assert f.complete
-        assert f.primes == ((1000003, 1), (1000033, 1))
-
-    def test_split_budget_too_small_keeps_cofactor(self):
-        # a semiprime not factored fully anywhere else in this process:
-        # previously-computed factorizations may be reused, which would
-        # legitimately upgrade the result to a complete one
-        n = 1000099 * 1000117
-        f = factorize(n, trial_limit=10**3, split_budget=8)
-        assert f.cofactor == n
-
-    def test_split_budget_monotone(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            n = rng.randrange(2, 2**48)
-            full = factorize(n, trial_limit=10**3, split_budget=64)
-            partial = factorize(n, trial_limit=10**3, split_budget=0)
-            assert full.value == partial.value == n
-            # the partial prime list is a sub-multiset of the full one
-            full_primes = dict(full.primes)
-            for p, e in partial.primes:
-                assert full_primes.get(p, 0) >= e
 
 
 class TestExceptionalPrimes:
@@ -381,6 +340,19 @@ class TestAttemptRecord:
         ):
             with pytest.raises(ValueError, match="outcome"):
                 AttemptRecord((0, 1), (), None, outcome, coefficient)
+
+
+class TestCoefficientResult:
+    def test_factorization_exactly_when_nonzero(self):
+        for coefficient in (-12, 1):
+            CoefficientResult(coefficient, factorization=factorize(coefficient))
+        CoefficientResult(0)
+        CoefficientResult(None, note="cap")
+        for coefficient, factorization in (
+            (-12, None), (-12, factorize(12)), (0, factorize(1)), (None, factorize(2)),
+        ):
+            with pytest.raises(ValueError, match="factorization"):
+                CoefficientResult(coefficient, factorization=factorization)
 
 
 class TestRankedWalk:

@@ -118,13 +118,6 @@ class TestCoeff:
         )
         assert code == 2 and "checkpoint" in err
 
-    def test_split_budget_flag(self):
-        code, recs, _ = run_cli(
-            ["coeff", "--k", "5", "--monomial", "3,4,4,4,4", "--split-budget", "0"]
-        )
-        assert code == 0
-        assert recs[0]["factorization"].startswith(("+", "-"))
-
 
 class TestProve:
     def test_round_trip_against_library(self, tmp_path):
@@ -456,6 +449,7 @@ class TestUsageAndSettings:
             ("--seed", "1"): {"prove", "scan"},
             ("--qs-limit", "1"): {"qs"},
             ("--qs-budget", "1"): set(),
+            ("--split-budget", "0"): set(),
             ("--output", "-"): set(commands),
         }
         for flag, accepted in readers.items():

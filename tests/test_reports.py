@@ -62,8 +62,7 @@ class TestScalarFormats:
             Factorization(1, ()): "+1",
             Factorization(-1, ()): "-1",
             Factorization(1, ((2, 5), (7, 1))): "+2^5*7",
-            Factorization(-1, ((3, 1),), 91): "-3*C91",
-            Factorization(1, (), 35): "+C35",
+            Factorization(-1, ((3, 1),)): "-3",
         }
         for f, text in cases.items():
             assert format_factorization(f) == text
@@ -79,8 +78,8 @@ class TestScalarFormats:
             parse_factorization("2^5*7")
         with pytest.raises(ValueError, match="bad factor"):
             parse_factorization("+2^^3")
-        with pytest.raises(ValueError, match="cofactor"):
-            parse_factorization("+C35*3")
+        with pytest.raises(ValueError, match="bad factor"):
+            parse_factorization("+C35*3")  # no unfactored remainder
         with pytest.raises(ValueError, match="bad factor"):
             parse_factorization("+x")
         with pytest.raises(ValueError):
@@ -185,10 +184,9 @@ class TestCaseRecords:
 class TestCoefficientAndQuotientRecords:
     def test_coefficient_record_shape(self):
         rec = coefficient_record(
-            CoefficientResult(-2, terms=17),
+            CoefficientResult(-2, terms=17, factorization=factorize(-2)),
             *product((5, 2), (0, 0, 1, 0, 0, 0, 1), (6, 3)),
             (3, 3, 0, 3, 3, 0, 0),
-            factorization=factorize(-2),
             elapsed=None,
         )
         assert rec == {
@@ -201,12 +199,12 @@ class TestCoefficientAndQuotientRecords:
         json.loads(dumps_record(rec))
         rec = coefficient_record(
             CoefficientResult(0, terms=3), *product((3,), (0, 0, 0), (), "reduced"),
-            (0, 1, 2), factorization=None, elapsed=None,
+            (0, 1, 2), elapsed=None,
         )
         assert (rec["variant"], rec["degree"], rec["fixes"]) == ("reduced", 3, "")
 
     def test_coefficient_record_outcomes(self):
-        job = dict(factorization=None, elapsed=None)
+        job = dict(elapsed=None)
         args = (*product((2,), (0, 0)), (0, 1))
         rec = coefficient_record(CoefficientResult(0, terms=0), *args, **job)
         assert (rec["coefficient"], rec["outcome"], rec["terms"]) == ("0", "zero", 0)
