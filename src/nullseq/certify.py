@@ -537,6 +537,26 @@ def transfer_certificate(cert: Certificate, u: int) -> Certificate:
     )
 
 
+def derived_result(base: TypeResult, lam) -> TypeResult:
+    """The result of the orbit member lam, derived from base, its orbit
+    representative's result: base's certificate transferred by the least
+    unit u of Z_t with u * base.lam == lam, or base's reason for staying
+    unresolved.  assemble_case writes derived results with it and
+    reports.case_from_records checks them against it."""
+    t = len(lam)
+    unit = next(
+        u for u in range(1, t) if math.gcd(u, t) == 1 and rescale_type(base.lam, u) == lam
+    )
+    return TypeResult(
+        lam,
+        base.orbit,
+        None if base.certificate is None else transfer_certificate(base.certificate, unit),
+        None if base.unresolved is None else UnresolvedType(lam, base.unresolved.reason),
+        (),
+        derived_from=base.lam,
+    )
+
+
 def assemble_case(k: int, t: int, config: CaseConfig | None = None) -> CaseReport:
     """Certificates for every type of size-k subsets of Z_p x Z_t.
 
@@ -556,28 +576,8 @@ def assemble_case(k: int, t: int, config: CaseConfig | None = None) -> CaseRepor
     for lam in enumerate_types(k, t):
         rep = canonical_type(lam)
         if rep == lam:
-            res = certify_type(lam, t, config)
-            computed[lam] = res
-            results.append(res)
-            continue
-        base = computed[rep]
-        unit = next(
-            u
-            for u in range(1, t)
-            if math.gcd(u, t) == 1 and rescale_type(rep, u) == lam
-        )
-        results.append(
-            TypeResult(
-                lam,
-                base.orbit,
-                None
-                if base.certificate is None
-                else transfer_certificate(base.certificate, unit),
-                None
-                if base.unresolved is None
-                else UnresolvedType(lam, base.unresolved.reason),
-                (),
-                derived_from=rep,
-            )
-        )
+            computed[lam] = certify_type(lam, t, config)
+            results.append(computed[lam])
+        else:
+            results.append(derived_result(computed[rep], lam))
     return CaseReport(k, t, tuple(results))

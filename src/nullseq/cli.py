@@ -11,11 +11,15 @@ Subcommands::
     table1      recompute the curated coefficient fixtures and compare
 
 Output is line-delimited JSON on stdout (or ``--output``).  Exit status:
-0 success, 1 for unresolved/failed cases, 2 for usage errors.
+0 success, 1 for unresolved/failed cases, 2 for usage errors, 141 when
+stdout is closed before the records are written (as by ``| head``).
 
 Settings come from flags only: a flag given overrides the default of the
-``CaseConfig`` field it names, and ``certify`` holds every default, in
-``CaseConfig`` and in ``RANKED_BLOCK`` (the default of ``qs --qs-limit``).
+``CaseConfig`` field or the parameter it names, and a flag left out is not
+passed on, so each default is written once: ``certify`` holds those of
+``CaseConfig`` and ``RANKED_BLOCK`` (the default of ``qs --qs-limit``),
+``applicability`` that of ``applicable --effort-bits`` and ``oracle`` that
+of ``scan --kind``.
 A subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
 and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
 ``--seed`` to ``prove`` and ``scan``; ``--qs-limit`` to ``qs``;
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 
@@ -44,11 +49,7 @@ from .certify import (
 )
 from .engine import load_checkpoint
 from .factors import FULL, REDUCED, product
-from .oracle import (
-    AUTO,
-    scan_group,
-    verify_nonvanishing_conclusion,
-)
+from .oracle import AUTO, scan_group, verify_nonvanishing_conclusion
 from .quotient import QuotientSequencing, bounding_degree, search_quotient
 
 
@@ -56,14 +57,17 @@ class UsageError(Exception):
     pass
 
 
+def _given(args, *names) -> dict:
+    """The named flags that were given, by name; a flag left out is not
+    passed on, so the default of what it is passed to holds."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def _case_config(args, **extra) -> CaseConfig:
     """CaseConfig with the fields given as flags (and extra) overriding its defaults."""
-    given = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(CaseConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    return CaseConfig(**given, **extra)
+    return CaseConfig(**_given(args, *(f.name for f in dataclasses.fields(CaseConfig))),
+                      **extra)
 
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
@@ -181,10 +185,10 @@ def _cmd_scan(args) -> int:
     report = scan_group(
         args.n,
         args.k,
-        kind=args.scan_kind,
         count=args.count,
         seed=_case_config(args).seed,
         reduce=not args.no_reduce,
+        **_given(args, "kind"),
     )
     _emit([reports.scan_record(report, elapsed=time.monotonic() - start)], args)
     return 0 if report.all_sequenceable else 1
@@ -204,9 +208,7 @@ def _cmd_verify(args) -> int:
 def _cmd_applicable(args) -> int:
     subset = _parse_vector(args.subset, "subset") if args.subset else None
     start = time.monotonic()
-    result = applicability(
-        args.n, args.k, subset=subset, effort_bits=args.effort_bits
-    )
+    result = applicability(args.n, args.k, subset=subset, **_given(args, "effort_bits"))
     _emit(
         [reports.applicability_record(result, elapsed=time.monotonic() - start)], args
     )
@@ -309,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="brute-force scan of subsets of Z_n")
     p.add_argument("--n", type=int, required=True, help="cyclic group order")
     p.add_argument("--k", type=int, required=True, help="subset size")
-    p.add_argument("--kind", dest="scan_kind", default=AUTO,
-                   choices=("linear", "rotational", AUTO))
+    p.add_argument("--kind", choices=("linear", "rotational", AUTO))
     p.add_argument("--count", type=int, help="sample this many subsets instead")
     p.add_argument("--no-reduce", action="store_true",
                    help="scan all subsets, not one per unit-multiple class")
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="group order")
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--subset", help="concrete subset of Z_n, comma-separated")
-    p.add_argument("--effort-bits", dest="effort_bits", type=int, default=256,
+    p.add_argument("--effort-bits", dest="effort_bits", type=int,
                    help="factoring effort cap (bits)")
     p.set_defaults(func=_cmd_applicable)
 
@@ -361,6 +362,14 @@ def main(argv=None) -> int:
         # checkpoint are ValueErrors too
         print(f"nullseq: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout was closed early.  Point it at devnull so the flush at exit
+        # cannot raise again; no signal handler is changed, since callers
+        # may run main inside their own process.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # what a shell reports for a process killed by SIGPIPE
 
 
 if __name__ == "__main__":

@@ -156,8 +156,9 @@ class OpCapExceeded(EngineAbort):
 def save_checkpoint(path, cp: EngineCheckpoint) -> None:
     """Binary, deterministic (keys sorted), round-trips bit-exactly.
 
-    The file is written next to path and renamed into place, so a crash
-    leaves either the old file or the complete new one.
+    The file is written next to path, synced to disk and only then
+    renamed into place, so a crash, of the process or of the OS, leaves
+    either the old file or the complete new one.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -173,6 +174,8 @@ def save_checkpoint(path, cp: EngineCheckpoint) -> None:
                 fh.write(key.to_bytes(cp.k, "little"))
                 fh.write(struct.pack("<BI", 1 if coef < 0 else 0, len(mb)))
                 fh.write(mb)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

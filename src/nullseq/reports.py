@@ -36,6 +36,7 @@ from .certify import (
     Factorization,
     TypeResult,
     UnresolvedType,
+    derived_result,
 )
 from .factors import FactorList
 from .groups import canonical_type, enumerate_types, type_orbit
@@ -340,7 +341,9 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     primes (the union of its certificates') must match them.  Each type
     record's orbit must be its type's, and derived_from must name the
     orbit's representative, or be absent on the representative itself.  A
-    certificate that is not derived must carry the attempt behind each entry.
+    derived record must hold its representative's result as
+    certify.derived_result transfers it, and a certificate that is not
+    derived must carry the attempt behind each entry.
     """
     records = list(records)
     summaries = [r for r in records if _field(r, "kind") == "case"]
@@ -395,6 +398,14 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     # count first, so that a forged k or t starts no huge enumeration
     if len(lams) != math.comb(k + t - 1, t - 1) or lams != enumerate_types(k, t):
         raise ValueError(f"the type records are not the types of k = {k}, t = {t} in order")
+    by_lam = dict(zip(lams, results))
+    for result in results:
+        rep = result.derived_from
+        if rep is not None and result != derived_result(by_lam[rep], result.lam):
+            raise ValueError(
+                f"type record {format_exponents(result.lam)} is not the result of "
+                f"its representative {format_exponents(rep)} transferred to it"
+            )
     report = CaseReport(k=k, t=t, results=tuple(results))
     certified = len(report.certificates())
     parsed = dict(

@@ -6,11 +6,25 @@ import sys
 
 import pytest
 
-from nullseq import certify
-from nullseq.certify import RANKED_BLOCK, CaseConfig, assemble_case
+from nullseq import certify, cli
+from nullseq.catalog import ALL_FIXTURES, HEAVY, LIGHT, MASSIVE, TABLE1
+from nullseq.certify import (
+    RANKED_BLOCK,
+    CaseConfig,
+    CoefficientResult,
+    assemble_case,
+    compute_coefficient,
+    sample_monomials,
+)
 from nullseq.cli import _case_config, build_parser, main
 from nullseq.engine import load_checkpoint
-from nullseq.reports import case_from_records, loads_record, parse_exponents
+from nullseq.factors import REDUCED, product
+from nullseq.reports import (
+    case_from_records,
+    format_exponents,
+    loads_record,
+    parse_exponents,
+)
 
 
 def run_cli(argv):
@@ -111,6 +125,19 @@ class TestCoeff:
         code, recs, _ = run_cli(base + own + ["--resume", ckpt])
         assert code == 0 and recs[0]["coefficient"] == "3120"
 
+    def test_variant(self):
+        lam, a = (3, 2), (0, 1, 0, 0, 1)
+        qs, fl, bound = product(lam, a, (), REDUCED)
+        monomial = next(sample_monomials(bound, fl.degree, 1, "variant"))
+        code, recs, _ = run_cli(
+            ["coeff", "--k", "5", "--lambda", "3,2", "--a", "0,1,0,0,1",
+             "--variant", "reduced", "--monomial", format_exponents(monomial)]
+        )
+        expected = compute_coefficient(qs, fl, bound, monomial, CaseConfig())
+        assert code == (0 if expected.coefficient else 1)
+        assert (recs[0]["variant"], recs[0]["degree"]) == ("reduced", fl.degree)
+        assert recs[0]["coefficient"] == str(expected.coefficient)
+
     def test_bad_resume_path(self, tmp_path):
         code, _, err = run_cli(
             ["coeff", "--k", "4", "--monomial", "2,3,3,3",
@@ -203,6 +230,24 @@ class TestProve:
                 for ln in proc.stdout.splitlines()
             ])
         assert runs[0] == runs[1]
+
+    def test_variant_and_no_greedy_fixes(self):
+        code, recs, _ = run_cli(["prove", "--k", "5", "--t", "2", "--variant", "reduced"])
+        assert code == 0
+        assert {r["variant"] for r in recs[1:]} == {"reduced"}
+        assert case_from_records(recs) == assemble_case(5, 2, CaseConfig(variant=REDUCED))
+        # by default some attempt of k = 5, t = 2 fixes positions; without
+        # the greedy pass none does
+        fixes = []
+        for extra in ([], ["--no-greedy-fixes"]):
+            code, recs, _ = run_cli(["prove", "--k", "5", "--t", "2", *extra])
+            assert code == 0
+            fixes.append({r[f"attempt{i}_fixes"]
+                          for r in recs[1:] for i in range(r.get("attempts", 0))})
+        assert fixes[0] != {""} and fixes[1] == {""}
+        assert case_from_records(recs) == assemble_case(
+            5, 2, CaseConfig(use_greedy_fixes=False)
+        )
 
     def test_incomplete_exits_one(self):
         code, recs, _ = run_cli(
@@ -311,6 +356,11 @@ class TestScan:
         assert code == 0
         assert recs[0]["sampled"] is True and recs[0]["seed"] == "4"
 
+    def test_no_reduce(self):
+        code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3", "--no-reduce"])
+        assert code == 0
+        assert (recs[0]["reduced"], recs[0]["scanned"]) == (False, 56)  # C(8, 3)
+
     def test_guard_is_usage_error(self):
         code, _, err = run_cli(["scan", "--n", "50", "--k", "3"])
         assert code == 2
@@ -356,6 +406,18 @@ class TestApplicable:
         assert code == 1
         assert recs[0]["verdict"] == "no"
 
+    def test_effort_bits(self):
+        # n = q1 * q2 with 76- and 77-bit primes is more than 64 bits of
+        # factoring effort, so its one split is left unknown
+        import sympy
+
+        n = sympy.nextprime(2**75) * sympy.nextprime(2**76)
+        code, recs, _ = run_cli(
+            ["applicable", "--n", str(n), "--k", "10", "--effort-bits", "64"]
+        )
+        assert code == 1
+        assert (recs[0]["verdict"], recs[0]["split0_prime_ok"]) == ("unknown", "unknown")
+
     def test_conditional_with_subset(self):
         import math
 
@@ -386,6 +448,21 @@ class TestTable1:
         assert all(r["match"] is True for r in recs)
         ks = [r["k"] for r in recs]
         assert ks == sorted(ks, reverse=True) or len(set(ks)) > 1
+
+    def test_tier_selects_fixtures(self, monkeypatch):
+        # no coefficient is computed: each row comes back aborted
+        monkeypatch.setattr(cli, "compute_coefficient",
+                            lambda *args, **kwargs: CoefficientResult(None, note="stub"))
+        tiers = {"light": {LIGHT}, "heavy": {LIGHT, HEAVY},
+                 "massive": {LIGHT, HEAVY, MASSIVE}}
+        for tier, included in tiers.items():
+            for table_only, pool in (([], ALL_FIXTURES), (["--table-only"], TABLE1)):
+                code, recs, _ = run_cli(["table1", "--tier", tier, *table_only])
+                assert code == 1
+                assert [r["name"] for r in recs] == [
+                    f.name for f in pool if f.tier in included
+                ]
+                assert {r["outcome"] for r in recs} == {"aborted"}
 
     def test_unknown_name(self):
         code, _, err = run_cli(["table1", "--name", "nope"])
@@ -467,6 +544,9 @@ class TestUsageAndSettings:
                      ["qs", "--lambda", "3,2"]):
             assert _case_config(parser.parse_args(argv)) == CaseConfig()
         assert parser.parse_args(["qs", "--lambda", "3,2"]).qs_limit == RANKED_BLOCK
+        # written only where they are read: in applicability and oracle
+        assert parser.parse_args(["applicable", "--n", "9", "--k", "3"]).effort_bits is None
+        assert parser.parse_args(["scan", "--n", "9", "--k", "3"]).kind is None
         args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--seed", "7",
                                   "--term-cap", "9"])
         assert _case_config(args) == CaseConfig(seed=7, term_cap=9)
@@ -487,6 +567,24 @@ class TestModuleEntrypoint:
         assert proc.returncode == 0
         rec = loads_record(proc.stdout.strip().splitlines()[-1])
         assert rec["verdict"] == "yes"
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize(
+        "argv", [["table1", "--name", "worked-3-2"], ["prove", "--k", "3", "--t", "2"]]
+    )
+    def test_closed_stdout_exits_quietly(self, argv):
+        # the reader is gone before the first record is written, as after
+        # `| head -c 1`: no traceback, and the status the README names
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nullseq", *argv],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
 
 class TestOutputFile:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import random
 import struct
 import subprocess
@@ -301,6 +302,28 @@ class TestCheckpoints:
         back = load_checkpoint(path1)
         assert back.k == 3 and back.factor_index == 9
         assert back.terms == terms
+
+    def test_synced_before_renamed(self, tmp_path, monkeypatch):
+        # without the sync an OS crash can leave the renamed file empty
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def synced(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+            fsync(fd)
+
+        def renamed(src, dst):
+            calls.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", renamed)
+        path = tmp_path / "a.bin"
+        save_checkpoint(path, EngineCheckpoint(3, 9, {pack((1, 2, 3)): 5}))
+        final = os.stat(path)
+        assert calls == [("fsync", final.st_ino, final.st_size),
+                         ("replace", final.st_ino, final.st_size)]
+        assert final.st_size > 0
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.bin"

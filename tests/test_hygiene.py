@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: every import is used, every
 private helper in the package is used, and every demo runs."""
 
+import argparse
 import ast
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from nullseq.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -100,6 +103,26 @@ def test_checker_finds_unreferenced_private():
 def test_no_unreferenced_private_definitions():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     assert unreferenced_private(sources) == []
+
+
+def option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of parser and of its subcommands, help aside."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= option_strings(sub)
+        elif not isinstance(action, argparse._HelpAction):
+            found |= set(action.option_strings)
+    return found
+
+
+def test_every_cli_flag_is_tested():
+    # a flag no test passes can break unseen
+    options = option_strings(build_parser())
+    assert {"--qs-limit", "--no-reduce", "--output"} <= options
+    tests = (ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8")
+    assert sorted(o for o in options if f'"{o}"' not in tests) == []
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

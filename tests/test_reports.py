@@ -490,3 +490,40 @@ class TestCaseRecordTamper:
             with pytest.raises(ValueError, match="representative is"):
                 case_from_records(records)
         assert case_from_records(derived) == assemble_case(4, 3)
+
+    def test_derived_certificate_must_be_its_representatives(self):
+        records = case_records(assemble_case(5, 3))
+        i = next(i for i, rec in enumerate(records) if rec.get("lam") == "4,0,1")
+        rec = records[i]
+        assert (rec["derived_from"], rec["entry0_coefficient"]) == ("4,1,0", "-1")
+        # a coefficient of its own, consistent within the record and with
+        # the summary, but not the representative's
+        forged = list(records)
+        forged[0] = dict(records[0], exceptional="7")
+        forged[i] = dict(rec, entry0_coefficient="-7", entry0_factorization="-7",
+                         exceptional="7")
+        certificate_from_record(forged[i])
+        with pytest.raises(ValueError, match="representative 4,1,0 transferred"):
+            case_from_records(forged)
+        assert case_from_records(records) == assemble_case(5, 3)
+
+    def test_derived_unresolved_must_be_its_representatives(self):
+        config = CaseConfig(max_degree=0)
+        records = case_records(assemble_case(5, 3, config))
+        i = next(i for i, rec in enumerate(records) if rec.get("lam") == "4,0,1")
+        rec = records[i]
+        assert rec["kind"] == "unresolved" and rec["derived_from"] == "4,1,0"
+        # another reason than the representative's
+        forged = list(records)
+        forged[i] = dict(rec, reason="every candidate monomial tried had coefficient zero")
+        with pytest.raises(ValueError, match="representative 4,1,0 transferred"):
+            case_from_records(forged)
+        # unresolved while the representative is certified
+        certified = case_records(assemble_case(5, 3))
+        assert certified[i]["kind"] == "certificate"
+        forged = list(certified)
+        forged[0] = dict(certified[0], certified=20, unresolved=1, complete=False)
+        forged[i] = rec
+        with pytest.raises(ValueError, match="representative 4,1,0 transferred"):
+            case_from_records(forged)
+        assert case_from_records(records) == assemble_case(5, 3, config)
