@@ -21,6 +21,8 @@ NEEDS_OUTSIDE = "needs-element-outside-subgroup"  # lam0 <= k-1
 SUBGROUP_COUNT_EXCLUDED = "subgroup-count-excluded"  # lam0 not in excluded set
 
 UNCONDITIONAL_K = 9  # covered for every abelian group, no structure needed
+# composites above this many bits are left undecided, not factored
+EFFORT_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ApplicabilityResult:
     subset: tuple[int, ...] | None
 
 
-def prime_factors_exceed(m: int, threshold: int, effort_bits: int = 256):
+def prime_factors_exceed(m: int, threshold: int, effort_bits: int = EFFORT_BITS):
     """True/False when decidable, None when the factorization budget is hit.
 
     Strips prime factors up to min(threshold, 10^6) by trial division:
@@ -120,7 +122,7 @@ def applicability(
     k: int,
     subset=None,
     table: tuple[CoverageRow, ...] = DEFAULT_TABLE,
-    effort_bits: int = 256,
+    effort_bits: int = EFFORT_BITS,
 ) -> ApplicabilityResult:
     """Decide whether size-k subsets of Z_n \\ {0} are covered.
 

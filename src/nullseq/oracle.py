@@ -26,6 +26,21 @@ of a unit of S.  The scan therefore walks the sets (1,) + rest, testing only
 the inverses of the units in rest, then the sets made of non-units only,
 testing every unit; every set of the first kind sorts before every set of
 the second, so the kept list is in lexicographic order.
+
+Verification uses the same rule in Z_p x Z_t, where (x, v) -> (u*x, v)
+with u a unit mod p is an automorphism that keeps the type, the pattern of
+second coordinates and the distinctness of partial sums (on residues it is
+multiplication by the unit that is u mod p and 1 mod t).  A subset is the
+tuple of its sorted first-coordinate pools, one per residue v, and each
+class is searched once, through its lexicographic minimum.  Units fix 0,
+so in a minimum every pool before the first pool w holding a nonzero
+coordinate holds only 0 or nothing, and pool w's least nonzero coordinate
+is 1: it is (1,) + rest, or (0, 1) + rest when w >= 1.  A multiple that
+sorts below it must bring pool w to a pool holding 1, so only u = s^-1
+for the nonzero s of pool w are tested, on pool w first and on the later
+pools only for the u that fix pool w.  The stabilizer lies among 1 and
+these u, so it is counted on the way, and the class has
+(p - 1) / |stabilizer| subsets.
 """
 
 from __future__ import annotations
@@ -309,9 +324,13 @@ class InfeasibleVerification(ValueError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """subsets is the type's subset count.  The check stops at the
-    MAX_LISTED_FAILURES-th failing subset, so subsets_checked is below it
-    exactly when some subsets went unchecked."""
+    """subsets is the type's subset count and subsets_checked the number of
+    subsets the check speaks for: the summed class sizes of the searched
+    representatives when every one passes, otherwise the subsets the full
+    loop reached.  The check stops at the MAX_LISTED_FAILURES-th failing
+    subset, so subsets_checked is below subsets exactly when some subsets
+    went unchecked.  searched is the number of subsets handed to the
+    sequencing search, the full loop's included."""
 
     p: int
     t: int
@@ -319,11 +338,97 @@ class VerificationReport:
     a: tuple[int, ...]
     subsets: int
     subsets_checked: int
+    searched: int
     failures: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+def _elements(group):
+    """Every element of Z_p x Z_t, keyed by its residue mod pt."""
+    residue = _residue_map(group)
+    return {residue(e): e for e in itertools.product(range(group.p), range(group.t))}
+
+
+def _type_pools(group, lam):
+    """Per residue v, every pool a subset of type lam can hold there, as
+    residues mod pt in the order of their first coordinates, and the sums
+    of these pools."""
+    residue = _residue_map(group)
+    pools_space = []
+    for v in range(group.t):
+        universe = [(x, v) for x in range(v == 0, group.p)]  # (0, 0) is the identity
+        choices = itertools.combinations(universe, lam[v])
+        pools_space.append([tuple(map(residue, pool)) for pool in choices])
+    return pools_space, [list(map(sum, pools)) for pools in pools_space]
+
+
+def _least_pools(p, w, size, inverse):
+    """The pools of size first coordinates in residue w that hold 1 as their
+    least nonzero coordinate and that no unit multiple sorts below, each
+    with the maps of the units other than 1 that fix it.  inverse[s] is the
+    map x -> s^-1 x; only these units can bring the pool to one holding 1."""
+    # pool 0 cannot hold 0, since (0, 0) is the identity
+    starts = [(1,)] + ([(0, 1)] if w and size >= 2 else [])
+    for start in starts:
+        for rest in itertools.combinations(range(2, p), size - len(start)):
+            xs = start + rest
+            fixing = []
+            for s in rest:
+                image = tuple(sorted(map(inverse[s].__getitem__, xs)))
+                if image < xs:
+                    break
+                if image == xs:
+                    fixing.append(inverse[s])
+            else:
+                yield xs, fixing
+
+
+def _stabilizer(pools, fixing, elements):
+    """How many of 1 and the maps in fixing keep the residue pools (elements
+    maps residues back to elements); 0 when one maps them below themselves."""
+    later = tuple(tuple(elements[r][0] for r in pool) for pool in pools)
+    size = 1
+    for row in fixing:
+        image = tuple(tuple(sorted(map(row.__getitem__, xs))) for xs in later)
+        if image < later:
+            return 0
+        size += image == later
+    return size
+
+
+def _class_representatives(group, lam, pools_space, sums_space):
+    """One subset of type lam per class of first-coordinate unit multiples.
+
+    Yields (residue pools, their unreduced residue sum, class size) for the
+    lexicographic minimum of each class, by the rule in the module
+    docstring; the spaces are those of _type_pools(group, lam).  The class
+    size is (p - 1) / |stabilizer|, and the stabilizer lies among the units
+    that fix pool w.
+    """
+    p, t = group.p, group.t
+    residue = _residue_map(group)
+    elements = _elements(group)
+    inverse = [None, None, *([pow(s, -1, p) * x % p for x in range(p)] for s in range(2, p))]
+    head, head_sum = (), 0  # the pools before w, each holding only 0 or nothing
+    for w in range(t):
+        pools_later, sums_later = pools_space[w + 1:], sums_space[w + 1:]
+        for xs, fixing in _least_pools(p, w, lam[w], inverse) if lam[w] else ():
+            rs = tuple(residue((x, w)) for x in xs)
+            prefix, prefix_sum = head + (rs,), head_sum + sum(rs)
+            for pools, sums in zip(
+                itertools.product(*pools_later), itertools.product(*sums_later)
+            ):
+                stabilizer = _stabilizer(pools, fixing, elements) if fixing else 1
+                if stabilizer:
+                    yield prefix + pools, prefix_sum + sum(sums), (p - 1) // stabilizer
+        if lam[w] > (w > 0):
+            return  # pool w holds a nonzero coordinate in every subset
+        pool = tuple(residue((0, w)) for _ in range(lam[w]))
+        head, head_sum = head + (pool,), head_sum + sum(pool)
+    yield head, head_sum, 1  # only 0 and nothing: every unit fixes it
 
 
 def verify_nonvanishing_conclusion(
@@ -336,9 +441,15 @@ def verify_nonvanishing_conclusion(
     whose partial sums are all distinct (with the usual closing allowance
     for zero-sum subsets).  Certificates assert such an ordering exists
     whenever they are valid for p.  A type with more than max_subsets
-    subsets is refused with ValueError, not checked in part.  The check
-    stops at the MAX_LISTED_FAILURES-th failing subset; the report's
-    subsets, the type's subset count, shows how far it got.
+    subsets is refused with ValueError, not checked in part.
+
+    (x, v) -> (u*x, v) with u a unit mod p is an automorphism that keeps
+    the type, a and the distinctness of partial sums, so the search runs on
+    one subset per class, its lexicographic minimum, and each pass counts
+    the class's full size.  If a representative fails, every subset of the
+    type is searched in order, so the failures listed are those of the full
+    loop; it stops at the MAX_LISTED_FAILURES-th failing subset, and the
+    report's subsets, the type's subset count, shows how far it got.
     """
     group = GroupConfig(p, t)
     lam = tuple(lam)
@@ -366,18 +477,20 @@ def verify_nonvanishing_conclusion(
             f"max_subsets={max_subsets}"
         )
     n = group.n
-    residue = _residue_map(group)
-    pools_space = []
-    element = {}
-    for v in range(t):
-        universe = [(x, v) for x in range(p) if (x, v) != (0, 0)]
-        element.update((residue(e), e) for e in universe)
-        choices = itertools.combinations(universe, lam[v])
-        pools_space.append([tuple(map(residue, pool)) for pool in choices])
-    sums_space = [list(map(sum, pools)) for pools in pools_space]
+    pools_space, sums_space = _type_pools(group, lam)
     # the slots of one subset: its pool of residue a_d at each depth d
     # (itemgetter returns a bare item for one index and refuses none)
     slots = operator.itemgetter(*a) if len(a) > 1 else lambda pools: [pools[v] for v in a]
+    checked = searched = 0
+    for pools, pools_sum, size in _class_representatives(group, lam, pools_space, sums_space):
+        searched += 1
+        if not _search(slots(pools), pools_sum % n, n, False):
+            break
+        checked += size
+    else:
+        return VerificationReport(p, t, lam, a, total, checked, searched, ())
+    # a representative failed: list the failures as the full loop meets them
+    element = _elements(group)
     checked = 0
     failures = []
     for pools, sums in zip(
@@ -388,4 +501,6 @@ def verify_nonvanishing_conclusion(
             failures.append(tuple(sorted(element[r] for pool in pools for r in pool)))
             if len(failures) >= MAX_LISTED_FAILURES:
                 break
-    return VerificationReport(p, t, lam, a, total, checked, tuple(failures))
+    return VerificationReport(
+        p, t, lam, a, total, checked, searched + checked, tuple(failures)
+    )

@@ -529,6 +529,7 @@ def verification_record(
         a=format_exponents(report.a),
         subsets=report.subsets,
         subsets_checked=report.subsets_checked,
+        searched=report.searched,
         ok=report.ok,
         failures=len(report.failures),
     )

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -6,6 +7,7 @@ import sympy
 
 from nullseq.applicability import (
     DEFAULT_TABLE,
+    EFFORT_BITS,
     NEEDS_OUTSIDE,
     NO_CAVEAT,
     SUBGROUP_COUNT_EXCLUDED,
@@ -54,6 +56,14 @@ class TestPrimeFactorsExceed:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             prime_factors_exceed(0, 10)
+
+    def test_one_effort_default(self):
+        # the direct call and applicability read the same written default
+        for function in (prime_factors_exceed, applicability):
+            assert inspect.signature(function).parameters["effort_bits"].default == EFFORT_BITS
+        m = sympy.nextprime(2**128) * sympy.nextprime(2**129)  # 259 bits
+        assert EFFORT_BITS < m.bit_length()
+        assert prime_factors_exceed(m, math.factorial(11) // 2) is None
 
 
 class TestLam0:

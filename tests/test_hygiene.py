@@ -105,6 +105,36 @@ def test_no_unreferenced_private_definitions():
     assert unreferenced_private(sources) == []
 
 
+def package_imports(source: str) -> set[str]:
+    """The nullseq modules a package module imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("nullseq."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith("nullseq.")}
+    return found
+
+
+def test_checker_finds_package_imports():
+    source = ("import math\nfrom .groups import x\nfrom . import engine\n"
+              "import nullseq.certify\nfrom nullseq.factors import y\nfrom sympy import z\n")
+    assert package_imports(source) == {"groups", "engine", "certify", "factors"}
+
+
+def test_oracle_is_independent_of_what_it_checks():
+    # the brute-force oracle cross-checks the engine, factors and certify,
+    # so it may lean on the group and arrangement definitions only
+    source = (ROOT / "src" / "nullseq" / "oracle.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"groups", "quotient"}
+
+
 def option_strings(parser: argparse.ArgumentParser) -> set[str]:
     """Every option string of parser and of its subcommands, help aside."""
     found = set()

@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,10 @@ from nullseq.oracle import (
     ROTATIONAL_ONLY,
     InfeasibleVerification,
     _class_minima,
+    _class_representatives,
+    _elements,
     _kind_allows,
+    _type_pools,
     all_sequencings,
     canonical_subset,
     find_sequencing,
@@ -342,6 +348,16 @@ class TestVerifyConclusion:
             (5, 3, (2, 0, 1), (2, 0, 0)),
             (5, 2, (3, 2), (0, 1, 0, 0, 1)),
             (5, 1, (3,), (0, 0, 0)),
+            # pools {1, 4} and {2, 3} are fixed by the unit 4
+            (5, 2, (2, 2), (0, 1, 0, 1)),
+            # pool 0 is fixed by every unit
+            (5, 2, (4, 1), (0, 0, 0, 0, 1)),
+            # pools that hold only 0 before the first with a nonzero coordinate
+            (5, 3, (0, 1, 3), (1, 2, 2, 2)),
+            (5, 3, (0, 1, 3), (2, 1, 2, 2)),
+            # p = 2: 1 is the only unit, every class has one subset
+            (2, 5, (1, 1, 0, 1, 1), (0, 3, 1, 4)),
+            (2, 3, (1, 1, 1), (1, 0, 2)),
         ],
     )
     def test_failures_match_permutation_filter(self, p, t, lam, a):
@@ -364,6 +380,68 @@ class TestVerifyConclusion:
         assert r.subsets_checked == len(subsets)
         assert set(r.failures) == expected
         assert len(r.failures) == len(expected)
+
+    def test_searches_one_subset_per_class(self):
+        # 60 subsets in 16 classes; the record says how many were searched
+        r = verify_nonvanishing_conclusion(5, 2, (2, 2), (0, 1, 0, 1))
+        assert r.ok and (r.subsets, r.subsets_checked, r.searched) == (60, 60, 16)
+        assert verification_record(r)["searched"] == 16
+        # a failing representative sends the check through every subset,
+        # and searched counts that loop too
+        r = verify_nonvanishing_conclusion(3, 2, (1, 2), (0, 1, 1))
+        assert r.subsets_checked == 6 and r.searched > 6
+
+
+class TestClassRepresentatives:
+    """verify's representatives against the unit classes found by brute force."""
+
+    @pytest.mark.parametrize(
+        "p, t, lam",
+        [
+            (2, 3, (1, 1, 1)),
+            (3, 2, (1, 2)),
+            (3, 2, (0, 3)),
+            (3, 4, (0, 1, 1, 2)),
+            (5, 2, (0, 0)),
+            (5, 2, (2, 2)),
+            (5, 2, (4, 1)),
+            (5, 3, (0, 1, 3)),
+            (5, 3, (0, 1, 1)),
+            (5, 4, (0, 1, 0, 2)),
+            (7, 2, (3, 2)),
+            (7, 3, (1, 2, 2)),
+        ],
+    )
+    def test_representatives_are_the_class_minima(self, p, t, lam):
+        group = GroupConfig(p, t)
+        subsets = itertools.product(
+            *(itertools.combinations(range(v == 0, p), c) for v, c in enumerate(lam))
+        )
+        expected = Counter(
+            min(tuple(tuple(sorted(u * x % p for x in pool)) for pool in s) for u in range(1, p))
+            for s in subsets
+        )
+        elements = _elements(group)
+        found = {}
+        for pools, pools_sum, size in _class_representatives(group, lam, *_type_pools(group, lam)):
+            assert pools_sum == sum(map(sum, pools))
+            key = tuple(tuple(sorted(elements[r][0] for r in pool)) for pool in pools)
+            assert key not in found
+            found[key] = size
+        assert found == dict(expected)
+
+    def test_class_sizes_sum_to_the_subset_count(self):
+        # orbit-stabilizer on every type of the benchmark's verify pool with p <= 13
+        pool = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_pool.json"
+        jobs = [job for job in json.loads(pool.read_text())["jobs"] if job["p"] <= 13]
+        assert len(jobs) > 100
+        for job in jobs:
+            group = GroupConfig(job["p"], job["t"])
+            lam = tuple(map(int, job["lam"].split(",")))
+            spaces = _type_pools(group, lam)
+            sizes = [size for *_, size in _class_representatives(group, lam, *spaces)]
+            assert sum(sizes) == job["subsets"] == math.prod(map(len, spaces[0])), job
+            assert all((job["p"] - 1) % size == 0 for size in sizes)
 
 
 class TestOracleAgainstItself:

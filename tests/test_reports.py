@@ -275,11 +275,11 @@ class TestScanVerificationApplicability:
         assert rec["ok"] is True and rec["failures"] == 0
         assert not any(key.startswith("failure0") for key in rec)
         failed = VerificationReport(
-            5, 2, (3, 2), (0, 1, 0, 0, 1), 40, 7,
+            5, 2, (3, 2), (0, 1, 0, 0, 1), 40, 7, 9,
             (((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)),),
         )
         rec = verification_record(failed)
-        assert (rec["subsets"], rec["subsets_checked"]) == (40, 7)
+        assert (rec["subsets"], rec["subsets_checked"], rec["searched"]) == (40, 7, 9)
         assert rec["ok"] is False and rec["failures"] == 1
         assert rec["failure0"] == "1:0,2:0,3:0,1:1,2:1"
 
