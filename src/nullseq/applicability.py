@@ -118,13 +118,10 @@ def lam0_of(subset, t: int) -> int:
 
 
 def applicability(
-    n: int,
-    k: int,
-    subset=None,
-    table: tuple[CoverageRow, ...] = DEFAULT_TABLE,
-    effort_bits: int = EFFORT_BITS,
+    n: int, k: int, subset=None, effort_bits: int = EFFORT_BITS
 ) -> ApplicabilityResult:
-    """Decide whether size-k subsets of Z_n \\ {0} are covered.
+    """Decide whether size-k subsets of Z_n \\ {0} are covered by the rows
+    of DEFAULT_TABLE.
 
     With a concrete subset the side conditions are evaluated exactly;
     without one, rows that hinge on a side condition report "conditional".
@@ -143,12 +140,12 @@ def applicability(
         return ApplicabilityResult(n, k, "yes", True, (), subset)
     threshold = math.factorial(k) // 2
     splits = []
-    t_candidates = sorted({t for row in table for t in row.t_values})
+    t_candidates = sorted({t for row in DEFAULT_TABLE for t in row.t_values})
     for t in t_candidates:
         if t > n or n % t != 0:
             continue
         m = n // t
-        rows = [row for row in table if row.matches(k, t)]
+        rows = [row for row in DEFAULT_TABLE if row.matches(k, t)]
         if not rows:
             continue
         prime_ok = prime_factors_exceed(m, threshold, effort_bits)

@@ -25,11 +25,15 @@ first block makes one search_quotient call; a longer walk reruns it at 4,
 16, ... times the block and skips what it has tried.
 
 For each (arrangement, fixes) it computes the coefficients of up to
-max_candidates monomials, drawn uniformly from the monomials of the
+MAX_CANDIDATES monomials, drawn uniformly from the monomials of the
 product's degree dividing the bound (sample_monomials).  The draw is seeded
-by CaseConfig.seed, the arrangement, the fixes and the variant, so records
-are reproducible.  Nonzero coefficients are collected until their gcd has
-no exceptional prime.
+by the arrangement, the fixes and the variant, so records are reproducible.
+Nonzero coefficients are collected until their gcd has no exceptional
+prime.
+
+This search policy is fixed, not configured: every certificate is checked
+on its own (Certificate.__post_init__, reports.case_from_records), so the
+policy decides only which certificate is found, never what it proves.
 """
 
 from __future__ import annotations
@@ -225,19 +229,19 @@ class AttemptRecord:
 
 
 @dataclass(frozen=True)
-class UnresolvedType:
-    lam: tuple[int, ...]
-    reason: str
-
-
-@dataclass(frozen=True)
 class TypeResult:
+    """One type's certificate, or the reason it has none."""
+
     lam: tuple[int, ...]
     orbit: tuple[tuple[int, ...], ...]
     certificate: Certificate | None
-    unresolved: UnresolvedType | None
+    reason: str | None
     attempts: tuple[AttemptRecord, ...]
     derived_from: tuple[int, ...] | None = None  # orbit representative reused
+
+    def __post_init__(self):
+        if (self.certificate is None) != (self.reason is not None):
+            raise ValueError("a type result has a reason exactly when it has no certificate")
 
 
 @dataclass(frozen=True)
@@ -262,25 +266,22 @@ class CaseReport:
 
 # Arrangements every type tries, and the default of qs --qs-limit.
 RANKED_BLOCK = 30
+# Monomials sampled per (arrangement, fixes).
+MAX_CANDIDATES = 24
 
 
 @dataclass(frozen=True)
 class CaseConfig:
-    max_candidates: int = 24
     term_cap: int | None = 200_000_000
     op_cap: int | None = None
     max_degree: int = 60
-    seed: int = 0
     variant: str = FULL
-    use_greedy_fixes: bool = True
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
         # a cap or budget below its least meaningful value would report
         # every type unresolved for a false reason
-        for name, least in (
-            ("max_candidates", 1), ("term_cap", 1), ("op_cap", 1), ("max_degree", 0),
-        ):
+        for name, least in (("term_cap", 1), ("op_cap", 1), ("max_degree", 0)):
             value = getattr(self, name)
             if value is None and name.endswith("_cap"):
                 continue  # no cap
@@ -417,8 +418,9 @@ def _attempt(lam, a, fixes, config, attempts):
         tried("skipped-degree", note=f"degree {fl.degree} above budget {config.max_degree}")
         return None
     entries: list[CertificateEntry] = []
-    seed = f"{config.seed}:{a}:{fixes}:{config.variant}"
-    for mono in sample_monomials(bound, fl.degree, config.max_candidates, seed):
+    # the "0:" keeps every draw, and so every record, as seed 0 wrote it
+    seed = f"0:{a}:{fixes}:{config.variant}"
+    for mono in sample_monomials(bound, fl.degree, MAX_CANDIDATES, seed):
         result = compute_coefficient(qs, fl, bound, mono, config)
         note = result.note
         if result.checkpoint:
@@ -463,12 +465,12 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     """Search a certificate for one type.
 
     Arrangements come best first from the exact ranking by induced degree;
-    for each, the greedy fixing is tried first (when enabled), then no
-    fixes.  The first certificate with no exceptional primes wins;
-    otherwise the one with the fewest exceptional primes (ties: fewer
-    entries) is kept.  The first RANKED_BLOCK arrangements are always
-    tried; an attempt past them is made only while every attempt so far
-    came back zero (see the module docstring).
+    for each, the greedy fixing is tried first, then no fixes.  The first
+    certificate with no exceptional primes wins; otherwise the one with the
+    fewest exceptional primes (ties: fewer entries) is kept.  The first
+    RANKED_BLOCK arrangements are always tried; an attempt past them is made
+    only while every attempt so far came back zero (see the module
+    docstring).
     """
     if config is None:
         config = CaseConfig()
@@ -485,13 +487,9 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
     # at the block's end does not rerun the search
     arrangements, rank = _ranked(lam), 0
     while walk_on(rank) and (a := next(arrangements, None)) is not None:
-        if config.use_greedy_fixes:
-            qs, fl, _ = product(lam, a, variant=config.variant)
-            greedy = tuple(sorted(choose_fixes(fl, lam, qs)))
-            fix_plans = [greedy, ()] if greedy else [()]
-        else:
-            fix_plans = [()]
-        for fixes in fix_plans:
+        qs, fl, _ = product(lam, a, variant=config.variant)
+        greedy = tuple(sorted(choose_fixes(fl, lam, qs)))
+        for fixes in [greedy, ()] if greedy else [()]:
             if not walk_on(rank):
                 break
             cert = _attempt(lam, a, fixes, config, attempts)
@@ -515,9 +513,7 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
         reason = "every candidate monomial tried had coefficient zero"
     else:
         reason = "no arrangement satisfied the degree condition"
-    return TypeResult(
-        lam, type_orbit(lam), None, UnresolvedType(lam, reason), tuple(attempts)
-    )
+    return TypeResult(lam, type_orbit(lam), None, reason, tuple(attempts))
 
 
 def transfer_certificate(cert: Certificate, u: int) -> Certificate:
@@ -551,7 +547,7 @@ def derived_result(base: TypeResult, lam) -> TypeResult:
         lam,
         base.orbit,
         None if base.certificate is None else transfer_certificate(base.certificate, unit),
-        None if base.unresolved is None else UnresolvedType(lam, base.unresolved.reason),
+        base.reason,
         (),
         derived_from=base.lam,
     )

@@ -11,19 +11,22 @@ Subcommands::
     table1      recompute the curated coefficient fixtures and compare
 
 Output is line-delimited JSON on stdout (or ``--output``).  Exit status:
-0 success, 1 for unresolved/failed cases, 2 for usage errors, 141 when
-stdout is closed before the records are written (as by ``| head``).
+0 success, 1 for unresolved/failed cases, 2 for usage errors (an
+``--output`` or ``--checkpoint-dir`` that cannot be written among them,
+refused before any work starts), 141 when stdout is closed before the
+records are written (as by ``| head``).
 
 Settings come from flags only: a flag given overrides the default of the
 ``CaseConfig`` field or the parameter it names, and a flag left out is not
 passed on, so each default is written once: ``certify`` holds those of
 ``CaseConfig`` and ``RANKED_BLOCK`` (the default of ``qs --qs-limit``),
-``applicability`` that of ``applicable --effort-bits`` and ``oracle`` that
-of ``scan --kind``.
+``applicability`` that of ``applicable --effort-bits`` and ``oracle`` those
+of ``scan --kind`` and ``--seed``.  ``prove``'s search policy (the
+arrangements, fixes and monomials it tries) is not a setting.
 A subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
 and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
-``--seed`` to ``prove`` and ``scan``; ``--qs-limit`` to ``qs``;
-``--output`` to all.
+``--seed`` to ``scan``, and only with ``--count``; ``--qs-limit`` to
+``qs``; ``--output`` to all.
 ``prove``, ``coeff`` and ``table1`` build every product with
 ``factors.product`` and compute every coefficient through
 ``certify.compute_coefficient``, so caps and checkpoints act alike in all
@@ -64,10 +67,9 @@ def _given(args, *names) -> dict:
             if getattr(args, name, None) is not None}
 
 
-def _case_config(args, **extra) -> CaseConfig:
-    """CaseConfig with the fields given as flags (and extra) overriding its defaults."""
-    return CaseConfig(**_given(args, *(f.name for f in dataclasses.fields(CaseConfig))),
-                      **extra)
+def _case_config(args) -> CaseConfig:
+    """CaseConfig with the fields given as flags overriding its defaults."""
+    return CaseConfig(**_given(args, *(f.name for f in dataclasses.fields(CaseConfig))))
 
 
 def _parse_vector(text: str, name: str) -> tuple[int, ...]:
@@ -75,6 +77,25 @@ def _parse_vector(text: str, name: str) -> tuple[int, ...]:
         return reports.parse_exponents(text)
     except ValueError as exc:
         raise UsageError(f"--{name} must be comma-separated integers: {text!r}") from exc
+
+
+def _check_paths(args) -> None:
+    """Refuse an --output or --checkpoint-dir that cannot be written, before
+    any work starts; an existing output file is left as it is."""
+    path = getattr(args, "output", "-")
+    if path != "-":
+        parent = os.path.dirname(path) or "."
+        target = path if os.path.exists(path) else parent
+        if os.path.isdir(path) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+            raise UsageError(f"cannot write --output {path}")
+    directory = getattr(args, "checkpoint_dir", None)
+    if directory:
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(
+                f"cannot use --checkpoint-dir {directory}: {exc.strerror}"
+            ) from None
 
 
 def _emit(records, args) -> None:
@@ -95,7 +116,7 @@ def _emit(records, args) -> None:
 
 
 def _cmd_prove(args) -> int:
-    config = _case_config(args, use_greedy_fixes=not args.no_greedy_fixes)
+    config = _case_config(args)
     start = time.monotonic()
     report = assemble_case(args.k, args.t, config)
     _emit(reports.case_records(report, elapsed=time.monotonic() - start), args)
@@ -181,14 +202,15 @@ def _cmd_qs(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if args.seed is not None and args.count is None:
+        raise UsageError("--seed is read only with --count")
     start = time.monotonic()
     report = scan_group(
         args.n,
         args.k,
         count=args.count,
-        seed=_case_config(args).seed,
         reduce=not args.no_reduce,
-        **_given(args, "kind"),
+        **_given(args, "kind", "seed"),
     )
     _emit([reports.scan_record(report, elapsed=time.monotonic() - start)], args)
     return 0 if report.all_sequenceable else 1
@@ -266,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="abort after this many term operations")
     caps.add_argument("--checkpoint-dir", dest="checkpoint_dir",
                       help="directory for engine checkpoints")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, help="seed for randomized searches")
 
     parser = argparse.ArgumentParser(
         prog="nullseq",
@@ -275,17 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("prove", parents=[output, caps, seed],
+    p = sub.add_parser("prove", parents=[output, caps],
                        help="certify every type for a given (k, t)")
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--t", type=int, required=True, help="quotient order (1..5)")
     p.add_argument("--variant", choices=(FULL, REDUCED))
     p.add_argument("--max-degree", dest="max_degree", type=int,
                    help="skip types whose product degree exceeds this")
-    p.add_argument("--max-candidates", dest="max_candidates", type=int,
-                   help="monomials sampled per arrangement")
-    p.add_argument("--no-greedy-fixes", action="store_true",
-                   help="skip the greedy fixing pass")
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("coeff", parents=[output, caps],
@@ -307,12 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"number of candidates to keep (default {RANKED_BLOCK})")
     p.set_defaults(func=_cmd_qs)
 
-    p = sub.add_parser("scan", parents=[output, seed],
+    p = sub.add_parser("scan", parents=[output],
                        help="brute-force scan of subsets of Z_n")
     p.add_argument("--n", type=int, required=True, help="cyclic group order")
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--kind", choices=("linear", "rotational", AUTO))
     p.add_argument("--count", type=int, help="sample this many subsets instead")
+    p.add_argument("--seed", type=int, help="seed of the --count sample")
     p.add_argument("--no-reduce", action="store_true",
                    help="scan all subsets, not one per unit-multiple class")
     p.set_defaults(func=_cmd_scan)
@@ -356,6 +373,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_paths(args)
         return args.func(args)
     except (UsageError, ValueError) as exc:
         # bad input: InfeasibleFixing, InfeasibleVerification and a rejected

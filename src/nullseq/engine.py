@@ -112,9 +112,6 @@ class SparsePolynomial:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def max_abs_coefficient(self) -> int:
-        return max((abs(c) for c in self.terms.values()), default=0)
-
     def items(self):
         """Yield (exponent tuple, coefficient) sorted by packed key."""
         for key in sorted(self.terms):

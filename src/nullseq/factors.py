@@ -69,10 +69,6 @@ class Window:
     vars: tuple[int, ...]
     dropped: tuple[int, ...] = ()
 
-    @property
-    def offset_dropped(self) -> bool:
-        return bool(self.dropped)
-
     def variables(self) -> tuple[int, ...]:
         return self.vars
 

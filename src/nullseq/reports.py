@@ -35,7 +35,6 @@ from .certify import (
     CoefficientResult,
     Factorization,
     TypeResult,
-    UnresolvedType,
     derived_result,
 )
 from .factors import FactorList
@@ -276,7 +275,8 @@ def certificate_from_record(record: dict) -> Certificate:
 def unresolved_record(
     k: int,
     t: int,
-    unresolved: UnresolvedType,
+    lam: tuple[int, ...],
+    reason: str,
     *,
     elapsed: float | None = None,
     attempts: tuple[AttemptRecord, ...] = (),
@@ -287,8 +287,8 @@ def unresolved_record(
     record.update(
         k=k,
         t=t,
-        lam=format_exponents(unresolved.lam),
-        reason=unresolved.reason,
+        lam=format_exponents(lam),
+        reason=reason,
     )
     _put_type_tail(record, attempts, orbit, derived_from)
     return record
@@ -324,7 +324,8 @@ def case_records(report: CaseReport, *, elapsed: float | None = None) -> list[di
                 unresolved_record(
                     report.k,
                     report.t,
-                    result.unresolved,
+                    result.lam,
+                    result.reason,
                     attempts=result.attempts,
                     orbit=orbit,
                     derived_from=result.derived_from,
@@ -380,19 +381,10 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
             cert = certificate_from_record(record)
             if derived is None:
                 _check_entries_attempted(record, cert, common["attempts"])
-            results.append(
-                TypeResult(
-                    lam=cert.lam, certificate=cert, unresolved=None, **common
-                )
-            )
+            results.append(TypeResult(lam=cert.lam, certificate=cert, reason=None, **common))
         else:
             results.append(
-                TypeResult(
-                    lam=lam,
-                    certificate=None,
-                    unresolved=UnresolvedType(lam=lam, reason=_field(record, "reason")),
-                    **common,
-                )
+                TypeResult(lam=lam, certificate=None, reason=_field(record, "reason"), **common)
             )
     lams = [r.lam for r in results]
     # count first, so that a forged k or t starts no huge enumeration

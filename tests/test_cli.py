@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import subprocess
@@ -231,23 +232,11 @@ class TestProve:
             ])
         assert runs[0] == runs[1]
 
-    def test_variant_and_no_greedy_fixes(self):
+    def test_variant(self):
         code, recs, _ = run_cli(["prove", "--k", "5", "--t", "2", "--variant", "reduced"])
         assert code == 0
         assert {r["variant"] for r in recs[1:]} == {"reduced"}
         assert case_from_records(recs) == assemble_case(5, 2, CaseConfig(variant=REDUCED))
-        # by default some attempt of k = 5, t = 2 fixes positions; without
-        # the greedy pass none does
-        fixes = []
-        for extra in ([], ["--no-greedy-fixes"]):
-            code, recs, _ = run_cli(["prove", "--k", "5", "--t", "2", *extra])
-            assert code == 0
-            fixes.append({r[f"attempt{i}_fixes"]
-                          for r in recs[1:] for i in range(r.get("attempts", 0))})
-        assert fixes[0] != {""} and fixes[1] == {""}
-        assert case_from_records(recs) == assemble_case(
-            5, 2, CaseConfig(use_greedy_fixes=False)
-        )
 
     def test_incomplete_exits_one(self):
         code, recs, _ = run_cli(
@@ -260,18 +249,6 @@ class TestProve:
     def test_envelope_error(self):
         code, _, err = run_cli(["prove", "--k", "4", "--t", "6"])
         assert code == 2 and "error" in err
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--k", "4", "--t", "2", "--max-candidates", "0"],
-        ],
-    )
-    def test_nonpositive_search_count_is_usage_error(self, argv):
-        # an empty search would report every type unresolved for a false reason
-        code, recs, err = run_cli(["prove", *argv])
-        assert code == 2 and not recs
-        assert "at least 1" in err
 
 
 class TestCapsAndBudgets:
@@ -355,6 +332,11 @@ class TestScan:
         )
         assert code == 0
         assert recs[0]["sampled"] is True and recs[0]["seed"] == "4"
+
+    def test_seed_without_count_is_usage_error(self):
+        # an exhaustive scan draws nothing, so it would ignore the seed
+        code, recs, err = run_cli(["scan", "--n", "9", "--k", "3", "--seed", "5"])
+        assert code == 2 and not recs and "--count" in err
 
     def test_no_reduce(self):
         code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3", "--no-reduce"])
@@ -523,7 +505,9 @@ class TestUsageAndSettings:
             ("--term-cap", "1"): {"prove", "coeff", "table1"},
             ("--op-cap", "1"): {"prove", "coeff", "table1"},
             ("--checkpoint-dir", "ckpt"): {"prove", "coeff", "table1"},
-            ("--seed", "1"): {"prove", "scan"},
+            ("--seed", "1"): {"scan"},
+            ("--max-candidates", "1"): set(),
+            ("--no-greedy-fixes",): set(),
             ("--qs-limit", "1"): {"qs"},
             ("--qs-budget", "1"): set(),
             ("--split-budget", "0"): set(),
@@ -546,13 +530,22 @@ class TestUsageAndSettings:
         assert parser.parse_args(["qs", "--lambda", "3,2"]).qs_limit == RANKED_BLOCK
         # written only where they are read: in applicability and oracle
         assert parser.parse_args(["applicable", "--n", "9", "--k", "3"]).effort_bits is None
-        assert parser.parse_args(["scan", "--n", "9", "--k", "3"]).kind is None
-        args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--seed", "7",
-                                  "--term-cap", "9"])
-        assert _case_config(args) == CaseConfig(seed=7, term_cap=9)
+        scan = parser.parse_args(["scan", "--n", "9", "--k", "3"])
+        assert (scan.kind, scan.seed) == (None, None)
+        args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--term-cap", "9"])
+        assert _case_config(args) == CaseConfig(term_cap=9)
         with pytest.raises(SystemExit) as info:
             run_cli(["prove", "--k", "4", "--t", "2", "--config", "x.json"])
         assert info.value.code == 2
+
+    def test_each_setting_has_one_name(self):
+        # every prove flag but the case and the output is a CaseConfig field
+        # of the same name, so _case_config passes each one on unrenamed
+        prove = build_parser()._subparsers._group_actions[0].choices["prove"]
+        dests = {action.dest for action in prove._actions if action.option_strings}
+        assert dests - {"help", "k", "t", "output"} == {
+            field.name for field in dataclasses.fields(CaseConfig)
+        }
 
 
 class TestModuleEntrypoint:
@@ -598,3 +591,28 @@ class TestOutputFile:
         assert len(lines) == 1
         rec = loads_record(lines[0])
         assert rec["kind"] == "scan" and parse_exponents(rec["seed"] or "") == ()
+
+    def test_unwritable_output_refused_before_the_work(self, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the case was computed")
+
+        monkeypatch.setattr(cli, "assemble_case", no_work)
+        missing = tmp_path / "missing" / "x.jsonl"
+        for argv in (["scan", "--n", "7", "--k", "2"], ["prove", "--k", "3", "--t", "2"]):
+            code, recs, err = run_cli(argv + ["--output", str(missing)])
+            assert (code, recs) == (2, [])
+            assert err.startswith("nullseq: error: ") and len(err.splitlines()) == 1
+        assert not missing.parent.exists()
+
+    def test_unusable_checkpoint_dir_leaves_the_output_untouched(self, tmp_path):
+        out = tmp_path / "old.jsonl"
+        out.write_text("kept\n")
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        code, recs, err = run_cli(
+            ["table1", "--name", "8-2", "--term-cap", "1",
+             "--checkpoint-dir", str(blocker), "--output", str(out)]
+        )
+        assert (code, recs) == (2, [])
+        assert err.startswith("nullseq: error: ") and len(err.splitlines()) == 1
+        assert out.read_text() == "kept\n"

@@ -132,7 +132,6 @@ class TestSparsePolynomial:
         assert poly.coefficient((1, 0)) == 4
         assert poly.coefficient((2, 0)) == 0
         assert poly.num_terms() == 2
-        assert poly.max_abs_coefficient() == 7
         assert poly.to_tuple_dict() == {(1, 0): 4, (0, 2): -7}
         assert list(poly.items()) == [((1, 0), 4), ((0, 2), -7)]
         assert poly.coefficient((0, 2)) == -7

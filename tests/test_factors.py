@@ -80,8 +80,6 @@ class TestBuild:
         assert d.terms() == ((2, -1), (5, 1))
         w = Window((0, 3), (1, 2, 3))
         assert w.terms() == ((1, 1), (2, 1), (3, 1))
-        assert not w.offset_dropped
-        assert Window((0, 3), (1, 3), dropped=(2,)).offset_dropped
 
     def test_emission_never_revisits_early_variables(self):
         # the highest variable per factor never increases, so each x_v stops

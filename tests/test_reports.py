@@ -3,12 +3,12 @@ import json
 
 import pytest
 
+from nullseq import certify
 from nullseq.applicability import applicability
 from nullseq.certify import (
     CaseConfig,
     CoefficientResult,
     Factorization,
-    UnresolvedType,
     assemble_case,
     certify_type,
     factorize,
@@ -145,7 +145,7 @@ class TestCertificateRecords:
 
     def test_unresolved_round_trip_via_case(self):
         rec = unresolved_record(
-            5, 2, UnresolvedType((3, 2), "every candidate monomial tried had coefficient zero")
+            5, 2, (3, 2), "every candidate monomial tried had coefficient zero"
         )
         assert rec["kind"] == "unresolved"
         assert rec["lam"] == "3,2"
@@ -393,10 +393,11 @@ class TestCaseRecordTamper:
         with pytest.raises(ValueError, match="case summary says"):
             case_from_records([summary] + records[7][1:])
 
-    def test_exceptional_primes_must_match(self):
+    def test_exceptional_primes_must_match(self, monkeypatch):
         # one sampled monomial per arrangement leaves one type of k = 6,
         # t = 2 with p = 7 excluded; the summary must name it
-        records = case_records(assemble_case(6, 2, CaseConfig(max_candidates=1)))
+        monkeypatch.setattr(certify, "MAX_CANDIDATES", 1)
+        records = case_records(assemble_case(6, 2))
         summary = records[0]
         assert summary["complete"] is True and summary["exceptional"] == "7"
         assert [r["exceptional"] for r in records[1:] if r["exceptional"]] == ["7"]
