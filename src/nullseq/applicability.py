@@ -79,13 +79,13 @@ class ApplicabilityResult:
     subset: tuple[int, ...] | None
 
 
-def prime_factors_exceed(m: int, threshold: int, effort_bits: int = EFFORT_BITS):
+def prime_factors_exceed(m: int, threshold: int):
     """True/False when decidable, None when the factorization budget is hit.
 
     Strips prime factors up to min(threshold, 10^6) by trial division:
     finding one at or below the threshold settles the answer negatively.
     What remains either is certified prime (compare directly) or must be
-    fully factored; composites larger than effort_bits bits are left
+    fully factored; composites larger than EFFORT_BITS bits are left
     undecided rather than risking an open-ended factorization.
     """
     if m < 1:
@@ -106,7 +106,7 @@ def prime_factors_exceed(m: int, threshold: int, effort_bits: int = EFFORT_BITS)
     # m now has no prime factor up to min(threshold, 10^6)
     if threshold <= 10**6:
         return True
-    if m.bit_length() > effort_bits:
+    if m.bit_length() > EFFORT_BITS:
         return None
     return all(p > threshold for p in sympy.factorint(m))
 
@@ -117,9 +117,7 @@ def lam0_of(subset, t: int) -> int:
     return sum(1 for s in subset if s % t == 0)
 
 
-def applicability(
-    n: int, k: int, subset=None, effort_bits: int = EFFORT_BITS
-) -> ApplicabilityResult:
+def applicability(n: int, k: int, subset=None) -> ApplicabilityResult:
     """Decide whether size-k subsets of Z_n \\ {0} are covered by the rows
     of DEFAULT_TABLE.
 
@@ -148,7 +146,7 @@ def applicability(
         rows = [row for row in DEFAULT_TABLE if row.matches(k, t)]
         if not rows:
             continue
-        prime_ok = prime_factors_exceed(m, threshold, effort_bits)
+        prime_ok = prime_factors_exceed(m, threshold)
         for row in rows:
             if row.caveat == NO_CAVEAT:
                 caveat_ok: bool | None = True

@@ -19,10 +19,11 @@ records are written (as by ``| head``).
 Settings come from flags only: a flag given overrides the default of the
 ``CaseConfig`` field or the parameter it names, and a flag left out is not
 passed on, so each default is written once: ``certify`` holds those of
-``CaseConfig`` and ``RANKED_BLOCK`` (the default of ``qs --qs-limit``),
-``applicability`` that of ``applicable --effort-bits`` and ``oracle`` those
-of ``scan --kind`` and ``--seed``.  ``prove``'s search policy (the
-arrangements, fixes and monomials it tries) is not a setting.
+``CaseConfig`` and ``RANKED_BLOCK`` (the default of ``qs --qs-limit``), and
+``oracle`` those of ``scan --kind`` and ``--seed``.  ``prove``'s search
+policy (the arrangements, fixes and monomials it tries), ``applicable``'s
+factoring effort (``applicability.EFFORT_BITS``) and the brute-force
+oracle's one search per class of unit multiples are not settings.
 A subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
 and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
 ``--seed`` to ``scan``, and only with ``--count``; ``--qs-limit`` to
@@ -205,13 +206,7 @@ def _cmd_scan(args) -> int:
     if args.seed is not None and args.count is None:
         raise UsageError("--seed is read only with --count")
     start = time.monotonic()
-    report = scan_group(
-        args.n,
-        args.k,
-        count=args.count,
-        reduce=not args.no_reduce,
-        **_given(args, "kind", "seed"),
-    )
+    report = scan_group(args.n, args.k, count=args.count, **_given(args, "kind", "seed"))
     _emit([reports.scan_record(report, elapsed=time.monotonic() - start)], args)
     return 0 if report.all_sequenceable else 1
 
@@ -230,7 +225,7 @@ def _cmd_verify(args) -> int:
 def _cmd_applicable(args) -> int:
     subset = _parse_vector(args.subset, "subset") if args.subset else None
     start = time.monotonic()
-    result = applicability(args.n, args.k, subset=subset, **_given(args, "effort_bits"))
+    result = applicability(args.n, args.k, subset=subset)
     _emit(
         [reports.applicability_record(result, elapsed=time.monotonic() - start)], args
     )
@@ -330,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("linear", "rotational", AUTO))
     p.add_argument("--count", type=int, help="sample this many subsets instead")
     p.add_argument("--seed", type=int, help="seed of the --count sample")
-    p.add_argument("--no-reduce", action="store_true",
-                   help="scan all subsets, not one per unit-multiple class")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", parents=[output],
@@ -349,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="group order")
     p.add_argument("--k", type=int, required=True, help="subset size")
     p.add_argument("--subset", help="concrete subset of Z_n, comma-separated")
-    p.add_argument("--effort-bits", dest="effort_bits", type=int,
-                   help="factoring effort cap (bits)")
     p.set_defaults(func=_cmd_applicable)
 
     p = sub.add_parser("table1", parents=[output, caps],

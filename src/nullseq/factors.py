@@ -60,14 +60,13 @@ class Difference:
 class Window:
     """Factor x_{i+1} + ... + x_j for the partial-sum pair (i, j).
 
-    vars lists the live (unfixed) positions; dropped records positions whose
-    variables were replaced by constants and removed, since only top-degree
-    terms are of interest.
+    vars lists the live (unfixed) positions; a fixed position's variable is
+    a constant, and it is removed, since only top-degree terms are of
+    interest.
     """
 
     pair: tuple[int, int]
     vars: tuple[int, ...]
-    dropped: tuple[int, ...] = ()
 
     def variables(self) -> tuple[int, ...]:
         return self.vars
@@ -175,10 +174,9 @@ def apply_fixes(fl: FactorList, fixes) -> FactorList:
 
     Difference factors touching a fixed position are deleted outright (the
     distinctness they encode is delegated to choosing distinct constants).
-    Window factors lose the fixed variables and record the drop.  A window
-    losing every variable would let a constants-only relation slip through,
-    so it is an error - impossible anyway while no two fixed positions are
-    adjacent.
+    Window factors lose the fixed variables.  A window losing every
+    variable would let a constants-only relation slip through, so it is an
+    error - impossible anyway while no two fixed positions are adjacent.
     """
     combined = validate_fixes(frozenset(fl.fixed) | frozenset(fixes), fl.k)
     if combined == fl.fixed:
@@ -191,12 +189,11 @@ def apply_fixes(fl: FactorList, fixes) -> FactorList:
             out.append(factor)
         else:
             live = tuple(v for v in factor.vars if v not in combined)
-            gone = tuple(v for v in factor.vars if v in combined) + factor.dropped
             if not live:
                 raise InfeasibleFixing(
                     f"window over partial-sum pair {factor.pair} loses every variable"
                 )
-            out.append(Window(factor.pair, live, tuple(sorted(gone))))
+            out.append(Window(factor.pair, live))
     return FactorList(fl.k, tuple(out), combined, fl.variant)
 
 

@@ -17,15 +17,16 @@ element is then S minus the sum before it and needs no test.  The cut only
 removes subtrees without a valid leaf, so the orderings found, and their
 order, are those of the uncut search.
 
-A reduced scan searches one subset per class of unit multiples, the class's
-lexicographic minimum, and generates only the subsets that can be one.  A
-subset S that holds a unit s but not 1 is never a minimum: s^-1 S holds 1,
-so it sorts below S.  If 1 is in S and some unit multiple uS sorts below S,
-then uS starts with 1 as well, so u*s = 1 for some s in S: u is the inverse
-of a unit of S.  The scan therefore walks the sets (1,) + rest, testing only
-the inverses of the units in rest, then the sets made of non-units only,
-testing every unit; every set of the first kind sorts before every set of
-the second, so the kept list is in lexicographic order.
+An exhaustive scan searches one subset per class of unit multiples, the
+class's lexicographic minimum, and generates only the subsets that can be
+one.  A subset S that holds a unit s but not 1 is never a minimum: s^-1 S
+holds 1, so it sorts below S.  If 1 is in S and some unit multiple uS sorts
+below S, then uS starts with 1 as well, so u*s = 1 for some s in S: u is
+the inverse of a unit of S.  The scan therefore walks the sets (1,) + rest,
+testing only the inverses of the units in rest, then the sets made of
+non-units only, testing every unit; every set of the first kind sorts
+before every set of the second, so the kept list is in lexicographic order.
+A failing class is listed by its minimum.
 
 Verification uses the same rule in Z_p x Z_t, where (x, v) -> (u*x, v)
 with u a unit mod p is an automorphism that keeps the type, the pattern of
@@ -40,7 +41,8 @@ sorts below it must bring pool w to a pool holding 1, so only u = s^-1
 for the nonzero s of pool w are tested, on pool w first and on the later
 pools only for the u that fix pool w.  The stabilizer lies among 1 and
 these u, so it is counted on the way, and the class has
-(p - 1) / |stabilizer| subsets.
+(p - 1) / |stabilizer| subsets.  The scan's first walk is the case t = 1
+of this one, with the non-units of Z_n left out of the tests.
 """
 
 from __future__ import annotations
@@ -188,33 +190,51 @@ def canonical_subset(subset, n: int) -> tuple[int, ...]:
     )
 
 
-def _none_below(subset: tuple[int, ...], rows) -> bool:
-    """Does no image of the sorted subset under the maps in rows (lists
-    indexed by residue) sort below it?"""
+def _fixing(xs, rows):
+    """The maps in rows (lists indexed by residue) that fix the sorted tuple
+    xs, or None when one maps it below itself."""
+    fixing = []
     for row in rows:
-        if tuple(sorted(map(row.__getitem__, subset))) < subset:
-            return False
-    return True
+        image = tuple(sorted(map(row.__getitem__, xs)))
+        if image < xs:
+            return None
+        if image == xs:
+            fixing.append(row)
+    return fixing
+
+
+def _least_pools(p, w, size, inverse):
+    """The pools of size residues mod p in residue w that hold 1 as their
+    least nonzero residue and that no unit multiple sorts below, each with
+    the maps of the units other than 1 that fix it.  inverse[s] is the map
+    x -> s^-1 x, or None when s is not a unit; only these units can bring
+    the pool to one holding 1."""
+    # pool 0 cannot hold 0, since (0, 0) is the identity
+    starts = [(1,)] + ([(0, 1)] if w and size >= 2 else [])
+    for start in starts:
+        for rest in itertools.combinations(range(2, p), size - len(start)):
+            xs = start + rest
+            fixing = _fixing(xs, filter(None, map(inverse.__getitem__, rest)))
+            if fixing is not None:
+                yield xs, fixing
 
 
 def _class_minima(n: int, k: int, allows):
     """The k-subsets of Z_n \\ {0} that are the smallest of their unit-multiple
     class and whose sum the kind allows, in lexicographic order (the rule is
     in the module docstring)."""
-    # by_inverse[x] maps e to x^-1 * e when x is a unit, and is None otherwise
-    by_inverse = [None] * n
+    # inverse[x] maps e to x^-1 * e when x is a unit, and is None otherwise
+    inverse = [None] * n
     for x in range(2, n):
         if math.gcd(x, n) == 1:
-            by_inverse[x] = [pow(x, -1, n) * e % n for e in range(n)]
-    for rest in itertools.combinations(range(2, n), k - 1):
-        s = (1,) + rest
-        inverses = filter(None, map(by_inverse.__getitem__, rest))
-        if allows[sum(s) % n == 0] and _none_below(s, inverses):
+            inverse[x] = [pow(x, -1, n) * e % n for e in range(n)]
+    for s, _ in _least_pools(n, 0, k, inverse):
+        if allows[sum(s) % n == 0]:
             yield s
-    every_unit = [row for row in by_inverse if row]  # the inverses are all units
-    nonunits = [x for x in range(2, n) if by_inverse[x] is None]
+    every_unit = [row for row in inverse if row]  # the inverses are all units
+    nonunits = [x for x in range(2, n) if inverse[x] is None]
     for s in itertools.combinations(nonunits, k):
-        if allows[sum(s) % n == 0] and _none_below(s, every_unit):
+        if allows[sum(s) % n == 0] and _fixing(s, every_unit) is not None:
             yield s
 
 
@@ -226,7 +246,6 @@ class ScanReport:
     scanned: int
     sequenceable: int
     failures: tuple[tuple[int, ...], ...]
-    reduced: bool
     sampled: bool
     seed: int | None
 
@@ -237,6 +256,9 @@ class ScanReport:
 
 MAX_EXHAUSTIVE_N = 40
 MAX_EXHAUSTIVE_SUBSETS = 10_000_000
+# the search's bit sets are indexed by residue, so a sampled scan holds
+# n-bit ints: 2 MB each at this cap
+MAX_SAMPLED_N = 1 << 24
 
 
 def scan_group(
@@ -245,19 +267,15 @@ def scan_group(
     kind: str = AUTO,
     count: int | None = None,
     seed: int = 0,
-    reduce: bool = True,
 ) -> ScanReport:
     """Scan size-k subsets of Z_n \\ {0} for sequencings.
 
-    Exhaustive by default; reduce=True keeps only the subsets that no unit
-    multiple maps to a lexicographically smaller one, and generates only
-    candidates for that.  A subset S holding a unit s but not 1 is never
-    kept, since s^-1 S holds 1 and sorts below it.  A subset S holding 1 is
-    kept unless s^-1 S < S for a unit s in S, since a multiple below S must
-    hold 1 too.  Subsets of non-units are tested against every unit.  count
-    switches to sampling mode: that many random subsets (seeded, recorded in
-    the report, no reduction).  kind filters to subsets whose sum permits
-    that kind of sequencing.
+    Exhaustive by default, over one subset per class of unit multiples, the
+    class's lexicographic minimum, generated by the rule in the module
+    docstring; a failing class is listed by its minimum.  count switches to
+    sampling mode: that many random subsets (seeded, recorded in the
+    report), for n up to MAX_SAMPLED_N.  kind filters to subsets whose sum
+    permits that kind of sequencing.
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n} k={k}")
@@ -268,7 +286,6 @@ def scan_group(
     if count is not None and count < 1:
         raise ValueError(f"sample count must be at least 1, got {count}")
     allows = {zero_sum: _kind_allows(zero_sum, kind) for zero_sum in (False, True)}
-    population = range(1, n)
     if count is None:
         if n > MAX_EXHAUSTIVE_N:
             raise ValueError(f"exhaustive scans are limited to n <= {MAX_EXHAUSTIVE_N}")
@@ -277,16 +294,13 @@ def scan_group(
                 f"{math.comb(n - 1, k)} subsets exceed the exhaustive budget; "
                 f"use sampling (count=...)"
             )
-        if reduce:
-            subsets = list(_class_minima(n, k, allows))
-        else:
-            subsets = [
-                s for s in itertools.combinations(population, k) if allows[sum(s) % n == 0]
-            ]
-        sampled = False
+        subsets = list(_class_minima(n, k, allows))
         used_seed = None
     else:
+        if n > MAX_SAMPLED_N:
+            raise ValueError(f"sampled scans are limited to n <= {MAX_SAMPLED_N}")
         rng = random.Random(seed)
+        population = range(1, n)
         chosen: set[tuple[int, ...]] = set()
         attempts = 0
         while len(chosen) < count and attempts < count * 200:
@@ -295,9 +309,7 @@ def scan_group(
             if allows[sum(s) % n == 0]:
                 chosen.add(s)
         subsets = sorted(chosen)
-        sampled = True
         used_seed = seed
-        reduce = False
     ok = 0
     failures = []
     for subset in subsets:
@@ -312,8 +324,7 @@ def scan_group(
         len(subsets),
         ok,
         tuple(failures[:MAX_LISTED_FAILURES]),
-        reduce,
-        sampled,
+        count is not None,
         used_seed,
     )
 
@@ -324,13 +335,11 @@ class InfeasibleVerification(ValueError):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """subsets is the type's subset count and subsets_checked the number of
-    subsets the check speaks for: the summed class sizes of the searched
-    representatives when every one passes, otherwise the subsets the full
-    loop reached.  The check stops at the MAX_LISTED_FAILURES-th failing
-    subset, so subsets_checked is below subsets exactly when some subsets
-    went unchecked.  searched is the number of subsets handed to the
-    sequencing search, the full loop's included."""
+    """subsets is the type's subset count, searched the number of class
+    representatives searched and subsets_checked the summed sizes of their
+    classes.  failures lists the minima of the failing classes; the check
+    stops at the MAX_LISTED_FAILURES-th, so subsets_checked is below subsets
+    exactly when some classes went unchecked."""
 
     p: int
     t: int
@@ -363,27 +372,6 @@ def _type_pools(group, lam):
         choices = itertools.combinations(universe, lam[v])
         pools_space.append([tuple(map(residue, pool)) for pool in choices])
     return pools_space, [list(map(sum, pools)) for pools in pools_space]
-
-
-def _least_pools(p, w, size, inverse):
-    """The pools of size first coordinates in residue w that hold 1 as their
-    least nonzero coordinate and that no unit multiple sorts below, each
-    with the maps of the units other than 1 that fix it.  inverse[s] is the
-    map x -> s^-1 x; only these units can bring the pool to one holding 1."""
-    # pool 0 cannot hold 0, since (0, 0) is the identity
-    starts = [(1,)] + ([(0, 1)] if w and size >= 2 else [])
-    for start in starts:
-        for rest in itertools.combinations(range(2, p), size - len(start)):
-            xs = start + rest
-            fixing = []
-            for s in rest:
-                image = tuple(sorted(map(inverse[s].__getitem__, xs)))
-                if image < xs:
-                    break
-                if image == xs:
-                    fixing.append(inverse[s])
-            else:
-                yield xs, fixing
 
 
 def _stabilizer(pools, fixing, elements):
@@ -444,12 +432,12 @@ def verify_nonvanishing_conclusion(
     subsets is refused with ValueError, not checked in part.
 
     (x, v) -> (u*x, v) with u a unit mod p is an automorphism that keeps
-    the type, a and the distinctness of partial sums, so the search runs on
-    one subset per class, its lexicographic minimum, and each pass counts
-    the class's full size.  If a representative fails, every subset of the
-    type is searched in order, so the failures listed are those of the full
-    loop; it stops at the MAX_LISTED_FAILURES-th failing subset, and the
-    report's subsets, the type's subset count, shows how far it got.
+    the type, a and the distinctness of partial sums, so the members of a
+    class pass or fail together.  The search runs on one subset per class,
+    its lexicographic minimum, and counts the class's full size; a failing
+    class is listed by its minimum.  The check stops at the
+    MAX_LISTED_FAILURES-th failing class, and the report's subsets, the
+    type's subset count, shows how far it got.
     """
     group = GroupConfig(p, t)
     lam = tuple(lam)
@@ -481,26 +469,14 @@ def verify_nonvanishing_conclusion(
     # the slots of one subset: its pool of residue a_d at each depth d
     # (itemgetter returns a bare item for one index and refuses none)
     slots = operator.itemgetter(*a) if len(a) > 1 else lambda pools: [pools[v] for v in a]
+    element = _elements(group)
     checked = searched = 0
+    failures = []
     for pools, pools_sum, size in _class_representatives(group, lam, pools_space, sums_space):
         searched += 1
-        if not _search(slots(pools), pools_sum % n, n, False):
-            break
         checked += size
-    else:
-        return VerificationReport(p, t, lam, a, total, checked, searched, ())
-    # a representative failed: list the failures as the full loop meets them
-    element = _elements(group)
-    checked = 0
-    failures = []
-    for pools, sums in zip(
-        itertools.product(*pools_space), itertools.product(*sums_space)
-    ):
-        checked += 1
-        if not _search(slots(pools), sum(sums) % n, n, False):
+        if not _search(slots(pools), pools_sum % n, n, False):
             failures.append(tuple(sorted(element[r] for pool in pools for r in pool)))
             if len(failures) >= MAX_LISTED_FAILURES:
                 break
-    return VerificationReport(
-        p, t, lam, a, total, checked, searched + checked, tuple(failures)
-    )
+    return VerificationReport(p, t, lam, a, total, checked, searched, tuple(failures))

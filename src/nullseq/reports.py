@@ -499,7 +499,7 @@ def scan_record(report: ScanReport, *, elapsed: float | None = None) -> dict:
         scan_kind=report.kind,
         scanned=report.scanned,
         sequenceable=report.sequenceable,
-        reduced=report.reduced,
+        reduced=not report.sampled,  # an exhaustive scan searches class minima
         sampled=report.sampled,
         seed="" if report.seed is None else str(report.seed),
         all_sequenceable=report.all_sequenceable,

@@ -42,24 +42,26 @@ class TestPrimeFactorsExceed:
         q = sympy.prevprime(big_threshold)
         # q is above the 10^6 trial range but below the threshold: needs the
         # full factorization branch to find it
-        assert prime_factors_exceed(q * p, big_threshold, effort_bits=64) is False
+        assert prime_factors_exceed(q * p, big_threshold) is False
 
-    def test_effort_budget_gives_none(self):
+    def test_effort_budget_gives_none(self, monkeypatch):
         big_threshold = math.factorial(11) // 2
         a = sympy.nextprime(2**75)
         b = sympy.nextprime(2**76)
         m = a * b  # ~151-bit semiprime, composite, no small factors
-        assert prime_factors_exceed(m, big_threshold, effort_bits=64) is None
-        assert prime_factors_exceed(m, big_threshold, effort_bits=256) is True
+        assert prime_factors_exceed(m, big_threshold) is True
+        monkeypatch.setattr("nullseq.applicability.EFFORT_BITS", 64)
+        assert prime_factors_exceed(m, big_threshold) is None
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             prime_factors_exceed(0, 10)
 
     def test_one_effort_default(self):
-        # the direct call and applicability read the same written default
+        # a constant, not a parameter: the direct call and applicability
+        # both read it at call time
         for function in (prime_factors_exceed, applicability):
-            assert inspect.signature(function).parameters["effort_bits"].default == EFFORT_BITS
+            assert "effort_bits" not in inspect.signature(function).parameters
         m = sympy.nextprime(2**128) * sympy.nextprime(2**129)  # 259 bits
         assert EFFORT_BITS < m.bit_length()
         assert prime_factors_exceed(m, math.factorial(11) // 2) is None
@@ -158,10 +160,11 @@ class TestApplicabilityVerdicts:
         assert res.verdict == "no"
         assert res.splits == ()
 
-    def test_unknown_via_effort(self):
+    def test_unknown_via_effort(self, monkeypatch):
         a = sympy.nextprime(2**75)
         b = sympy.nextprime(2**76)
-        res = applicability(a * b, 10, effort_bits=64)
+        monkeypatch.setattr("nullseq.applicability.EFFORT_BITS", 64)
+        res = applicability(a * b, 10)
         assert res.verdict == "unknown"
         assert res.splits[0].prime_ok is None
 

@@ -339,13 +339,25 @@ class TestScan:
         assert code == 2 and not recs and "--count" in err
 
     def test_no_reduce(self):
-        code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3", "--no-reduce"])
+        # C(8, 3) = 56 subsets in 10 classes of unit multiples, one searched
+        # per class; no flag selects a search of every subset
+        code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3"])
         assert code == 0
-        assert (recs[0]["reduced"], recs[0]["scanned"]) == (False, 56)  # C(8, 3)
+        assert (recs[0]["reduced"], recs[0]["scanned"]) == (True, 10)
+        with pytest.raises(SystemExit) as info:
+            run_cli(["scan", "--n", "9", "--k", "3", "--no-reduce"])
+        assert info.value.code == 2
 
     def test_guard_is_usage_error(self):
         code, _, err = run_cli(["scan", "--n", "50", "--k", "3"])
         assert code == 2
+
+    def test_sampled_n_past_the_cap_is_usage_error(self):
+        code, recs, err = run_cli(
+            ["scan", "--n", str(10**10), "--k", "6", "--count", "3"]
+        )
+        assert code == 2 and not recs
+        assert err.splitlines() == [f"nullseq: error: sampled scans are limited to n <= {1 << 24}"]
 
     def test_empty_sample_is_usage_error(self):
         code, recs, err = run_cli(["scan", "--n", "25", "--k", "6", "--count", "0"])
@@ -376,6 +388,26 @@ class TestVerify:
         code, recs, _ = run_cli(argv)
         assert code == 1 and recs[0]["ok"] is False
 
+    def test_failing_classes_listed_by_minimum(self):
+        # every one of the 70 classes is searched and 19 fail; each is
+        # listed once, by its least member
+        code, recs, _ = run_cli(
+            ["verify", "--p", "7", "--t", "2", "--lambda", "3,2",
+             "--a", "1,1,0,0,0"]
+        )
+        rec = recs[0]
+        assert code == 1 and rec["ok"] is False
+        assert (rec["subsets"], rec["subsets_checked"], rec["searched"]) == (420, 420, 70)
+        listed = [rec[f"failure{i}"] for i in range(rec["failures"])]
+        assert len(listed) == 19 and "failure19" not in rec
+        for text in listed:
+            points = [tuple(map(int, point.split(":"))) for point in text.split(",")]
+            pools = [sorted(x for x, v in points if v == w) for w in range(2)]
+            assert all(
+                pools <= [sorted(u * x % 7 for x in pool) for pool in pools]
+                for u in range(2, 7)
+            ), text
+
 
 class TestApplicable:
     def test_yes(self):
@@ -388,15 +420,15 @@ class TestApplicable:
         assert code == 1
         assert recs[0]["verdict"] == "no"
 
-    def test_effort_bits(self):
+    def test_effort_bits(self, monkeypatch):
         # n = q1 * q2 with 76- and 77-bit primes is more than 64 bits of
-        # factoring effort, so its one split is left unknown
+        # factoring effort, so its one split is left unknown; the effort is
+        # a constant, not a flag
         import sympy
 
         n = sympy.nextprime(2**75) * sympy.nextprime(2**76)
-        code, recs, _ = run_cli(
-            ["applicable", "--n", str(n), "--k", "10", "--effort-bits", "64"]
-        )
+        monkeypatch.setattr("nullseq.applicability.EFFORT_BITS", 64)
+        code, recs, _ = run_cli(["applicable", "--n", str(n), "--k", "10"])
         assert code == 1
         assert (recs[0]["verdict"], recs[0]["split0_prime_ok"]) == ("unknown", "unknown")
 
@@ -508,6 +540,8 @@ class TestUsageAndSettings:
             ("--seed", "1"): {"scan"},
             ("--max-candidates", "1"): set(),
             ("--no-greedy-fixes",): set(),
+            ("--no-reduce",): set(),
+            ("--effort-bits", "64"): set(),
             ("--qs-limit", "1"): {"qs"},
             ("--qs-budget", "1"): set(),
             ("--split-budget", "0"): set(),
@@ -528,8 +562,7 @@ class TestUsageAndSettings:
                      ["qs", "--lambda", "3,2"]):
             assert _case_config(parser.parse_args(argv)) == CaseConfig()
         assert parser.parse_args(["qs", "--lambda", "3,2"]).qs_limit == RANKED_BLOCK
-        # written only where they are read: in applicability and oracle
-        assert parser.parse_args(["applicable", "--n", "9", "--k", "3"]).effort_bits is None
+        # written only where they are read: in oracle
         scan = parser.parse_args(["scan", "--n", "9", "--k", "3"])
         assert (scan.kind, scan.seed) == (None, None)
         args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--term-cap", "9"])

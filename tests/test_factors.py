@@ -144,14 +144,14 @@ class TestFixes:
         for f in fl.factors:
             if isinstance(f, Difference):
                 assert 3 not in f.variables() and 6 not in f.variables()
-        # windows shrink and record their drops
-        drops = {f.pair: f.dropped for f in fl.factors if isinstance(f, Window)}
-        assert drops[(1, 7)] == (3, 6)
-        assert drops[(2, 7)] == (3, 6)
-        assert drops[(3, 6)] == (6,)
-        assert drops[(4, 6)] == (6,)
-        assert drops[(0, 2)] == ()
-        assert drops[(3, 5)] == ()
+        # windows lose the fixed positions of their range
+        live = {f.pair: f.vars for f in fl.factors if isinstance(f, Window)}
+        assert live[(1, 7)] == (2, 4, 5, 7)
+        assert live[(2, 7)] == (4, 5, 7)
+        assert live[(3, 6)] == (4, 5)
+        assert live[(4, 6)] == (5,)
+        assert live[(0, 2)] == (1, 2)
+        assert live[(3, 5)] == (4, 5)
 
     def test_worked_fixed_bound(self):
         assert bounding_monomial((5, 2), QS52, (3, 6)) == (3, 3, 0, 3, 3, 0, 0)

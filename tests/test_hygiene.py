@@ -150,7 +150,7 @@ def option_strings(parser: argparse.ArgumentParser) -> set[str]:
 def test_every_cli_flag_is_tested():
     # a flag no test passes can break unseen
     options = option_strings(build_parser())
-    assert {"--qs-limit", "--no-reduce", "--output"} <= options
+    assert {"--qs-limit", "--count", "--output"} <= options
     tests = (ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8")
     assert sorted(o for o in options if f'"{o}"' not in tests) == []
 

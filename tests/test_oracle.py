@@ -21,6 +21,7 @@ from nullseq.oracle import (
     LINEAR_ONLY,
     MAX_LISTED_FAILURES,
     MAX_ORACLE_SIZE,
+    MAX_SAMPLED_N,
     ROTATIONAL_ONLY,
     InfeasibleVerification,
     _class_minima,
@@ -207,7 +208,7 @@ class TestScanGroup:
         r = scan_group(9, 3)
         assert (r.scanned, r.sequenceable) == (10, 10)
         assert r.all_sequenceable
-        assert r.reduced and not r.sampled and r.seed is None
+        assert not r.sampled and r.seed is None
         assert r.failures == ()
 
     def test_frozen_rotational(self):
@@ -215,11 +216,16 @@ class TestScanGroup:
         assert (r.scanned, r.sequenceable) == (1, 1)
 
     def test_reduction_preserves_verdict(self):
+        # the reference: find_sequencing on every subset, not one per class
         for n, k in [(8, 3), (9, 4), (12, 3)]:
-            assert (
-                scan_group(n, k).all_sequenceable
-                == scan_group(n, k, reduce=False).all_sequenceable
-            )
+            group = Cyclic(n)
+            subsets = list(itertools.combinations(range(1, n), k))
+            failing = [s for s in subsets if find_sequencing(s, group) is None]
+            classes = {canonical_subset(s, n) for s in subsets}
+            r = scan_group(n, k)
+            assert r.all_sequenceable == (not failing)
+            assert r.failures == tuple(sorted({canonical_subset(s, n) for s in failing}))
+            assert (r.scanned, r.sequenceable) == (len(classes), len(classes) - len(r.failures))
 
     def test_reduction_keeps_one_subset_per_class(self):
         for n, k in [(12, 4), (15, 5), (16, 6), (17, 4)]:
@@ -228,11 +234,14 @@ class TestScanGroup:
             assert scan_group(n, k).scanned == len(classes)
 
     def test_kind_filter_partitions(self):
-        full = scan_group(8, 3, AUTO, reduce=False)
-        lin = scan_group(8, 3, LINEAR_ONLY, reduce=False)
-        rot = scan_group(8, 3, ROTATIONAL_ONLY, reduce=False)
-        assert full.scanned == lin.scanned + rot.scanned == 35
-        assert (lin.scanned, rot.scanned) == (31, 4)
+        full = scan_group(8, 3, AUTO)
+        lin = scan_group(8, 3, LINEAR_ONLY)
+        rot = scan_group(8, 3, ROTATIONAL_ONLY)
+        # a unit multiple keeps a zero sum zero, so the kinds split classes
+        classes = {canonical_subset(s, 8) for s in itertools.combinations(range(1, 8), 3)}
+        zero_sum = sum(sum(c) % 8 == 0 for c in classes)
+        assert full.scanned == lin.scanned + rot.scanned == len(classes) == 12
+        assert (lin.scanned, rot.scanned) == (len(classes) - zero_sum, zero_sum) == (10, 2)
         assert full.sequenceable == lin.sequenceable + rot.sequenceable
 
     def test_sampling_deterministic(self):
@@ -240,7 +249,6 @@ class TestScanGroup:
         b = scan_group(25, 6, count=30, seed=5)
         assert a == b
         assert a.sampled and a.seed == 5 and a.scanned == 30
-        assert not a.reduced
         c = scan_group(25, 6, count=30, seed=6)
         assert c.scanned == 30
 
@@ -257,6 +265,21 @@ class TestScanGroup:
             scan_group(25, 21)  # k above MAX_ORACLE_SIZE
         scan_group(50, 3, count=5, seed=0)  # sampling is allowed past the cap
 
+    def test_sampled_n_cap(self, monkeypatch):
+        # the search's bit sets are indexed by residue, so a sampled scan
+        # past the cap is refused before it draws or searches anything
+        def no_search(*args):
+            raise AssertionError("searched past the cap")
+
+        monkeypatch.setattr("nullseq.oracle._search", no_search)
+        with pytest.raises(ValueError, match=f"n <= {MAX_SAMPLED_N}"):
+            scan_group(MAX_SAMPLED_N + 1, 6, count=3)
+        monkeypatch.undo()
+        monkeypatch.setattr("nullseq.oracle.MAX_SAMPLED_N", 30)
+        assert scan_group(30, 6, count=3).scanned == 3
+        with pytest.raises(ValueError, match="n <= 30"):
+            scan_group(31, 6, count=3)
+
     def test_unknown_kind_refused_up_front(self):
         # Z_3 with k = 2 has one subset, {1, 2}, and it sums to zero, so the
         # linear filter keeps none; the unknown kind is still refused
@@ -271,6 +294,26 @@ class TestScanGroup:
         # an empty sample would report every subset sequenceable
         with pytest.raises(ValueError, match="at least 1"):
             scan_group(25, 6, count=count)
+
+
+def _fails(*subset, a, p, t):
+    """Does no ordering of the subset of Z_p x Z_t follow the arrangement a
+    with distinct partial sums?  Every permutation is classified."""
+    group = GroupConfig(p, t)
+    return not any(
+        tuple(v for _, v in perm) == a and classify_sequencing(subset, perm, group) is not None
+        for perm in itertools.permutations(subset)
+    )
+
+
+def _class_minimum(subset, p, t):
+    """The least image of the subset under (x, v) -> (u*x, v), compared as
+    the tuple of its sorted first-coordinate pools, as sorted elements."""
+    pools = min(
+        tuple(tuple(sorted(u * x % p for x, v in subset if v == w)) for w in range(t))
+        for u in range(1, p)
+    )
+    return tuple(sorted((x, w) for w, pool in enumerate(pools) for x in pool))
 
 
 class TestVerifyConclusion:
@@ -314,26 +357,30 @@ class TestVerifyConclusion:
 
     def test_failure_reported_not_raised(self):
         # p = 3 is too small for this arrangement: two of the six subsets
-        # have no ordering that follows it, and the report lists them
+        # have no ordering that follows it, and the unit 2 maps one to the
+        # other, so the report lists their class by its minimum
         r = verify_nonvanishing_conclusion(3, 2, (1, 2), (0, 1, 1))
-        assert r.subsets_checked == 6
+        assert (r.subsets_checked, r.searched) == (6, 3)
         assert not r.ok
-        assert r.failures == (
-            ((1, 0), (1, 1), (2, 1)),
-            ((1, 1), (2, 0), (2, 1)),
-        )
+        assert r.failures == (((1, 0), (1, 1), (2, 1)),)
+        assert _fails((1, 1), (2, 0), (2, 1), a=(0, 1, 1), p=3, t=2)
 
     @pytest.mark.parametrize(
-        "p, lam, a, subsets, checked",
-        [(5, (2, 2), (1, 1, 0, 0), 60, 36), (7, (3, 2), (1, 1, 0, 0, 0), 420, 38)],
+        "p, t, lam, a, subsets, checked",
+        [(5, 3, (2, 1, 1), (0, 1, 2, 0), 150, 130), (5, 3, (1, 2, 1), (1, 0, 2, 1), 200, 188)],
     )
-    def test_a_check_stopped_early_says_so(self, p, lam, a, subsets, checked):
-        # the listing stops at MAX_LISTED_FAILURES; the record still names
-        # the type's subset count, so the partial count reads as partial
-        r = verify_nonvanishing_conclusion(p, 2, lam, a)
+    def test_a_check_stopped_early_says_so(self, p, t, lam, a, subsets, checked):
+        # the listing stops at the MAX_LISTED_FAILURES-th failing class; the
+        # record still names the type's subset count, so the partial count
+        # reads as partial
+        r = verify_nonvanishing_conclusion(p, t, lam, a)
         assert len(r.failures) == MAX_LISTED_FAILURES
         assert (r.subsets, r.subsets_checked) == (subsets, checked)
-        assert r.subsets == math.comb(p - 1, lam[0]) * math.comb(p, lam[1])
+        assert r.subsets == math.comb(p - 1, lam[0]) * math.prod(math.comb(p, c) for c in lam[1:])
+        for subset in r.failures:
+            assert _fails(*subset, a=a, p=p, t=t)
+            assert _class_minimum(subset, p, t) == subset
+        assert len(set(r.failures)) == MAX_LISTED_FAILURES
         rec = verification_record(r)
         assert (rec["subsets"], rec["subsets_checked"]) == (subsets, checked)
 
@@ -361,23 +408,16 @@ class TestVerifyConclusion:
         ],
     )
     def test_failures_match_permutation_filter(self, p, t, lam, a):
-        # independent of the DFS: every subset of the type, every ordering
-        group = GroupConfig(p, t)
+        # independent of the DFS and of the class rule: every subset of the
+        # type, every ordering, and the failing classes' minima by brute force
         points = [(x, v) for x in range(p) for v in range(t) if (x, v) != (0, 0)]
         subsets = [
             s for s in itertools.combinations(points, len(a)) if type_of(s, t) == lam
         ]
-        expected = {
-            s
-            for s in subsets
-            if not any(
-                tuple(v for _, v in perm) == a
-                and classify_sequencing(s, perm, group) is not None
-                for perm in itertools.permutations(s)
-            )
-        }
+        expected = {_class_minimum(s, p, t) for s in subsets if _fails(*s, a=a, p=p, t=t)}
         r = verify_nonvanishing_conclusion(p, t, lam, a)
         assert r.subsets_checked == len(subsets)
+        assert r.searched == len({_class_minimum(s, p, t) for s in subsets})
         assert set(r.failures) == expected
         assert len(r.failures) == len(expected)
 
@@ -386,10 +426,9 @@ class TestVerifyConclusion:
         r = verify_nonvanishing_conclusion(5, 2, (2, 2), (0, 1, 0, 1))
         assert r.ok and (r.subsets, r.subsets_checked, r.searched) == (60, 60, 16)
         assert verification_record(r)["searched"] == 16
-        # a failing representative sends the check through every subset,
-        # and searched counts that loop too
+        # a failing class is searched once too: 6 subsets in 3 classes
         r = verify_nonvanishing_conclusion(3, 2, (1, 2), (0, 1, 1))
-        assert r.subsets_checked == 6 and r.searched > 6
+        assert not r.ok and (r.subsets, r.subsets_checked, r.searched) == (6, 6, 3)
 
 
 class TestClassRepresentatives:

@@ -15,6 +15,7 @@ from nullseq.certify import (
 )
 from nullseq.factors import product
 from nullseq.oracle import (
+    ROTATIONAL_ONLY,
     ScanReport,
     VerificationReport,
     scan_group,
@@ -244,9 +245,8 @@ class TestScanVerificationApplicability:
         for report in [
             scan_group(9, 3),
             scan_group(25, 6, count=10, seed=4),
-            scan_group(8, 3, reduce=False),
-            ScanReport(8, 4, "linear", 5, 3, ((1, 2, 3, 4), (1, 3, 5, 7)),
-                       True, False, None),
+            scan_group(8, 3, ROTATIONAL_ONLY),
+            ScanReport(8, 4, "linear", 5, 3, ((1, 2, 3, 4), (1, 3, 5, 7)), False, None),
         ]:
             rec = scan_record(report)
             assert rec["kind"] == "scan"
@@ -256,7 +256,8 @@ class TestScanVerificationApplicability:
             assert (rec["scanned"], rec["sequenceable"]) == (
                 report.scanned, report.sequenceable
             )
-            assert (rec["reduced"], rec["sampled"]) == (report.reduced, report.sampled)
+            # an exhaustive scan searches one subset per unit-multiple class
+            assert (rec["reduced"], rec["sampled"]) == (not report.sampled, report.sampled)
             assert rec["seed"] == ("" if report.seed is None else str(report.seed))
             assert rec["all_sequenceable"] is report.all_sequenceable
             assert rec["failures"] == len(report.failures)
