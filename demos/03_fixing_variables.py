@@ -13,7 +13,7 @@ collision factor touching a pinned position loses that variable (a
 difference factor drops entirely; a window factor shrinks), lowering the
 degree without giving up the conclusion — an ordering of the remaining
 positions extends to one using the pinned zeros.  Pinned positions must not
-be adjacent in the arrangement, and position 1 stays free.
+be adjacent in the arrangement.
 
 Run:  python demos/03_fixing_variables.py
 """

@@ -52,7 +52,6 @@ class SplitEvaluation:
 
     t: int
     m: int
-    row: CoverageRow
     prime_ok: bool | None  # None: factorization budget ran out
     caveat: str
     caveat_ok: bool | None  # None: needs a concrete subset
@@ -159,9 +158,7 @@ def applicability(n: int, k: int, subset=None) -> ApplicabilityResult:
                     caveat_ok = lam0 <= k - 1
                 else:
                     caveat_ok = lam0 not in row.excluded_counts
-            splits.append(
-                SplitEvaluation(t, m, row, prime_ok, row.caveat, caveat_ok, lam0)
-            )
+            splits.append(SplitEvaluation(t, m, prime_ok, row.caveat, caveat_ok, lam0))
     order = {"yes": 0, "conditional": 1, "unknown": 2, "no": 3}
     verdict = "no"
     for s in splits:

@@ -54,7 +54,7 @@ from .certify import (
 from .engine import load_checkpoint
 from .factors import FULL, REDUCED, product
 from .oracle import AUTO, scan_group, verify_nonvanishing_conclusion
-from .quotient import QuotientSequencing, bounding_degree, search_quotient
+from .quotient import search_quotient
 
 
 class UsageError(Exception):
@@ -182,21 +182,9 @@ def _cmd_qs(args) -> int:
     start = time.monotonic()
     result = search_quotient(lam, limit=args.qs_limit)
     elapsed = time.monotonic() - start
-    bdeg = bounding_degree(lam)
     records = [
-        reports.quotient_record(
-            rank=i,
-            t=len(lam),
-            lam=lam,
-            a=a,
-            b=QuotientSequencing(a, len(lam)).b,
-            degree=degree,
-            max_multiplicity=mult,
-            feasible=degree <= bdeg,
-            scanned=result.scanned,
-            elapsed=elapsed,
-        )
-        for i, (degree, mult, a) in enumerate(result.candidates)
+        reports.quotient_record(i, lam, candidate, result.scanned, elapsed=elapsed)
+        for i, candidate in enumerate(result.candidates)
     ]
     _emit(records, args)
     return 0 if any(rec["feasible"] for rec in records) else 1

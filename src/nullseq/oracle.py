@@ -273,9 +273,10 @@ def scan_group(
     Exhaustive by default, over one subset per class of unit multiples, the
     class's lexicographic minimum, generated by the rule in the module
     docstring; a failing class is listed by its minimum.  count switches to
-    sampling mode: that many random subsets (seeded, recorded in the
-    report), for n up to MAX_SAMPLED_N.  kind filters to subsets whose sum
-    permits that kind of sequencing.
+    sampling mode: that many distinct random subsets (seeded, recorded in
+    the report), for n up to MAX_SAMPLED_N; a ValueError when count * 200
+    draws find fewer.  kind filters to subsets whose sum permits that kind
+    of sequencing.
     """
     if n < 2 or not 1 <= k <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= k <= n-1, got n={n} k={k}")
@@ -308,6 +309,11 @@ def scan_group(
             attempts += 1
             if allows[sum(s) % n == 0]:
                 chosen.add(s)
+        if len(chosen) < count:
+            raise ValueError(
+                f"sampling found {len(chosen)} of the {count} distinct subsets asked "
+                f"for in {attempts} draws"
+            )
         subsets = sorted(chosen)
         used_seed = seed
     ok = 0

@@ -13,9 +13,14 @@ Shared text formats:
   omitted, and the unit values rendered ``+1`` / ``-1``;
 * point sets in Z_p x Z_t: ``x:v`` pairs, comma-separated.
 
-Certificate and case records parse back (``certificate_from_record``,
-``case_from_records``), and parsing re-runs the certificate validators, so a
-tampered record is rejected rather than trusted.  The other record kinds are
+Each record kind has one writer, fed by the object it describes: a case is
+its summary record (``case_records``) followed by one ``type_record`` per
+``TypeResult``, and ``quotient_record`` takes one ranked candidate of
+``search_quotient``.  Certificate and case records parse back
+(``certificate_from_record``, ``case_from_records``), and parsing re-runs the
+certificate validators, so a tampered record is rejected rather than
+trusted; the summary's counts and exceptional primes are defined once
+(``_summary``) for the writer and the parser.  The other record kinds are
 write-only.
 """
 
@@ -40,7 +45,7 @@ from .certify import (
 from .factors import FactorList
 from .groups import canonical_type, enumerate_types, type_orbit
 from .oracle import ScanReport, VerificationReport
-from .quotient import QuotientSequencing
+from .quotient import QuotientSequencing, bounding_degree
 
 ENGINE_VERSION = "nullseq 0.1.0"
 
@@ -210,25 +215,8 @@ def _check_entries_attempted(record: dict, cert: Certificate, attempts) -> None:
             )
 
 
-def _put_type_tail(record, attempts, orbit, derived_from) -> None:
-    """The orbit / derived_from / attempts fields every per-type record ends with."""
-    if orbit:
-        record["orbit"] = ";".join(format_exponents(lam) for lam in orbit)
-    if derived_from is not None:
-        record["derived_from"] = format_exponents(derived_from)
-    if attempts:
-        _put_attempts(record, attempts)
-
-
-def certificate_record(
-    cert: Certificate,
-    *,
-    elapsed: float | None = None,
-    attempts: tuple[AttemptRecord, ...] = (),
-    orbit: tuple[tuple[int, ...], ...] = (),
-    derived_from: tuple[int, ...] | None = None,
-) -> dict:
-    record = _base("certificate", elapsed)
+def certificate_record(cert: Certificate) -> dict:
+    record = _base("certificate", None)
     record.update(
         k=cert.k,
         t=cert.t,
@@ -245,7 +233,6 @@ def certificate_record(
         record[f"entry{i}_monomial"] = format_exponents(entry.monomial)
         record[f"entry{i}_coefficient"] = str(entry.coefficient)
         record[f"entry{i}_factorization"] = format_factorization(entry.factorization)
-    _put_type_tail(record, attempts, orbit, derived_from)
     return record
 
 
@@ -272,66 +259,41 @@ def certificate_from_record(record: dict) -> Certificate:
     )
 
 
-def unresolved_record(
-    k: int,
-    t: int,
-    lam: tuple[int, ...],
-    reason: str,
-    *,
-    elapsed: float | None = None,
-    attempts: tuple[AttemptRecord, ...] = (),
-    orbit: tuple[tuple[int, ...], ...] = (),
-    derived_from: tuple[int, ...] | None = None,
-) -> dict:
-    record = _base("unresolved", elapsed)
-    record.update(
-        k=k,
-        t=t,
-        lam=format_exponents(lam),
-        reason=reason,
-    )
-    _put_type_tail(record, attempts, orbit, derived_from)
+def type_record(k: int, t: int, result: TypeResult) -> dict:
+    """The record of one type of a case: its certificate record, or an
+    unresolved record with the reason, then its orbit, the representative
+    it is derived from (if any) and its attempts (if any)."""
+    if result.certificate is not None:
+        record = certificate_record(result.certificate)
+    else:
+        record = _base("unresolved", None)
+        record.update(k=k, t=t, lam=format_exponents(result.lam), reason=result.reason)
+    record["orbit"] = ";".join(format_exponents(lam) for lam in result.orbit)
+    if result.derived_from is not None:
+        record["derived_from"] = format_exponents(result.derived_from)
+    if result.attempts:
+        _put_attempts(record, result.attempts)
     return record
 
 
-def case_records(report: CaseReport, *, elapsed: float | None = None) -> list[dict]:
-    """One summary record followed by one record per type."""
-    certified = sum(1 for r in report.results if r.certificate is not None)
-    summary = _base("case", elapsed)
-    summary.update(
-        k=report.k,
-        t=report.t,
+def _summary(report: CaseReport) -> dict:
+    """The fields of a case summary record, as its type results give them."""
+    certified = len(report.certificates())
+    return dict(
         types=len(report.results),
         certified=certified,
         unresolved=len(report.results) - certified,
         complete=report.complete,
         exceptional=format_exponents(report.exceptional),
     )
-    records = [summary]
-    for result in report.results:
-        orbit = result.orbit
-        if result.certificate is not None:
-            records.append(
-                certificate_record(
-                    result.certificate,
-                    attempts=result.attempts,
-                    orbit=orbit,
-                    derived_from=result.derived_from,
-                )
-            )
-        else:
-            records.append(
-                unresolved_record(
-                    report.k,
-                    report.t,
-                    result.lam,
-                    result.reason,
-                    attempts=result.attempts,
-                    orbit=orbit,
-                    derived_from=result.derived_from,
-                )
-            )
-    return records
+
+
+def case_records(report: CaseReport, *, elapsed: float | None = None) -> list[dict]:
+    """The summary record (k, t and _summary's counts and exceptional
+    primes), then one type_record per type."""
+    summary = _base("case", elapsed)
+    summary.update(k=report.k, t=report.t, **_summary(report))
+    return [summary] + [type_record(report.k, report.t, r) for r in report.results]
 
 
 def case_from_records(records: Iterable[dict]) -> CaseReport:
@@ -399,14 +361,7 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
                 f"its representative {format_exponents(rep)} transferred to it"
             )
     report = CaseReport(k=k, t=t, results=tuple(results))
-    certified = len(report.certificates())
-    parsed = dict(
-        types=len(results),
-        certified=certified,
-        unresolved=len(results) - certified,
-        complete=report.complete,
-        exceptional=format_exponents(report.exceptional),
-    )
+    parsed = _summary(report)
     declared = {name: summary.get(name) for name in parsed}
     if declared != parsed:
         raise ValueError(f"case summary says {declared} but its type records give {parsed}")
@@ -460,28 +415,27 @@ def coefficient_record(
 
 
 def quotient_record(
-    *,
     rank: int,
-    t: int,
     lam: tuple[int, ...],
-    a: tuple[int, ...],
-    b: tuple[int, ...],
-    degree: int,
-    max_multiplicity: int,
-    feasible: bool,
+    candidate: tuple[int, int, tuple[int, ...]],
     scanned: int,
+    *,
     elapsed: float | None = None,
 ) -> dict:
+    """The record of one ranked (degree, max multiplicity, a) candidate of
+    search_quotient for the type lam; feasible when its degree is at most
+    the type's bounding degree."""
+    degree, max_multiplicity, a = candidate
     record = _base("quotient", elapsed)
     record.update(
         rank=rank,
-        t=t,
+        t=len(lam),
         lam=format_exponents(lam),
         a=format_exponents(a),
-        b=format_exponents(b),
+        b=format_exponents(QuotientSequencing(a, len(lam)).b),
         degree=degree,
         max_multiplicity=max_multiplicity,
-        feasible=feasible,
+        feasible=degree <= bounding_degree(lam),
         scanned=scanned,
     )
     return record

@@ -363,6 +363,20 @@ class TestScan:
         code, recs, err = run_cli(["scan", "--n", "25", "--k", "6", "--count", "0"])
         assert code == 2 and not recs and "at least 1" in err
 
+    @pytest.mark.parametrize("argv, found, asked, draws", [
+        (["--n", "25", "--k", "1", "--count", "5"], 0, 5, 1000),
+        (["--n", "26", "--k", "2", "--count", "50"], 12, 50, 10000),
+    ])
+    def test_short_sample_is_usage_error(self, argv, found, asked, draws):
+        # a rotational subset sums to zero: Z_25 has no such singleton and
+        # Z_26 twelve pairs, so the sample used to pass on what it found
+        code, recs, err = run_cli(["scan", *argv, "--kind", "rotational"])
+        assert code == 2 and not recs
+        assert err.splitlines() == [
+            f"nullseq: error: sampling found {found} of the {asked} distinct "
+            f"subsets asked for in {draws} draws"
+        ]
+
 
 class TestVerify:
     def test_ok(self):

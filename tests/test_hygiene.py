@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: every import is used, every
-private helper in the package is used, and every demo runs."""
+private helper in the package is used, and every demo and the benchmark's
+smoke check run."""
 
 import argparse
 import ast
@@ -160,3 +161,13 @@ def test_demo_runs(path):
     proc = subprocess.run([sys.executable, str(path)], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_smoke():
+    # runs perfbench/run.py with and without tracing on small jobs, so a
+    # function perfbench/layers.py patches, or a record key a workload's
+    # gate reads, cannot change without this failing
+    proc = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "benchmark smoke check passed"

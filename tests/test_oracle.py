@@ -289,6 +289,16 @@ class TestScanGroup:
         with pytest.raises(ValueError, match="unknown mode"):
             scan_group(25, 6, kind="bogus", count=5)
 
+    def test_short_sample_refused(self):
+        # the rotational filter keeps only zero-sum subsets: no nonzero
+        # singleton of Z_25, and the 12 pairs {x, 26 - x} of Z_26
+        with pytest.raises(ValueError, match="found 0 of the 5 .* in 1000 draws"):
+            scan_group(25, 1, ROTATIONAL_ONLY, count=5)
+        with pytest.raises(ValueError, match="found 12 of the 50 .* in 10000 draws"):
+            scan_group(26, 2, ROTATIONAL_ONLY, count=50)
+        full = scan_group(26, 2, ROTATIONAL_ONLY, count=12)
+        assert full.scanned == 12 and full.failures == ()
+
     @pytest.mark.parametrize("count", [0, -3])
     def test_sampling_needs_a_positive_count(self, count):
         # an empty sample would report every subset sequenceable

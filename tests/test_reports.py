@@ -6,9 +6,13 @@ import pytest
 from nullseq import certify
 from nullseq.applicability import applicability
 from nullseq.certify import (
+    AttemptRecord,
     CaseConfig,
+    Certificate,
+    CertificateEntry,
     CoefficientResult,
     Factorization,
+    TypeResult,
     assemble_case,
     certify_type,
     factorize,
@@ -21,7 +25,7 @@ from nullseq.oracle import (
     scan_group,
     verify_nonvanishing_conclusion,
 )
-from nullseq.quotient import QuotientSequencing, search_quotient
+from nullseq.quotient import search_quotient
 from nullseq.reports import (
     ENGINE_VERSION,
     applicability_record,
@@ -40,7 +44,7 @@ from nullseq.reports import (
     quotient_record,
     read_records,
     scan_record,
-    unresolved_record,
+    type_record,
     verification_record,
     write_records,
 )
@@ -138,19 +142,75 @@ class TestCertificateRecords:
 
     def test_orbit_and_derivation_fields(self):
         cert = self.certificate()
-        rec = certificate_record(
-            cert, orbit=((3, 2), (2, 3)), derived_from=(2, 3)
-        )
+        result = TypeResult((3, 2), ((3, 2), (2, 3)), cert, None, (), derived_from=(2, 3))
+        rec = type_record(5, 2, result)
         assert rec["orbit"] == "3,2;2,3"
         assert rec["derived_from"] == "2,3"
+        assert "attempts" not in rec
+        assert certificate_from_record(rec) == cert
 
     def test_unresolved_round_trip_via_case(self):
-        rec = unresolved_record(
-            5, 2, (3, 2), "every candidate monomial tried had coefficient zero"
+        result = TypeResult(
+            (3, 2), ((3, 2),), None,
+            "every candidate monomial tried had coefficient zero", (),
         )
+        rec = type_record(5, 2, result)
         assert rec["kind"] == "unresolved"
-        assert rec["lam"] == "3,2"
+        assert (rec["k"], rec["t"], rec["lam"], rec["orbit"]) == (5, 2, "3,2", "3,2")
         assert "zero" in rec["reason"]
+        assert "derived_from" not in rec and "attempts" not in rec
+
+    def test_type_record_fields(self):
+        # every field of the three shapes a type record takes
+        base = {"engine": ENGINE_VERSION}
+        unresolved = TypeResult(
+            (9, 0), ((9, 0),), None,
+            "work budget exhausted before a nonzero coefficient was found",
+            (AttemptRecord((0,) * 9, (), None, "skipped-degree",
+                           note="degree 71 above budget 60"),),
+        )
+        assert type_record(9, 2, unresolved) == dict(
+            base, kind="unresolved", k=9, t=2, lam="9,0", orbit="9,0",
+            reason="work budget exhausted before a nonzero coefficient was found",
+            attempts=1, attempt0_a="0,0,0,0,0,0,0,0,0", attempt0_fixes="",
+            attempt0_monomial="", attempt0_outcome="skipped-degree",
+            attempt0_coefficient="", attempt0_note="degree 71 above budget 60",
+        )
+        computed = TypeResult(
+            (4, 1), ((4, 1),),
+            Certificate(5, 2, (4, 1), (0, 0, 1, 0, 0), (1, 3), "full", 5,
+                        (0, 2, 0, 2, 2),
+                        (CertificateEntry((0, 2, 0, 1, 2), -1, Factorization(-1, ())),),
+                        ()),
+            None,
+            (AttemptRecord((0, 0, 1, 0, 0), (1, 3), (0, 1, 0, 2, 2), "zero", 0),
+             AttemptRecord((0, 0, 1, 0, 0), (1, 3), (0, 2, 0, 1, 2), "nonzero", -1)),
+        )
+        certificate = dict(base, kind="certificate", k=5, t=2, variant="full")
+        assert type_record(5, 2, computed) == dict(
+            certificate, lam="4,1", a="0,0,1,0,0", fixes="1,3", degree=5,
+            bound="0,2,0,2,2", exceptional="", entries=1,
+            entry0_monomial="0,2,0,1,2", entry0_coefficient="-1",
+            entry0_factorization="-1", orbit="4,1", attempts=2,
+            attempt0_a="0,0,1,0,0", attempt0_fixes="1,3",
+            attempt0_monomial="0,1,0,2,2", attempt0_outcome="zero",
+            attempt0_coefficient="0", attempt0_note="",
+            attempt1_a="0,0,1,0,0", attempt1_fixes="1,3",
+            attempt1_monomial="0,2,0,1,2", attempt1_outcome="nonzero",
+            attempt1_coefficient="-1", attempt1_note="",
+        )
+        derived = TypeResult(
+            (1, 0, 1), ((1, 0, 1), (1, 1, 0)),
+            Certificate(2, 3, (1, 0, 1), (0, 2), (1,), "full", 0, (0, 0),
+                        (CertificateEntry((0, 0), 1, Factorization(1, ())),), ()),
+            None, (), derived_from=(1, 1, 0),
+        )
+        assert type_record(2, 3, derived) == dict(
+            certificate, k=2, t=3, lam="1,0,1", a="0,2", fixes="1", degree=0,
+            bound="0,0", exceptional="", entries=1, entry0_monomial="0,0",
+            entry0_coefficient="1", entry0_factorization="+1",
+            orbit="1,0,1;1,1,0", derived_from="1,1,0",
+        )
 
 
 class TestCaseRecords:
@@ -222,22 +282,15 @@ class TestCoefficientAndQuotientRecords:
 
     def test_quotient_record_shape(self):
         res = search_quotient((3, 2), limit=10)
-        degree, mult, a = res.candidates[0]
-        rec = quotient_record(
-            rank=0,
-            t=2,
-            lam=(3, 2),
-            a=a,
-            b=QuotientSequencing(a, 2).b,
-            degree=degree,
-            max_multiplicity=mult,
-            feasible=True,
-            scanned=res.scanned,
-        )
+        rec = quotient_record(0, (3, 2), res.candidates[0], res.scanned)
         assert rec["kind"] == "quotient"
         assert rec["a"] == "0,1,0,0,1"
         assert rec["degree"] == 6
+        assert (rec["t"], rec["b"], rec["feasible"]) == (2, "0,0,1,1,1,0", True)
         json.loads(dumps_record(rec))
+        # degree 10 is above the bounding degree 3*2 + 2*1 = 8
+        last = quotient_record(9, (3, 2), res.candidates[9], res.scanned)
+        assert (last["degree"], last["feasible"]) == (10, False)
 
 
 class TestScanVerificationApplicability:
