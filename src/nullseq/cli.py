@@ -14,7 +14,10 @@ Output is line-delimited JSON on stdout (or ``--output``).  Exit status:
 0 success, 1 for unresolved/failed cases, 2 for usage errors (an
 ``--output`` or ``--checkpoint-dir`` that cannot be written among them,
 refused before any work starts), 141 when stdout is closed before the
-records are written (as by ``| head``).
+records are written (as by ``| head``).  ``main`` may be called again and
+again inside another program: it builds its parser once per process, on
+the first call (``build_parser`` is cached), and each call parses into a
+fresh namespace.
 
 Settings come from flags only: a flag given overrides the default of the
 ``CaseConfig`` field or the parameter it names, and a flag left out is not
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -260,7 +264,15 @@ def _cmd_table1(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    It holds no per-call state: its defaults are immutable and each
+    parse_args returns a fresh namespace.  The _cmd_* handlers and
+    RANKED_BLOCK (the default of qs --qs-limit) are bound when it is
+    first built.
+    """
     # shared flags, each given only to the subcommands that read it
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default="-", help="write records here ('-' = stdout)")

@@ -374,9 +374,9 @@ def _type_pools(group, lam):
     residue = _residue_map(group)
     pools_space = []
     for v in range(group.t):
-        universe = [(x, v) for x in range(v == 0, group.p)]  # (0, 0) is the identity
-        choices = itertools.combinations(universe, lam[v])
-        pools_space.append([tuple(map(residue, pool)) for pool in choices])
+        # (0, 0) is the identity
+        residues = [residue((x, v)) for x in range(v == 0, group.p)]
+        pools_space.append(list(itertools.combinations(residues, lam[v])))
     return pools_space, [list(map(sum, pools)) for pools in pools_space]
 
 
@@ -393,18 +393,17 @@ def _stabilizer(pools, fixing, elements):
     return size
 
 
-def _class_representatives(group, lam, pools_space, sums_space):
+def _class_representatives(group, lam, pools_space, sums_space, elements):
     """One subset of type lam per class of first-coordinate unit multiples.
 
     Yields (residue pools, their unreduced residue sum, class size) for the
     lexicographic minimum of each class, by the rule in the module
-    docstring; the spaces are those of _type_pools(group, lam).  The class
-    size is (p - 1) / |stabilizer|, and the stabilizer lies among the units
-    that fix pool w.
+    docstring; the spaces are those of _type_pools(group, lam) and elements
+    is _elements(group).  The class size is (p - 1) / |stabilizer|, and the
+    stabilizer lies among the units that fix pool w.
     """
     p, t = group.p, group.t
     residue = _residue_map(group)
-    elements = _elements(group)
     inverse = [None, None, *([pow(s, -1, p) * x % p for x in range(p)] for s in range(2, p))]
     head, head_sum = (), 0  # the pools before w, each holding only 0 or nothing
     for w in range(t):
@@ -435,7 +434,8 @@ def verify_nonvanishing_conclusion(
     whose partial sums are all distinct (with the usual closing allowance
     for zero-sum subsets).  Certificates assert such an ordering exists
     whenever they are valid for p.  A type with more than max_subsets
-    subsets is refused with ValueError, not checked in part.
+    subsets (at least 1 when given) is refused with ValueError, not checked
+    in part.
 
     (x, v) -> (u*x, v) with u a unit mod p is an automorphism that keeps
     the type, a and the distinctness of partial sums, so the members of a
@@ -445,6 +445,8 @@ def verify_nonvanishing_conclusion(
     MAX_LISTED_FAILURES-th failing class, and the report's subsets, the
     type's subset count, shows how far it got.
     """
+    if max_subsets is not None and max_subsets < 1:
+        raise ValueError(f"max_subsets must be at least 1, got {max_subsets}")
     group = GroupConfig(p, t)
     lam = tuple(lam)
     a = tuple(a)
@@ -478,7 +480,8 @@ def verify_nonvanishing_conclusion(
     element = _elements(group)
     checked = searched = 0
     failures = []
-    for pools, pools_sum, size in _class_representatives(group, lam, pools_space, sums_space):
+    representatives = _class_representatives(group, lam, pools_space, sums_space, element)
+    for pools, pools_sum, size in representatives:
         searched += 1
         checked += size
         if not _search(slots(pools), pools_sum % n, n, False):

@@ -402,6 +402,16 @@ class TestVerify:
         code, recs, _ = run_cli(argv)
         assert code == 1 and recs[0]["ok"] is False
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_nonpositive_max_subsets_is_usage_error(self, cap):
+        # every type used to be refused for having more than max_subsets subsets
+        code, recs, err = run_cli(
+            ["verify", "--p", "7", "--t", "2", "--lambda", "2,1", "--a", "0,0,1",
+             "--max-subsets", cap]
+        )
+        assert code == 2 and not recs
+        assert err.splitlines() == [f"nullseq: error: max_subsets must be at least 1, got {cap}"]
+
     def test_failing_classes_listed_by_minimum(self):
         # every one of the 70 classes is searched and 19 fail; each is
         # listed once, by its least member
@@ -593,6 +603,55 @@ class TestUsageAndSettings:
         assert dests - {"help", "k", "t", "output"} == {
             field.name for field in dataclasses.fields(CaseConfig)
         }
+
+
+class TestOneParserPerProcess:
+    # each call with its neighbours: a call after an argparse SystemExit, one
+    # after an exit-2 usage error, and defaults read after a call that gave
+    # the flag (qs --qs-limit, scan --seed)
+    CALLS = [
+        ["prove", "--k", "3", "--t", "2"],
+        ["scan", "--n", "9", "--k", "3", "--bogus"],
+        ["coeff", "--k", "4", "--monomial", "2,3,3,3"],
+        ["qs", "--lambda", "3;2"],
+        ["qs", "--lambda", "3,2", "--qs-limit", "2"],
+        ["qs", "--lambda", "3,2"],
+        ["scan", "--n", "25", "--k", "6", "--count", "5", "--seed", "4"],
+        ["scan", "--n", "9", "--k", "3"],
+        ["verify", "--p", "7", "--t", "2", "--lambda", "2,1", "--a", "0,0,1",
+         "--max-subsets", "0"],
+        ["verify", "--p", "5", "--t", "2", "--lambda", "3,2", "--a", "0,1,0,0,1"],
+        ["applicable", "--n", "100", "--k", "5"],
+        ["table1", "--name", "worked-3-2"],
+    ]
+
+    @staticmethod
+    def _outcome(code, stdout_lines, stderr):
+        records = [loads_record(line) for line in stdout_lines if line.strip()]
+        for record in records:
+            record.pop("elapsed", None)
+        return code, records, stderr
+
+    def test_back_to_back_calls_match_fresh_processes(self):
+        assert build_parser() is build_parser()
+        in_process = []
+        for argv in self.CALLS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            in_process.append(self._outcome(code, out.getvalue().splitlines(), err.getvalue()))
+        assert {argv[0] for argv in self.CALLS} == {
+            "prove", "coeff", "qs", "scan", "verify", "applicable", "table1"
+        }
+        assert [outcome[0] for outcome in in_process] == [0, 2, 0, 2, 0, 0, 0, 0, 2, 0, 0, 0]
+        for argv, outcome in zip(self.CALLS, in_process):
+            proc = subprocess.run([sys.executable, "-m", "nullseq", *argv],
+                                  capture_output=True, text=True, timeout=120)
+            alone = self._outcome(proc.returncode, proc.stdout.splitlines(), proc.stderr)
+            assert outcome == alone, argv
 
 
 class TestModuleEntrypoint:

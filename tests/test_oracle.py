@@ -28,6 +28,7 @@ from nullseq.oracle import (
     _class_representatives,
     _elements,
     _kind_allows,
+    _residue_map,
     _type_pools,
     all_sequencings,
     canonical_subset,
@@ -472,7 +473,8 @@ class TestClassRepresentatives:
         )
         elements = _elements(group)
         found = {}
-        for pools, pools_sum, size in _class_representatives(group, lam, *_type_pools(group, lam)):
+        spaces = _type_pools(group, lam)
+        for pools, pools_sum, size in _class_representatives(group, lam, *spaces, elements):
             assert pools_sum == sum(map(sum, pools))
             key = tuple(tuple(sorted(elements[r][0] for r in pool)) for pool in pools)
             assert key not in found
@@ -488,9 +490,43 @@ class TestClassRepresentatives:
             group = GroupConfig(job["p"], job["t"])
             lam = tuple(map(int, job["lam"].split(",")))
             spaces = _type_pools(group, lam)
-            sizes = [size for *_, size in _class_representatives(group, lam, *spaces)]
+            representatives = _class_representatives(group, lam, *spaces, _elements(group))
+            sizes = [size for *_, size in representatives]
             assert sum(sizes) == job["subsets"] == math.prod(map(len, spaces[0])), job
             assert all((job["p"] - 1) % size == 0 for size in sizes)
+
+
+class TestTypePools:
+    @pytest.mark.parametrize(
+        "p, t, lam",
+        [
+            (2, 3, (1, 1, 1)),
+            (3, 2, (0, 3)),
+            (5, 2, (0, 0)),
+            (5, 2, (4, 1)),
+            # pool 1 can hold only 0 in a class minimum before pool 2
+            (5, 3, (0, 1, 3)),
+            (5, 4, (0, 1, 0, 2)),
+            (7, 3, (1, 2, 2)),
+            (11, 2, (3, 2)),
+        ],
+    )
+    def test_spaces_are_the_element_pools_as_residues(self, p, t, lam):
+        # each pool space is every pool of (x, v) elements, the identity left
+        # out, mapped to residues mod pt, in first-coordinate order
+        group = GroupConfig(p, t)
+        residue = _residue_map(group)
+        pools_space, sums_space = _type_pools(group, lam)
+        assert pools_space == [
+            [
+                tuple(map(residue, pool))
+                for pool in itertools.combinations(
+                    [(x, v) for x in range(v == 0, p)], lam[v]
+                )
+            ]
+            for v in range(t)
+        ]
+        assert sums_space == [[sum(pool) for pool in pools] for pools in pools_space]
 
 
 class TestOracleAgainstItself:
