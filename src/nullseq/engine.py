@@ -50,15 +50,17 @@ Array kernel.  A job whose term dict grows past BIG_STEP_TERMS (2**16) live
 terms moves, before its next step, to a pair of numpy arrays and stays there
 to the end: uint64 keys with 4-bit lanes (the digit of x_v at bits
 4(v - 1)), sorted, and a coefficient column.  It moves only when k <= 16 and
-every cap is at most 15, so each digit fits its lane.  A step counts, per
-term, how many of the factor's digits are below their thresholds; branch j
-keeps the terms whose digit j is below its cap and whose count equals
-[digit j below threshold], which is _successors' rule, so both kernels keep
-the same live terms.  Each branch's keys are the sorted keys plus one
-increment, so they stay sorted and distinct.  The branches are folded into a
-sorted accumulator one at a time: searchsorted finds each branch key's slot,
-coefficients of keys already there are added in place, the rest are put in
-with np.insert, and zeros are dropped once per step.  The column starts as
+every cap is at most 15, so each digit fits its lane.  A step marks, in a
+uint16 mask per term, the branches the term keeps: branch j keeps it when
+its digit j is below its cap and the number of the factor's digits below
+their thresholds equals [digit j below threshold], which is _successors'
+rule, so both kernels keep the same live terms.  Each branch's keys are the
+sorted keys plus one increment, so they stay sorted and distinct.  The
+output keys are cut into ranges at every MERGE_RANGE-th input key (2**13);
+per range, the branches' slices are concatenated and stably sorted, equal
+keys are summed with np.add.reduceat and zeros are dropped, and the ranges
+are concatenated in order.  So no step copies a whole array once per branch,
+and its sort temporaries are bounded by a range.  The column starts as
 int64.  Each new coefficient sums at most len(factor) old ones, so before a
 step with max|c| * len(factor) >= 2**63 the column is converted once to
 object dtype, exact Python ints, which the same merge handles.  Results and
@@ -79,11 +81,11 @@ from dataclasses import dataclass, field
 
 from .factors import FactorList
 
-CHECKPOINT_MAGIC = b"NSEQCKP3"
+CHECKPOINT_MAGIC = b"NSEQCKP4"
 # refused on load: NSEQCKP1 has no plan_hash; NSEQCKP2 counts factor_index
-# in canonical order and hashes unclamped caps.  An NSEQCKP3 file saved while
-# the engine chose its own factor order loads but fails the plan_hash check.
-_OLD_MAGICS = (b"NSEQCKP1", b"NSEQCKP2")
+# in canonical order and hashes unclamped caps; NSEQCKP3 has no digest, so a
+# damaged coefficient in it would resume into a wrong number.
+_OLD_MAGICS = (b"NSEQCKP1", b"NSEQCKP2", b"NSEQCKP3")
 
 
 def pack(exponents) -> int:
@@ -116,9 +118,6 @@ class SparsePolynomial:
         """Yield (exponent tuple, coefficient) sorted by packed key."""
         for key in sorted(self.terms):
             yield unpack(key, self.k), self.terms[key]
-
-    def to_tuple_dict(self) -> dict[tuple[int, ...], int]:
-        return {unpack(key, self.k): c for key, c in self.terms.items()}
 
 
 @dataclass
@@ -153,24 +152,32 @@ class OpCapExceeded(EngineAbort):
 def save_checkpoint(path, cp: EngineCheckpoint) -> None:
     """Binary, deterministic (keys sorted), round-trips bit-exactly.
 
-    The file is written next to path, synced to disk and only then
-    renamed into place, so a crash, of the process or of the OS, leaves
-    either the old file or the complete new one.
+    The magic is followed by a header, the terms and a SHA-256 digest of
+    the header and the terms, which load_checkpoint checks.  The file is
+    written next to path, synced to disk and only then renamed into place,
+    so a crash, of the process or of the OS, leaves either the old file or
+    the complete new one.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
+            digest = hashlib.sha256()
+
+            def write(data: bytes) -> None:
+                digest.update(data)
+                fh.write(data)
+
             fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<BIQB", cp.k, cp.factor_index, len(cp.terms),
-                                 len(cp.plan_hash)))
-            fh.write(cp.plan_hash)
+            write(struct.pack("<BIQB", cp.k, cp.factor_index, len(cp.terms),
+                              len(cp.plan_hash)))
+            write(cp.plan_hash)
             for key in sorted(cp.terms):
                 coef = cp.terms[key]
                 mag = abs(coef)
                 mb = mag.to_bytes(max(1, (mag.bit_length() + 7) // 8), "little")
-                fh.write(key.to_bytes(cp.k, "little"))
-                fh.write(struct.pack("<BI", 1 if coef < 0 else 0, len(mb)))
-                fh.write(mb)
+                write(key.to_bytes(cp.k, "little")
+                      + struct.pack("<BI", 1 if coef < 0 else 0, len(mb)) + mb)
+            fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -181,15 +188,10 @@ def save_checkpoint(path, cp: EngineCheckpoint) -> None:
 
 
 def load_checkpoint(path) -> EngineCheckpoint:
-    """Read a checkpoint; a wrong magic, a short read or trailing bytes raise ValueError."""
+    """Read a checkpoint; a wrong magic, a short read, trailing bytes or a
+    digest that does not match raise ValueError, so no term of a damaged
+    file reaches a resume."""
     with open(path, "rb") as fh:
-
-        def read(n: int) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"{path} is truncated")
-            return data
-
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic in _OLD_MAGICS:
             raise ValueError(
@@ -198,6 +200,19 @@ def load_checkpoint(path) -> EngineCheckpoint:
             )
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not an engine checkpoint")
+        left = os.fstat(fh.fileno()).st_size - len(magic)
+        digest = hashlib.sha256()
+
+        def read(n: int) -> bytes:
+            nonlocal left
+            # checked before reading, so a damaged length allocates nothing
+            if n > left:
+                raise ValueError(f"{path} is truncated")
+            left -= n
+            data = fh.read(n)
+            digest.update(data)
+            return data
+
         k, factor_index, count, hash_len = struct.unpack("<BIQB", read(14))
         plan_hash = read(hash_len)
         terms: dict[int, int] = {}
@@ -206,8 +221,13 @@ def load_checkpoint(path) -> EngineCheckpoint:
             neg, mlen = struct.unpack("<BI", read(5))
             mag = int.from_bytes(read(mlen), "little")
             terms[key] = -mag if neg else mag
+        stored = fh.read(digest.digest_size)
+        if len(stored) != digest.digest_size:
+            raise ValueError(f"{path} is truncated")
         if fh.read(1):
             raise ValueError(f"{path} has trailing bytes after {count} terms")
+        if stored != digest.digest():
+            raise ValueError(f"{path} is damaged: its SHA-256 digest does not match")
         return EngineCheckpoint(k, factor_index, terms, plan_hash)
 
 
@@ -251,6 +271,9 @@ def _factor_plan(fl: FactorList, bound, target):
 # outweighs importing numpy (about 12 MB), so it is where a job moves to the
 # array kernel.
 BIG_STEP_TERMS = 1 << 16
+# an array step merges its branches per range of output keys, cut at every
+# MERGE_RANGE-th input key, so its sort temporaries are bounded by a range
+MERGE_RANGE = 1 << 13
 # the array coefficient column is int64 while max|c| * len(factor) is below this
 INT64_LIMIT = 1 << 63
 
@@ -360,45 +383,60 @@ def _to_dict(keys, coefs, k: int) -> dict[int, int]:
 
 
 def _array_step(fac, keys, coefs):
-    """_dict_step on sorted arrays: the same successors, one branch at a time.
+    """_dict_step on sorted arrays: the same successors, merged per key range.
 
     A term keeps branch j when its digit d_j is below cap_j and the number
     of the factor's digits below their thresholds equals [d_j < thr_j]:
-    _successors' rule.  Adding a branch's increment keeps its keys sorted
-    and distinct, so each key that the accumulator holds has one slot, found
-    by searchsorted and added to in place; the rest are inserted there.
-    Zero coefficients are dropped once, after the last branch.
+    _successors' rule.  Bit j of a uint16 mask per term records it (a factor
+    has at most k <= 16 terms).  Output keys are cut into ranges at every
+    MERGE_RANGE-th input key; branch j's inputs for a range are the input
+    keys in the range shifted down by its increment, found by searchsorted.
+    Each range concatenates its branch slices, which are sorted runs, sorts
+    them with one stable argsort, sums equal keys with np.add.reduceat
+    (which serves the object column too) and drops zeros, so the sort's
+    temporaries are bounded by a range, not by the whole output.
     """
     import numpy as np
 
-    digits = [(keys >> (shift // 2)).astype(np.uint8) & 15 for shift, *_ in fac]
-    nbelow = np.zeros(len(keys), np.uint8)
-    for d, (_, _, thr, _) in zip(digits, fac):
-        nbelow += d < thr
-    acc_keys, acc_coefs = keys[:0], coefs[:0]
-    for d, (shift, sign, thr, cap) in zip(digits, fac):
-        keep = (d < cap) & (nbelow == (d < thr))
-        more_keys = keys[keep] + (1 << shift // 2)
-        more = coefs[keep]
-        del keep  # temporaries go before the next large allocation
-        if sign < 0:
-            np.negative(more, out=more)
-        if not len(acc_keys):
-            acc_keys, acc_coefs = more_keys, more
-            continue
-        pos = np.searchsorted(acc_keys, more_keys)
-        hit = acc_keys.take(pos, mode="clip") == more_keys
-        acc_coefs[pos[hit]] += more[hit]
-        miss = ~hit
-        at = pos[miss]
-        del hit, pos
-        acc_coefs = np.insert(acc_coefs, at, more[miss])
-        del more
-        acc_keys = np.insert(acc_keys, at, more_keys[miss])
-    nonzero = acc_coefs != 0
-    if nonzero.all():
-        return acc_keys, acc_coefs
-    return acc_keys[nonzero], acc_coefs[nonzero]
+    n = len(keys)
+    keep = np.zeros(n, np.uint16)  # bit j: d_j < cap_j
+    below = np.zeros(n, np.uint16)  # bit j: d_j < thr_j
+    for j, (shift, _, thr, cap) in enumerate(fac):
+        d = (keys >> (shift // 2)).astype(np.uint8) & 15
+        keep |= (d < cap).astype(np.uint16) << j
+        below |= (d < thr).astype(np.uint16) << j
+    # no digit below its threshold: every branch may live; one: only its
+    # own; two or more (below is not a power of two): none
+    keep &= np.where(below == 0, np.uint16(0xFFFF), below)
+    keep[(below & (below - 1)) != 0] = 0
+    del below, d
+    cuts = keys[MERGE_RANGE::MERGE_RANGE]
+    branches = []
+    for j, (shift, sign, _, _) in enumerate(fac):
+        inc = np.uint64(1 << shift // 2)
+        # a cut below the increment takes no input; clamp, since uint64 wraps
+        starts = np.searchsorted(keys, np.maximum(cuts, inc) - inc).tolist()
+        branches.append((np.uint16(1 << j), inc, sign, [0, *starts, n]))
+    out_keys, out_coefs = [], []
+    for r in range(len(cuts) + 1):
+        run_keys, run_coefs = [], []
+        for bit, inc, sign, bounds in branches:
+            lo, hi = bounds[r], bounds[r + 1]
+            sel = (keep[lo:hi] & bit).astype(bool)
+            run_keys.append(keys[lo:hi][sel] + inc)
+            more = coefs[lo:hi][sel]
+            run_coefs.append(-more if sign < 0 else more)
+        merged = np.concatenate(run_keys)
+        order = merged.argsort(kind="stable")
+        merged = merged[order]
+        first = np.ones(len(merged), bool)
+        np.not_equal(merged[1:], merged[:-1], out=first[1:])
+        at = np.flatnonzero(first)
+        sums = np.add.reduceat(np.concatenate(run_coefs)[order], at)
+        nonzero = sums != 0
+        out_keys.append(merged[at[nonzero]])
+        out_coefs.append(sums[nonzero])
+    return np.concatenate(out_keys), np.concatenate(out_coefs)
 
 
 def _as_dict(terms, k: int) -> dict[int, int]:

@@ -23,6 +23,7 @@ from nullseq.engine import (
     multiply_factors,
     naive_expand,
     save_checkpoint,
+    unpack,
 )
 from nullseq.factors import bounding_monomial, build_p, build_q
 from nullseq.groups import enumerate_types
@@ -119,11 +120,11 @@ def test_criterion_4_engine_oracle_equivalence():
         pruned = multiply_factors(fl, bound=bound)
         naive = naive_expand(fl)
         expected = {
-            exps: c
-            for exps, c in naive.to_tuple_dict().items()
-            if all(e <= b for e, b in zip(exps, bound))
+            key: c
+            for key, c in naive.terms.items()
+            if all(e <= b for e, b in zip(unpack(key, fl.k), bound))
         }
-        assert pruned.to_tuple_dict() == expected
+        assert pruned.terms == expected
         compared += 1
     assert time.monotonic() - start < 60
 

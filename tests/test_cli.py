@@ -126,6 +126,28 @@ class TestCoeff:
         code, recs, _ = run_cli(base + own + ["--resume", ckpt])
         assert code == 0 and recs[0]["coefficient"] == "3120"
 
+    def test_damaged_checkpoint_is_usage_error(self, tmp_path):
+        # without a digest this flip resumed to 322317 with exit 0; the
+        # catalog's 5-5-b coefficient is 323285
+        argv = ["coeff", "--k", "10", "--t", "2", "--lambda", "5,5",
+                "--a", "0,1,0,1,0,1,0,1,0,1", "--monomial", "4,4,4,4,4,4,4,4,4,4"]
+        code, recs, _ = run_cli(
+            argv + ["--op-cap", "20000", "--checkpoint-dir", str(tmp_path)]
+        )
+        assert code == 1 and recs[0]["outcome"] == "aborted"
+        ckpt = recs[0]["checkpoint"]
+        with open(ckpt, "rb") as fh:
+            data = fh.read()
+        with open(ckpt, "wb") as fh:
+            fh.write(data[:-1] + bytes([data[-1] ^ 1]))
+        code, recs, err = run_cli(argv + ["--resume", ckpt])
+        assert code == 2 and not recs
+        assert "digest" in err
+        with open(ckpt, "wb") as fh:
+            fh.write(data)
+        code, recs, _ = run_cli(argv + ["--resume", ckpt])
+        assert code == 0 and recs[0]["coefficient"] == "323285"
+
     def test_variant(self):
         lam, a = (3, 2), (0, 1, 0, 0, 1)
         qs, fl, bound = product(lam, a, (), REDUCED)
@@ -518,18 +540,19 @@ class TestTable1:
         assert load_checkpoint(rec["checkpoint"]).k == rec["k"]
 
     def test_light_job_leaves_numpy_unimported(self):
-        # numpy is the engine's big-step kernel; light jobs never need it
+        # numpy is the engine's big-step kernel; light jobs never need it.
+        # 5-5-b peaks at 10 091 live terms, the most of any light row
         code = (
             "import contextlib, io, sys\n"
             "from nullseq.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = main(['table1', '--name', '1-9-b'])\n"
-            "print(rc, 'numpy' in sys.modules)\n"
+            "    rc = [main(['table1', '--name', n]) for n in ('1-9-b', '5-5-b')]\n"
+            "print(*rc, 'numpy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "False"]
+        assert proc.stdout.split() == ["0", "0", "False"]
 
 
 class TestUsageAndSettings:

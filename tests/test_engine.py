@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -87,6 +88,11 @@ def digit_loop_live_counts(plans):
     return counts
 
 
+def tuple_dict(poly):
+    """The polynomial's terms keyed by exponent tuples."""
+    return {unpack(key, poly.k): c for key, c in poly.terms.items()}
+
+
 def plain_factor_plan(fl, bound, target):
     """The engine plan recomputed from fl.factors alone on every call: the
     reference for _factor_plan and FactorList.occurrences."""
@@ -132,7 +138,7 @@ class TestSparsePolynomial:
         assert poly.coefficient((1, 0)) == 4
         assert poly.coefficient((2, 0)) == 0
         assert poly.num_terms() == 2
-        assert poly.to_tuple_dict() == {(1, 0): 4, (0, 2): -7}
+        assert tuple_dict(poly) == {(1, 0): 4, (0, 2): -7}
         assert list(poly.items()) == [((1, 0), 4), ((0, 2), -7)]
         assert poly.coefficient((0, 2)) == -7
 
@@ -144,7 +150,7 @@ class TestAgainstNaive:
             fl, lam, qs = random_factor_list(rng)
             pruned = multiply_factors(fl)
             naive = naive_expand(fl)
-            assert pruned.to_tuple_dict() == naive.to_tuple_dict()
+            assert tuple_dict(pruned) == tuple_dict(naive)
 
     def test_bounded_expansion_matches_filtered_naive(self):
         rng = random.Random(43)
@@ -157,10 +163,10 @@ class TestAgainstNaive:
             naive = naive_expand(fl)
             expect = {
                 exps: c
-                for exps, c in naive.to_tuple_dict().items()
+                for exps, c in tuple_dict(naive).items()
                 if all(e <= b for e, b in zip(exps, bound))
             }
-            assert pruned.to_tuple_dict() == expect
+            assert tuple_dict(pruned) == expect
 
     def test_target_coefficient_matches_naive(self):
         rng = random.Random(44)
@@ -173,7 +179,7 @@ class TestAgainstNaive:
             naive = naive_expand(fl)
             live = [
                 exps
-                for exps in naive.to_tuple_dict()
+                for exps in tuple_dict(naive)
                 if all(e <= b for e, b in zip(exps, bound))
             ]
             if not live:
@@ -194,18 +200,18 @@ class TestAgainstNaive:
             if order == "mirrored":
                 fl = dataclasses.replace(fl, factors=fl.factors[::-1])
             naive = naive_expand(fl)
-            assert multiply_factors(fl).to_tuple_dict() == naive.to_tuple_dict()
+            assert tuple_dict(multiply_factors(fl)) == tuple_dict(naive)
             bound = bounding_monomial(lam, qs)
             if fl.degree > sum(bound):
                 continue
             live = [
                 exps
-                for exps in naive.to_tuple_dict()
+                for exps in tuple_dict(naive)
                 if all(e <= b for e, b in zip(exps, bound))
             ]
             for target in live[:4]:
                 got = multiply_factors(fl, bound=bound, target=target)
-                assert got.to_tuple_dict() == {target: naive.coefficient(target)}
+                assert tuple_dict(got) == {target: naive.coefficient(target)}
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_lane_test_keeps_the_digit_rule(self, monkeypatch, kernel):
@@ -217,7 +223,7 @@ class TestAgainstNaive:
             bound = bounding_monomial(lam, qs)
             if fl.degree > sum(bound):
                 continue
-            full = multiply_factors(fl, bound=bound).to_tuple_dict()
+            full = tuple_dict(multiply_factors(fl, bound=bound))
             if not full:
                 continue
             target = sorted(full)[rng.randrange(len(full))]
@@ -329,7 +335,7 @@ class TestCheckpoints:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
-        for old in (b"NSEQCKP1", b"NSEQCKP2"):
+        for old in (b"NSEQCKP1", b"NSEQCKP2", b"NSEQCKP3"):
             path.write_bytes(old + bytes(14))
             with pytest.raises(ValueError, match="earlier engine"):
                 load_checkpoint(path)
@@ -353,6 +359,22 @@ class TestCheckpoints:
         longer.write_bytes(data + b"\0")
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(longer)
+
+    def test_every_flipped_bit_is_refused(self, tmp_path):
+        fx = by_name("6-4")
+        fl, bound = fixture_product(fx)
+        with pytest.raises(TermCapExceeded) as info:
+            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
+        path = tmp_path / "full.bin"
+        save_checkpoint(path, info.value.checkpoint)
+        data = path.read_bytes()
+        flipped = tmp_path / "flipped.bin"
+        for at in range(len(data)):
+            for bit in (0, 7):
+                flipped.write_bytes(data[:at] + bytes([data[at] ^ 1 << bit])
+                                    + data[at + 1:])
+                with pytest.raises(ValueError):
+                    load_checkpoint(flipped)
 
     def test_term_cap_abort_and_resume(self):
         fx = by_name("6-4")
@@ -402,10 +424,15 @@ class TestCheckpoints:
         path = tmp_path / "edited.bin"
         save_checkpoint(path, info.value.checkpoint)
         data = path.read_bytes()
-        offset = len(engine.CHECKPOINT_MAGIC) + 1  # after the magic and k
+        magic = len(engine.CHECKPOINT_MAGIC)
+        offset = magic + 1  # after the magic and k
         for index in (4, 6):
-            path.write_bytes(data[:offset] + struct.pack("<I", index)
-                             + data[offset + 4:])
+            edited = data[:offset] + struct.pack("<I", index) + data[offset + 4:-32]
+            path.write_bytes(edited + data[-32:])
+            with pytest.raises(ValueError, match="digest"):
+                load_checkpoint(path)
+            # an edit with a matching digest still fails the resume checks
+            path.write_bytes(edited + hashlib.sha256(edited[magic:]).digest())
             cp = load_checkpoint(path)
             assert cp.factor_index == index
             with pytest.raises(ValueError, match="factor index"):
@@ -460,7 +487,7 @@ class TestPruningProperties:
         tight = multiply_factors(fl, bound=bounding_monomial((3, 2), QS32))
         assert loose.num_terms() >= mid.num_terms() >= tight.num_terms()
         # tightening never changes surviving coefficients
-        for exps, c in tight.to_tuple_dict().items():
+        for exps, c in tuple_dict(tight).items():
             assert mid.coefficient(exps) == c
             assert loose.coefficient(exps) == c
 
@@ -622,7 +649,7 @@ class TestSharedSetUp:
             fl = build_p(qs, fixes)
             bound = bounding_monomial((5, 2), qs, fixes)
             naive = naive_expand(fl)
-            targets = [m for m in naive.to_tuple_dict()
+            targets = [m for m in tuple_dict(naive)
                        if all(e <= b for e, b in zip(m, bound))][:4]
             targets += sample_monomials(bound, fl.degree, 8, f"shared:{fixes}")
             for target in targets:
@@ -632,7 +659,7 @@ class TestSharedSetUp:
                 plans = engine._factor_plan(fl, bound, target)
                 assert counts == digit_loop_live_counts(plans), (fixes, target)
                 want = naive.coefficient(target)
-                assert got.to_tuple_dict() == ({target: want} if want else {})
+                assert tuple_dict(got) == ({target: want} if want else {})
                 nonzero += want != 0
         assert nonzero >= 5
         if kernel == "dict":
@@ -733,6 +760,49 @@ class TestArrayKernel:
         assert kinds == list(kinds_at_switch)
         assert got.terms == {pack(target): exact}
 
+    @staticmethod
+    def high_lane_factor_list(rng):
+        """Differences and windows over up to 16 variables, so the increments
+        of high lanes (up to 2**60) exceed the first range cuts."""
+        k = rng.randint(9, 16)
+        factors = []
+        for _ in range(rng.randint(3, 7)):
+            i = rng.randrange(k - 1)
+            j = rng.randint(i + 2, min(k, i + 3))
+            if rng.random() < 0.5:
+                factors.append(Difference(i + 1, j))
+            else:
+                factors.append(Window((i, j), tuple(range(i + 1, j + 1))))
+        return FactorList(k, tuple(factors), frozenset(), "full")
+
+    @pytest.mark.parametrize("merge_range", [1, 3])
+    def test_ranges_keep_every_term(self, monkeypatch, merge_range):
+        rng = random.Random(48)
+        cases = []
+        for _ in range(12):
+            fl = self.high_lane_factor_list(rng)
+            full = multiply_factors(fl).terms
+            target = unpack(sorted(full)[rng.randrange(len(full))], fl.k)
+            cases += [(fl, None, full), (fl, target, {pack(target): full[pack(target)]})]
+        # (x12 + ... + x16)^12: coefficients up to 12! / (3!^2 2!^3) in the
+        # top five lanes, past INT64_LIMIT below, so ranges merge objects too
+        fl = FactorList(16, (Window((11, 16), (12, 13, 14, 15, 16)),) * 12,
+                        frozenset(), "full")
+        cases.append((fl, None, multiply_factors(fl).terms))
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "MERGE_RANGE", merge_range)
+        monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
+        kinds = self.spy_on_dtypes(monkeypatch)
+        for fl, target, want in cases:
+            counts = []
+            got = multiply_factors(fl, target=target,
+                                   on_step=lambda f, n: counts.append(n))
+            plans = engine._factor_plan(fl, (255,) * fl.k, target)
+            assert counts == digit_loop_live_counts(plans)
+            assert got.terms == want
+        assert len(kinds) == sum(fl.degree for fl, _, _ in cases)
+        assert kinds[-1] == "O"
+
     def test_wide_lanes_stay_on_dicts(self, monkeypatch):
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
         switches = []
@@ -745,10 +815,10 @@ class TestArrayKernel:
         monkeypatch.setattr(engine, "_to_arrays", spy)
         for power in (15, 20):  # caps: 15 fits a 4-bit lane, 20 does not
             fl = FactorList(2, (Difference(1, 2),) * power, frozenset(), "full")
-            assert multiply_factors(fl).to_tuple_dict() == naive_expand(fl).to_tuple_dict()
+            assert tuple_dict(multiply_factors(fl)) == tuple_dict(naive_expand(fl))
         assert switches == [2]
         fl = FactorList(17, (Difference(16, 17),) * 3, frozenset(), "full")
-        got = multiply_factors(fl).to_tuple_dict()
+        got = tuple_dict(multiply_factors(fl))
         assert switches == [2]  # k = 17 needs more than 64 bits
         assert got == {(0,) * 15 + (3 - j, j): (-1) ** (3 - j) * c
                        for j, c in enumerate((1, 3, 3, 1))}
