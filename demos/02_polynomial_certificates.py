@@ -43,12 +43,14 @@ def main():
     print(f"   {len(fl.factors)} factors: {', '.join(fl.labels())}")
     print(f"   total degree {fl.degree}\n")
 
-    print("3. expand, pruned by the bounding monomial")
+    print("3. expand towards one monomial below the bounding monomial")
     bound = bounding_monomial(lam, qs)
     print(f"   bound = {bound} (position i may use exponent <= bound_i)")
-    poly = multiply_factors(fl, bound=bound)
-    print(f"   {poly.num_terms()} surviving terms of degree {fl.degree}")
     target = (2, 0, 2, 1, 1)
+    live = []
+    poly = multiply_factors(fl, bound=bound, target=target,
+                            on_step=lambda f, n: live.append(n))
+    print(f"   live terms after each factor: {live}")
     coeff = poly.coefficient(target)
     print(f"   coefficient of x1^2 x3^2 x4 x5  =  {coeff}\n")
 

@@ -17,8 +17,8 @@ Layers, bottom up:
   degree bookkeeping that scores them;
 * :mod:`nullseq.factors` — the difference/window factor lists, the
   reduced variant, and zero-fixing;
-* :mod:`nullseq.engine` — sparse product expansion with divisor pruning,
-  target thresholds and checkpoints;
+* :mod:`nullseq.engine` — one target coefficient of a factor product, by
+  sparse expansion with divisor pruning, target thresholds and checkpoints;
 * :mod:`nullseq.certify` — coefficient certificates, exceptional primes,
   and the per-(k, t) case runner;
 * :mod:`nullseq.oracle` — independent brute-force cross-checks;

@@ -272,20 +272,17 @@ MAX_CANDIDATES = 24
 
 @dataclass(frozen=True)
 class CaseConfig:
-    term_cap: int | None = 200_000_000
     op_cap: int | None = None
     max_degree: int = 60
     variant: str = FULL
     checkpoint_dir: str | None = None
 
     def __post_init__(self):
-        # a cap or budget below its least meaningful value would report
-        # every type unresolved for a false reason
-        for name, least in (("term_cap", 1), ("op_cap", 1), ("max_degree", 0)):
+        # a budget below its least meaningful value would report every type
+        # unresolved for a false reason
+        for name, least in (("op_cap", 1), ("max_degree", 0)):
             value = getattr(self, name)
-            if value is None and name.endswith("_cap"):
-                continue  # no cap
-            if value < least:
+            if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
@@ -370,22 +367,18 @@ class CoefficientResult:
 def compute_coefficient(
     qs: QuotientSequencing, fl, bound, monomial, config: CaseConfig, resume=None
 ) -> CoefficientResult:
-    """Coefficient of monomial in the product fl, within config's caps,
+    """Coefficient of monomial in the product fl, within config.op_cap,
     factored when nonzero.
 
-    An abort at term_cap or op_cap is returned, not raised.  With
-    config.checkpoint_dir set, the abort's checkpoint is saved there under a
-    name made from qs, fl's fixes and variant, and the monomial; the
-    directory is created if missing.
+    An abort at op_cap or at the engine's TERM_CAP is returned, not raised.
+    With config.checkpoint_dir set, the abort's checkpoint is built and
+    saved there under a name made from qs, fl's fixes and variant, and the
+    monomial; the directory is created if missing.  Without it the
+    checkpoint is never built.
     """
     try:
         poly = multiply_factors(
-            fl,
-            bound=bound,
-            target=monomial,
-            term_cap=config.term_cap,
-            op_cap=config.op_cap,
-            resume=resume,
+            fl, bound=bound, target=monomial, op_cap=config.op_cap, resume=resume
         )
     except EngineAbort as abort:
         path = None

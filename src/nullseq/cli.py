@@ -27,15 +27,16 @@ passed on, so each default is written once: ``certify`` holds those of
 policy (the arrangements, fixes and monomials it tries), ``applicable``'s
 factoring effort (``applicability.EFFORT_BITS``) and the brute-force
 oracle's one search per class of unit multiples are not settings.
-A subcommand accepts only the flags it reads: ``--term-cap``, ``--op-cap``
-and ``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
+A subcommand accepts only the flags it reads: ``--op-cap`` and
+``--checkpoint-dir`` belong to ``prove``, ``coeff`` and ``table1``;
 ``--seed`` to ``scan``, and only with ``--count``; ``--qs-limit`` to
 ``qs``; ``--output`` to all.
 ``prove``, ``coeff`` and ``table1`` build every product with
 ``factors.product`` and compute every coefficient through
-``certify.compute_coefficient``, so caps and checkpoints act alike in all
-three; ``coeff`` and ``table1`` rows share one coefficient job
-(``_coefficient_job``) and its record.
+``certify.compute_coefficient``, so ``--op-cap``, the one budget, and
+checkpoints act alike in all three (the engine's live-term guard,
+``engine.TERM_CAP``, is a constant); ``coeff`` and ``table1`` rows share
+one coefficient job (``_coefficient_job``) and its record.
 """
 
 from __future__ import annotations
@@ -277,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", default="-", help="write records here ('-' = stdout)")
     caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument("--term-cap", dest="term_cap", type=int,
-                      help="abort when an intermediate exceeds this many terms")
     caps.add_argument("--op-cap", dest="op_cap", type=int,
                       help="abort after this many term operations")
     caps.add_argument("--checkpoint-dir", dest="checkpoint_dir",

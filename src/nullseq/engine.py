@@ -8,14 +8,15 @@ Factors are multiplied one at a time in the order fl.factors lists them,
 which factors._emit decides; on_step's f and a checkpoint's factor_index
 are positions in that list.
 
-Pruning while multiplying factor-by-factor:
+Every call asks for one coefficient: that of a target monomial, which
+divides the bounding monomial when one is given.  Pruning while multiplying
+factor-by-factor:
 
-* divisor rule: a partial exponent may never exceed its cap (the bounding
-  monomial, or the target monomial when one is requested);
-* capacity rule (target only): each remaining factor raises the total degree
-  by exactly 1, so position v can gain at most as many units as there are
-  remaining factors containing x_v.  A partial term that cannot reach the
-  target any more is dropped.
+* divisor rule: a partial exponent may never exceed its cap, the target's;
+* capacity rule: each remaining factor raises the total degree by exactly 1,
+  so position v can gain at most as many units as there are remaining
+  factors containing x_v.  A partial term that cannot reach the target any
+  more is dropped.
 
 The capacity rule is applied incrementally.  When a factor is multiplied in,
 the requirement tightens by one exactly for the variables of that factor, so
@@ -33,13 +34,13 @@ b = sum of (128 - cap) over the factor's bytes and m their bit-7 mask,
 (((key + a) & m) << 1) | ((key + b) & m) is a state that selects the term's
 successors from a table filled lazily by the rule above.
 
-Set-up paid once.  Targeted calls are many and small (prove --k 9 --t 3
+Set-up paid once.  Calls are many and small (prove --k 9 --t 3
 makes 987, most of a few thousand term-ops), so their fixed costs are shared:
 
 * the plan skeleton, each variable's occurrence count and each factor's
   entries with the occurrences left after it, depends on the factor list
   alone: FactorList.occurrences computes it once per list, which serves
-  every monomial tried on it, and a call only applies its bound or target;
+  every monomial tried on it, and a call only applies its target;
 * a state's bits mean "reached threshold" and "reached cap" whatever the
   numeric thresholds and caps are, so a term's successors depend on the
   factor's shape ((variable, sign) per lane) and its state alone: the
@@ -65,8 +66,13 @@ int64.  Each new coefficient sums at most len(factor) old ones, so before a
 step with max|c| * len(factor) >= 2**63 the column is converted once to
 object dtype, exact Python ints, which the same merge handles.  Results and
 checkpoints are always dicts of 8-bit-lane keys, so the arrays become a
-dict again only when the job ends or aborts.  numpy is imported on the
-array path only.
+dict again only when the job ends or an abort's checkpoint is read.  numpy
+is imported on the array path only.
+
+Budget.  op_cap, the one budget a caller sets, bounds the term-ops of a
+call and so its memory too: a step never leaves more live terms than the
+term-ops it just spent.  TERM_CAP is a fixed guard on live terms, far above
+any known job.
 
 A deliberately naive expansion over tuple keys (no packing, no pruning) is
 provided as an independent cross-check for small instances.
@@ -74,6 +80,7 @@ provided as an independent cross-check for small instances.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import struct
@@ -114,11 +121,6 @@ class SparsePolynomial:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def items(self):
-        """Yield (exponent tuple, coefficient) sorted by packed key."""
-        for key in sorted(self.terms):
-            yield unpack(key, self.k), self.terms[key]
-
 
 @dataclass
 class EngineCheckpoint:
@@ -136,9 +138,15 @@ class EngineCheckpoint:
 
 
 class EngineAbort(RuntimeError):
-    def __init__(self, message: str, checkpoint: EngineCheckpoint):
+    """An abort at a cap; its checkpoint is built when first read."""
+
+    def __init__(self, message: str, make_checkpoint):
         super().__init__(message)
-        self.checkpoint = checkpoint
+        self._make_checkpoint = make_checkpoint
+
+    @functools.cached_property
+    def checkpoint(self) -> EngineCheckpoint:
+        return self._make_checkpoint()
 
 
 class TermCapExceeded(EngineAbort):
@@ -236,30 +244,27 @@ def _plan_hash(k: int, plans) -> bytes:
     return hashlib.sha256(repr((k, plans)).encode()).digest()
 
 
-def _factor_plan(fl: FactorList, bound, target):
+def _factor_plan(fl: FactorList, target):
     """Per-step tuples (shift, sign, threshold, cap), one per factor in list order.
 
-    plans[f] describes fl.factors[f].  cap is the effective
-    per-position maximum (target when given, else bound), clamped to the
-    number of factors containing the variable, so it never changes which
-    terms live; it must be at most 127 for the lane test.  threshold is the
-    minimum exponent the variable must hold *after* this step for the target
-    to stay reachable (0 when no target: never binding), clamped to cap + 1.
-    The counts come from fl.occurrences, computed once per factor list.
+    plans[f] describes fl.factors[f].  cap is the target's exponent,
+    clamped to the number of factors containing the variable, so it never
+    changes which terms live; it must be at most 127 for the lane test.
+    threshold is the minimum exponent the variable must hold *after* this
+    step for the target to stay reachable, clamped to cap + 1.  The counts
+    come from fl.occurrences, computed once per factor list.
     """
     counts, steps = fl.occurrences
-    eff = target if target is not None else bound
-    caps = [min(e, c) for e, c in zip(eff, counts)]
+    caps = [min(e, c) for e, c in zip(target, counts)]
     for v, cap in enumerate(caps, 1):
         if cap > 127:
             raise ValueError(
                 f"x{v} occurs in {counts[v - 1]} factors with exponent cap "
-                f"{eff[v - 1]}; the engine allows caps of at most 127"
+                f"{target[v - 1]}; the engine allows caps of at most 127"
             )
-    need = target if target is not None else (0,) * fl.k
     return [
         tuple(
-            (8 * (v - 1), sign, min(max(need[v - 1] - left, 0), caps[v - 1] + 1),
+            (8 * (v - 1), sign, min(max(target[v - 1] - left, 0), caps[v - 1] + 1),
              caps[v - 1])
             for (v, sign), left in zip(terms, lefts)
         )
@@ -276,6 +281,9 @@ BIG_STEP_TERMS = 1 << 16
 MERGE_RANGE = 1 << 13
 # the array coefficient column is int64 while max|c| * len(factor) is below this
 INT64_LIMIT = 1 << 63
+# a step that leaves more live terms than this raises TermCapExceeded; the
+# largest known job (12-a) peaks at 27.9M
+TERM_CAP = 200_000_000
 
 
 # factor shape -> {lane state -> successors}: a memo of _successors, shared
@@ -443,7 +451,7 @@ def _as_dict(terms, k: int) -> dict[int, int]:
     return terms if isinstance(terms, dict) else _to_dict(*terms, k)
 
 
-def _run_factors(plans, shapes, terms, start, k, term_cap, op_cap, on_step):
+def _run_factors(plans, shapes, terms, start, k, op_cap, on_step):
     """Multiply in plans[start:]; terms is a dict or, past the switch, arrays.
 
     shapes[f] is fl.factors[f].terms(), the key of its successor table."""
@@ -468,15 +476,17 @@ def _run_factors(plans, shapes, terms, start, k, term_cap, op_cap, on_step):
             new = _array_step(fac, *terms)
             live = len(new[0])
         ops += size * len(fac)
-        if term_cap is not None and live > term_cap:
+        # a checkpoint is built only when read, after the raise: f, terms
+        # and new are final by then
+        if live > TERM_CAP:
             raise TermCapExceeded(
-                f"term count {live} exceeds cap {term_cap} at factor {f}",
-                EngineCheckpoint(k, f, _as_dict(terms, k), _plan_hash(k, plans)),
+                f"term count {live} exceeds cap {TERM_CAP} at factor {f}",
+                lambda: EngineCheckpoint(k, f, _as_dict(terms, k), _plan_hash(k, plans)),
             )
         if op_cap is not None and ops > op_cap:
             raise OpCapExceeded(
                 f"operation budget {op_cap} exhausted at factor {f}",
-                EngineCheckpoint(k, f + 1, _as_dict(new, k), _plan_hash(k, plans)),
+                lambda: EngineCheckpoint(k, f + 1, _as_dict(new, k), _plan_hash(k, plans)),
             )
         terms = new
         if on_step is not None:
@@ -514,30 +524,31 @@ def _check_resume_terms(terms, k: int, start: int, plans) -> None:
 def multiply_factors(
     fl: FactorList,
     bound=None,
-    target=None,
-    term_cap=None,
+    *,
+    target,
     op_cap=None,
     resume: EngineCheckpoint | None = None,
     on_step=None,
 ) -> SparsePolynomial:
-    """Expand the factor product, keeping only terms that can still matter.
+    """The coefficient of the target monomial in the factor product, as a
+    polynomial with that one term, or none when the coefficient is 0.
 
-    bound caps every exponent (monomial-divisibility pruning).  target asks
-    for a single monomial: its entries become the caps and the capacity rule
-    prunes terms that can no longer reach it.  With neither, the product is
-    expanded in full.
+    The target's entries cap the exponents and the capacity rule prunes the
+    terms that can no longer reach it.  bound, when given, is checked: the
+    product's degree must not exceed it and the target must divide it.
 
     Factors are multiplied in one at a time, in list order, and
     on_step(f, live_terms) is called after each for f = 0, 1, ..., n - 1.
     Once no term is live the product is 0: the factors left are not
     multiplied in, and on_step sees each of them with 0 live terms.
-    Exceeding term_cap or op_cap (None: no cap) raises TermCapExceeded / OpCapExceeded
-    carrying a resumable checkpoint for this factor list (pass it back via
-    resume); the checkpoint holds the engine's term dict itself, not a copy,
-    or past the switch to arrays a dict rebuilt from them.  A resume is
-    rejected unless the checkpoint's plan_hash matches this call's k,
-    factors in their order, caps and target, and unless every resumed term
-    has total degree factor_index and each exponent within its cap.
+    Exceeding op_cap (None: no cap) or TERM_CAP raises OpCapExceeded /
+    TermCapExceeded carrying a resumable checkpoint for this factor list
+    (pass it back via resume); the checkpoint holds the engine's term dict
+    itself, not a copy, or past the switch to arrays a dict rebuilt from
+    them when it is first read.  A resume is rejected unless the
+    checkpoint's plan_hash matches this call's k, factors in their order,
+    caps and target, and unless every resumed term has total degree
+    factor_index and each exponent within its cap.
     """
     k = fl.k
     n = len(fl.factors)
@@ -550,21 +561,18 @@ def multiply_factors(
                 f"product degree {n} exceeds bound degree {sum(bound)}: "
                 f"no surviving term is possible"
             )
-    if target is not None:
-        target = tuple(target)
-        if len(target) != k or any(g < 0 for g in target):
-            raise ValueError(f"target must be {k} nonnegative exponents")
-        if bound is not None and any(g > b for g, b in zip(target, bound)):
-            raise ValueError("target must divide the bound")
-        if sum(target) != n:
-            # the product is homogeneous of degree n
-            raise ValueError(
-                f"target degree {sum(target)} does not match product degree {n}"
-            )
-    if bound is None and target is None:
-        bound = (255,) * k
+    target = tuple(target)
+    if len(target) != k or any(g < 0 for g in target):
+        raise ValueError(f"target must be {k} nonnegative exponents")
+    if bound is not None and any(g > b for g, b in zip(target, bound)):
+        raise ValueError("target must divide the bound")
+    if sum(target) != n:
+        # the product is homogeneous of degree n
+        raise ValueError(
+            f"target degree {sum(target)} does not match product degree {n}"
+        )
 
-    plans = _factor_plan(fl, bound, target)
+    plans = _factor_plan(fl, target)
     if resume is not None:
         if resume.k != k:
             raise ValueError(f"checkpoint is for k={resume.k}, factor list has k={k}")
@@ -583,7 +591,7 @@ def multiply_factors(
         terms = {0: 1}
 
     shapes = [shape for shape, _ in fl.occurrences[1]]
-    terms = _run_factors(plans, shapes, terms, start, k, term_cap, op_cap, on_step)
+    terms = _run_factors(plans, shapes, terms, start, k, op_cap, on_step)
     return SparsePolynomial(k, terms)
 
 

@@ -96,8 +96,8 @@ class FactorList:
 
     @cached_property
     def occurrences(self):
-        """(counts, steps), the part of an engine plan that no bound or
-        target changes, computed once per list.
+        """(counts, steps), the part of an engine plan that no target
+        changes, computed once per list.
 
         counts[v - 1] is the number of factors containing x_v.  steps[f]
         holds factors[f].terms() and, per term, how many later factors

@@ -306,7 +306,9 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     orbit's representative, or be absent on the representative itself.  A
     derived record must hold its representative's result as
     certify.derived_result transfers it, and a certificate that is not
-    derived must carry the attempt behind each entry.
+    derived must carry the attempt behind each entry.  Every certificate of
+    the case must have the same variant, as one prove run writes: a reduced
+    one holds only for subsets with no two mutually inverse elements.
     """
     records = list(records)
     summaries = [r for r in records if _field(r, "kind") == "case"]
@@ -361,9 +363,13 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
                 f"its representative {format_exponents(rep)} transferred to it"
             )
     report = CaseReport(k=k, t=t, results=tuple(results))
+    variants = sorted({cert.variant for cert in report.certificates()})
+    if len(variants) > 1:
+        raise ValueError(f"the certificates of one case have the variants {variants}")
     parsed = _summary(report)
     declared = {name: summary.get(name) for name in parsed}
-    if declared != parsed:
+    # typed, so that 0 does not pass for false nor true for 1
+    if [(type(v), v) for v in declared.values()] != [(type(v), v) for v in parsed.values()]:
         raise ValueError(f"case summary says {declared} but its type records give {parsed}")
     return report
 

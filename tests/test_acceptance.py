@@ -7,6 +7,7 @@ for the exact large-k coefficient replications (27-30 s) and the n=25 scans
 memory), all timed on one core of a shared 2-core host.
 """
 
+import itertools
 import math
 import random
 import time
@@ -14,6 +15,7 @@ import time
 import pytest
 import sympy
 
+from nullseq import engine
 from nullseq.applicability import applicability
 from nullseq.catalog import LIGHT, TABLE1, by_name
 from nullseq.certify import assemble_case
@@ -62,16 +64,18 @@ def test_criterion_2_light_table_rows():
     assert time.monotonic() - start < 30 * 60
 
 
-def test_criterion_3_checkpoint_cleanly(tmp_path):
+def test_criterion_3_checkpoint_cleanly(tmp_path, monkeypatch):
     # the long k=11 computation must abort at a resource cap with a usable
     # checkpoint: bit-stable on disk, resumable, and strictly further along
-    # after the resumed leg
+    # after the resumed leg.  The caps are the engine's live-term guard,
+    # lowered for the test.
     fx = by_name("11-a")
     qs = validate_quotient(fx.a, fx.lam)
     fl = build_p(qs, fx.fixes)
     bound = bounding_monomial(fx.lam, qs, fx.fixes)
+    monkeypatch.setattr(engine, "TERM_CAP", 200_000)
     with pytest.raises(EngineAbort) as first:
-        multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=200_000)
+        multiply_factors(fl, bound=bound, target=fx.monomial)
     cp1 = first.value.checkpoint
     path = tmp_path / "k11.bin"
     save_checkpoint(path, cp1)
@@ -80,10 +84,9 @@ def test_criterion_3_checkpoint_cleanly(tmp_path):
     path2 = tmp_path / "k11-again.bin"
     save_checkpoint(path2, reloaded)
     assert path.read_bytes() == path2.read_bytes()
+    monkeypatch.setattr(engine, "TERM_CAP", 600_000)
     with pytest.raises(EngineAbort) as second:
-        multiply_factors(
-            fl, bound=bound, target=fx.monomial, term_cap=600_000, resume=reloaded
-        )
+        multiply_factors(fl, bound=bound, target=fx.monomial, resume=reloaded)
     cp2 = second.value.checkpoint
     assert cp2.factor_index > cp1.factor_index
     assert len(cp2.terms) > len(cp1.terms)
@@ -117,14 +120,19 @@ def test_criterion_4_engine_oracle_equivalence():
         bound = bounding_monomial(lam, qs)
         if not 1 <= fl.degree <= 12 or fl.degree > sum(bound):
             continue
-        pruned = multiply_factors(fl, bound=bound)
+        # every monomial of the product's degree dividing the bound, asked
+        # for one at a time
+        pruned = {}
+        for target in itertools.product(*(range(b + 1) for b in bound)):
+            if sum(target) == fl.degree:
+                pruned.update(multiply_factors(fl, bound=bound, target=target).terms)
         naive = naive_expand(fl)
         expected = {
             key: c
             for key, c in naive.terms.items()
             if all(e <= b for e, b in zip(unpack(key, fl.k), bound))
         }
-        assert pruned.terms == expected
+        assert pruned == expected
         compared += 1
     assert time.monotonic() - start < 60
 

@@ -5,7 +5,8 @@ import random
 import pytest
 import sympy
 
-from nullseq import certify
+from nullseq import certify, engine
+from nullseq.catalog import by_name
 from nullseq.certify import (
     RANKED_BLOCK,
     AttemptRecord,
@@ -15,13 +16,14 @@ from nullseq.certify import (
     Factorization,
     assemble_case,
     certify_type,
+    compute_coefficient,
     exceptional_primes,
     factorize,
     sample_monomials,
     transfer_certificate,
 )
 from nullseq.engine import load_checkpoint
-from nullseq.factors import REDUCED
+from nullseq.factors import REDUCED, product
 from nullseq.groups import enumerate_types
 from nullseq.quotient import search_quotient
 
@@ -238,12 +240,20 @@ class TestCertifyType:
 
     def test_meaningless_caps_refused(self):
         for name, value, least in (
-            ("term_cap", 0, 1), ("op_cap", -5, 1), ("max_degree", -1, 0),
+            ("op_cap", -5, 1), ("op_cap", 0, 1), ("max_degree", -1, 0),
         ):
             with pytest.raises(ValueError, match=f"{name} must be at least {least}"):
                 CaseConfig(**{name: value})
-        config = CaseConfig(term_cap=None, op_cap=None, max_degree=0)
-        assert (config.term_cap, config.op_cap) == (None, None)
+        config = CaseConfig(op_cap=None, max_degree=0)
+        assert config.op_cap is None
+
+    def test_op_cap_is_the_one_budget(self):
+        # the live-term guard is the engine's constant, not a setting
+        assert [f.name for f in dataclasses.fields(CaseConfig)] == [
+            "op_cap", "max_degree", "variant", "checkpoint_dir",
+        ]
+        with pytest.raises(TypeError):
+            CaseConfig(term_cap=10)
 
     def test_budget_exhaustion_reports_unresolved(self):
         res = certify_type((3, 2), 2, CaseConfig(max_degree=0))
@@ -265,7 +275,8 @@ class TestCertifyType:
     def test_checkpoint_written_on_abort(self, tmp_path, monkeypatch):
         # (4, 0) has one arrangement and no greedy fixes: one attempt
         monkeypatch.setattr(certify, "MAX_CANDIDATES", 1)
-        res = certify_type((4, 0), 2, CaseConfig(term_cap=2, checkpoint_dir=str(tmp_path)))
+        monkeypatch.setattr(engine, "TERM_CAP", 2)
+        res = certify_type((4, 0), 2, CaseConfig(checkpoint_dir=str(tmp_path)))
         aborted = [a for a in res.attempts if a.outcome == "aborted"]
         assert aborted and "checkpoint saved" in aborted[0].note
         files = list(tmp_path.glob("ckpt_*.bin"))
@@ -296,10 +307,35 @@ class TestCertifyType:
     def test_missing_checkpoint_dir_is_created(self, tmp_path, monkeypatch):
         directory = tmp_path / "new"
         monkeypatch.setattr(certify, "MAX_CANDIDATES", 1)
-        res = certify_type((4, 0), 2, CaseConfig(term_cap=2, checkpoint_dir=str(directory)))
+        monkeypatch.setattr(engine, "TERM_CAP", 2)
+        res = certify_type((4, 0), 2, CaseConfig(checkpoint_dir=str(directory)))
         assert [a.outcome for a in res.attempts] == ["aborted"]
         (path,) = directory.glob("ckpt_*.bin")
         assert load_checkpoint(path).k == 4
+
+    def test_checkpoint_built_only_when_saved(self, tmp_path, monkeypatch):
+        # an abort on arrays turns them into a dict only for a checkpoint
+        # that is saved
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        built = []
+        to_dict = engine._to_dict
+
+        def spy(*args):
+            built.append(len(args[0]))
+            return to_dict(*args)
+
+        monkeypatch.setattr(engine, "_to_dict", spy)
+        fx = by_name("1-9-b")
+        qs, fl, bound = product(fx.lam, fx.a, fx.fixes)
+        result = compute_coefficient(qs, fl, bound, fx.monomial, CaseConfig(op_cap=50_000))
+        assert (result.outcome, result.checkpoint, built) == ("aborted", None, [])
+        config = CaseConfig(op_cap=50_000, checkpoint_dir=str(tmp_path))
+        result = compute_coefficient(qs, fl, bound, fx.monomial, config)
+        assert result.outcome == "aborted" and built == [3919]
+        assert len(load_checkpoint(result.checkpoint).terms) == 3919
+        result = compute_coefficient(qs, fl, bound, fx.monomial, CaseConfig(),
+                                     resume=load_checkpoint(result.checkpoint))
+        assert result.coefficient == fx.coefficient
 
 
 class TestAttemptRecord:
@@ -356,8 +392,9 @@ class TestRankedWalk:
         assert len(res.attempts) == 343
         assert searches == [RANKED_BLOCK, 4 * RANKED_BLOCK]
 
-    def test_a_failed_budget_ends_the_walk_at_the_block(self, searches):
-        res = certify_type((1, 3, 2, 3), 4, CaseConfig(term_cap=1))
+    def test_a_failed_budget_ends_the_walk_at_the_block(self, searches, monkeypatch):
+        monkeypatch.setattr(engine, "TERM_CAP", 1)
+        res = certify_type((1, 3, 2, 3), 4)
         assert res.certificate is None
         assert len({rec.a for rec in res.attempts}) == RANKED_BLOCK == 30
         assert {rec.outcome for rec in res.attempts} == {"aborted"}

@@ -94,7 +94,7 @@ class TestCoeff:
         base = ["coeff", "--k", "6", "--t", "2", "--lambda", "6,0",
                 "--a", "0,0,0,0,0,0", "--monomial", "4,5,5,5,5,5"]
         code, recs, _ = run_cli(
-            base + ["--term-cap", "5", "--checkpoint-dir", str(tmp_path)]
+            base + ["--op-cap", "50", "--checkpoint-dir", str(tmp_path)]
         )
         assert code == 1
         rec = recs[0]
@@ -287,7 +287,6 @@ class TestCapsAndBudgets:
         [
             (["--op-cap", "-5"], "op_cap must be at least 1"),
             (["--op-cap", "0"], "op_cap must be at least 1"),
-            (["--term-cap", "0"], "term_cap must be at least 1"),
         ],
     )
     def test_meaningless_cap_is_usage_error(self, command, flag, message):
@@ -295,6 +294,21 @@ class TestCapsAndBudgets:
         code, recs, err = run_cli([*command, *flag])
         assert code == 2 and not recs
         assert message in err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["prove", "--k", "3", "--t", "2"],
+            ["coeff", "--k", "4", "--monomial", "2,3,3,3"],
+            ["table1", "--name", "worked-3-2"],
+        ],
+    )
+    def test_term_cap_is_not_a_flag(self, command, capsys):
+        # --op-cap is the one budget; the live-term guard is engine.TERM_CAP
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--term-cap", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --term-cap" in capsys.readouterr().err
 
     def test_negative_max_degree_is_usage_error(self):
         code, recs, err = run_cli(["prove", "--k", "3", "--t", "2", "--max-degree", "-1"])
@@ -530,7 +544,7 @@ class TestTable1:
 
     def test_abort_writes_checkpoint(self, tmp_path):
         code, recs, _ = run_cli(
-            ["table1", "--name", "5-5-b", "--term-cap", "50",
+            ["table1", "--name", "5-5-b", "--op-cap", "50",
              "--checkpoint-dir", str(tmp_path)]
         )
         assert code == 1
@@ -581,7 +595,7 @@ class TestUsageAndSettings:
             "table1": ["table1"],
         }
         readers = {
-            ("--term-cap", "1"): {"prove", "coeff", "table1"},
+            ("--term-cap", "1"): set(),
             ("--op-cap", "1"): {"prove", "coeff", "table1"},
             ("--checkpoint-dir", "ckpt"): {"prove", "coeff", "table1"},
             ("--seed", "1"): {"scan"},
@@ -612,8 +626,8 @@ class TestUsageAndSettings:
         # written only where they are read: in oracle
         scan = parser.parse_args(["scan", "--n", "9", "--k", "3"])
         assert (scan.kind, scan.seed) == (None, None)
-        args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--term-cap", "9"])
-        assert _case_config(args) == CaseConfig(term_cap=9)
+        args = parser.parse_args(["prove", "--k", "4", "--t", "2", "--op-cap", "9"])
+        assert _case_config(args) == CaseConfig(op_cap=9)
         with pytest.raises(SystemExit) as info:
             run_cli(["prove", "--k", "4", "--t", "2", "--config", "x.json"])
         assert info.value.code == 2
@@ -739,7 +753,7 @@ class TestOutputFile:
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         code, recs, err = run_cli(
-            ["table1", "--name", "8-2", "--term-cap", "1",
+            ["table1", "--name", "8-2", "--op-cap", "1",
              "--checkpoint-dir", str(blocker), "--output", str(out)]
         )
         assert (code, recs) == (2, [])

@@ -36,6 +36,8 @@ from nullseq.factors import (
 from nullseq.quotient import validate_quotient
 
 QS32 = validate_quotient((0, 1, 0, 0, 1), (3, 2))
+# a monomial of build_p(QS32)'s degree dividing its bounding monomial
+T32 = (2, 0, 2, 1, 1)
 KERNELS = ("dict", "array")
 
 
@@ -43,6 +45,11 @@ def use_kernel(monkeypatch, kernel):
     """The array kernel runs every step once its live-term threshold is 0."""
     if kernel == "array":
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+
+
+def term_cap_at(monkeypatch, cap):
+    """Lower the engine's live-term guard for one test."""
+    monkeypatch.setattr(engine, "TERM_CAP", cap)
 
 
 def fixture_product(fx):
@@ -93,23 +100,50 @@ def tuple_dict(poly):
     return {unpack(key, poly.k): c for key, c in poly.terms.items()}
 
 
-def plain_factor_plan(fl, bound, target):
+def box_monomials(box, degree):
+    """Every monomial of the given degree dividing box, in lexicographic order."""
+    if not box:
+        if degree == 0:
+            yield ()
+        return
+    for e in range(min(box[0], degree) + 1):
+        for rest in box_monomials(box[1:], degree - e):
+            yield (e, *rest)
+
+
+def targeted_expansion(fl, bound=None):
+    """The product's terms dividing bound, by one targeted call per monomial
+    of the product's degree dividing it.  Without a bound every monomial
+    whose exponents stay within their variables' factor counts is asked,
+    and every term of the product divides that box."""
+    terms = {}
+    for target in box_monomials(bound or fl.occurrences[0], fl.degree):
+        got = tuple_dict(multiply_factors(fl, bound=bound, target=target))
+        assert set(got) <= {target}
+        terms.update(got)
+    return terms
+
+
+def naive_under(naive, bound):
+    """naive's terms dividing bound, keyed by exponent tuples."""
+    return {exps: c for exps, c in tuple_dict(naive).items()
+            if all(e <= b for e, b in zip(exps, bound))}
+
+
+def plain_factor_plan(fl, target):
     """The engine plan recomputed from fl.factors alone on every call: the
     reference for _factor_plan and FactorList.occurrences."""
     count = [0] * fl.k
     for factor in fl.factors:
         for v in factor.variables():
             count[v - 1] += 1
-    eff = target if target is not None else bound
-    caps = [min(e, c) for e, c in zip(eff, count)]
+    caps = [min(e, c) for e, c in zip(target, count)]
     plans = []
     for f, factor in enumerate(fl.factors):
         entries = []
         for v, sign in factor.terms():
             later = sum(v in g.variables() for g in fl.factors[f + 1:])
-            thr = 0
-            if target is not None:
-                thr = min(max(target[v - 1] - later, 0), caps[v - 1] + 1)
+            thr = min(max(target[v - 1] - later, 0), caps[v - 1] + 1)
             entries.append((8 * (v - 1), sign, thr, caps[v - 1]))
         plans.append(tuple(entries))
     return plans
@@ -139,7 +173,6 @@ class TestSparsePolynomial:
         assert poly.coefficient((2, 0)) == 0
         assert poly.num_terms() == 2
         assert tuple_dict(poly) == {(1, 0): 4, (0, 2): -7}
-        assert list(poly.items()) == [((1, 0), 4), ((0, 2), -7)]
         assert poly.coefficient((0, 2)) == -7
 
 
@@ -148,9 +181,7 @@ class TestAgainstNaive:
         rng = random.Random(42)
         for _ in range(40):
             fl, lam, qs = random_factor_list(rng)
-            pruned = multiply_factors(fl)
-            naive = naive_expand(fl)
-            assert tuple_dict(pruned) == tuple_dict(naive)
+            assert targeted_expansion(fl) == tuple_dict(naive_expand(fl))
 
     def test_bounded_expansion_matches_filtered_naive(self):
         rng = random.Random(43)
@@ -159,14 +190,7 @@ class TestAgainstNaive:
             bound = bounding_monomial(lam, qs)
             if fl.degree > sum(bound):
                 continue
-            pruned = multiply_factors(fl, bound=bound)
-            naive = naive_expand(fl)
-            expect = {
-                exps: c
-                for exps, c in tuple_dict(naive).items()
-                if all(e <= b for e, b in zip(exps, bound))
-            }
-            assert tuple_dict(pruned) == expect
+            assert targeted_expansion(fl, bound) == naive_under(naive_expand(fl), bound)
 
     def test_target_coefficient_matches_naive(self):
         rng = random.Random(44)
@@ -200,7 +224,7 @@ class TestAgainstNaive:
             if order == "mirrored":
                 fl = dataclasses.replace(fl, factors=fl.factors[::-1])
             naive = naive_expand(fl)
-            assert tuple_dict(multiply_factors(fl)) == tuple_dict(naive)
+            assert targeted_expansion(fl) == tuple_dict(naive)
             bound = bounding_monomial(lam, qs)
             if fl.degree > sum(bound):
                 continue
@@ -223,11 +247,11 @@ class TestAgainstNaive:
             bound = bounding_monomial(lam, qs)
             if fl.degree > sum(bound):
                 continue
-            full = tuple_dict(multiply_factors(fl, bound=bound))
+            full = naive_under(naive_expand(fl), bound)
             if not full:
                 continue
             target = sorted(full)[rng.randrange(len(full))]
-            plans = engine._factor_plan(fl, bound, target)
+            plans = engine._factor_plan(fl, target)
             counts = []
             multiply_factors(fl, bound=bound, target=target,
                              on_step=lambda f, n: counts.append(n))
@@ -235,7 +259,7 @@ class TestAgainstNaive:
             checked += 1
         for fx in [f for f in TABLE1 if f.tier == LIGHT] + list(WORKED):
             fl, bound = fixture_product(fx)
-            plans = engine._factor_plan(fl, bound, fx.monomial)
+            plans = engine._factor_plan(fl, fx.monomial)
             counts = []
             got = multiply_factors(fl, bound=bound, target=fx.monomial,
                                    on_step=lambda f, n: counts.append(n))
@@ -252,17 +276,24 @@ class TestAgainstNaive:
 
 
 class TestPreconditions:
+    def test_target_is_required(self):
+        fl = build_p(QS32)
+        with pytest.raises(TypeError, match="target"):
+            multiply_factors(fl)
+        with pytest.raises(TypeError, match="target"):
+            multiply_factors(fl, bound=bounding_monomial((3, 2), QS32))
+
     def test_bound_arity(self):
         with pytest.raises(ValueError):
-            multiply_factors(build_p(QS32), bound=(1, 2))
+            multiply_factors(build_p(QS32), bound=(1, 2), target=T32)
 
     def test_bound_range(self):
         with pytest.raises(ValueError):
-            multiply_factors(build_p(QS32), bound=(300, 1, 1, 1, 1))
+            multiply_factors(build_p(QS32), bound=(300, 1, 1, 1, 1), target=T32)
 
     def test_degree_exceeding_bound_is_an_error(self):
         with pytest.raises(ValueError, match="exceeds bound degree"):
-            multiply_factors(build_p(QS32), bound=(1, 1, 1, 1, 1))
+            multiply_factors(build_p(QS32), bound=(1, 1, 1, 1, 1), target=T32)
 
     def test_target_arity_and_sign(self):
         fl = build_p(QS32)
@@ -281,9 +312,12 @@ class TestPreconditions:
     def test_exponent_cap_above_127_rejected(self):
         fl = FactorList(2, (Difference(1, 2),) * 128, frozenset(), "full")
         with pytest.raises(ValueError, match="at most 127"):
-            multiply_factors(fl)
+            multiply_factors(fl, target=(0, 128))
         fl = FactorList(2, (Difference(1, 2),) * 127, frozenset(), "full")
-        assert multiply_factors(fl).num_terms() == 128
+        # (x2 - x1)^127: x1^j x2^(127-j) has coefficient (-1)^j C(127, j)
+        for j in (0, 63, 127):
+            got = multiply_factors(fl, target=(j, 127 - j))
+            assert got.coefficient((j, 127 - j)) == (-1) ** j * math.comb(127, j)
 
     def test_target_degree_must_match(self):
         fl = build_p(QS32)
@@ -340,13 +374,14 @@ class TestCheckpoints:
             with pytest.raises(ValueError, match="earlier engine"):
                 load_checkpoint(path)
 
-    def test_truncated_checkpoint_rejected(self, tmp_path):
+    def test_truncated_checkpoint_rejected(self, tmp_path, monkeypatch):
         fx = by_name("6-4")
         qs = validate_quotient(fx.a, fx.lam)
         fl = build_p(qs)
+        term_cap_at(monkeypatch, 50)
         with pytest.raises(TermCapExceeded) as info:
             multiply_factors(fl, bound=bounding_monomial(fx.lam, qs),
-                             target=fx.monomial, term_cap=50)
+                             target=fx.monomial)
         path = tmp_path / "full.bin"
         save_checkpoint(path, info.value.checkpoint)
         data = path.read_bytes()
@@ -360,11 +395,12 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(longer)
 
-    def test_every_flipped_bit_is_refused(self, tmp_path):
+    def test_every_flipped_bit_is_refused(self, tmp_path, monkeypatch):
         fx = by_name("6-4")
         fl, bound = fixture_product(fx)
+        term_cap_at(monkeypatch, 50)
         with pytest.raises(TermCapExceeded) as info:
-            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
+            multiply_factors(fl, bound=bound, target=fx.monomial)
         path = tmp_path / "full.bin"
         save_checkpoint(path, info.value.checkpoint)
         data = path.read_bytes()
@@ -376,18 +412,36 @@ class TestCheckpoints:
                 with pytest.raises(ValueError):
                     load_checkpoint(flipped)
 
-    def test_term_cap_abort_and_resume(self):
+    # sha256 of the 6-4 checkpoint saved at a live-term cap of 50, pinned so
+    # that no change to the abort path changes the file a resume reads
+    TERM_CAP_50_SHA256 = "fbdff7a27f8c8e06ace59a351818e52861f5ee9ea31f76de5c26b4e2be355863"
+
+    def test_term_cap_abort_and_resume(self, tmp_path, monkeypatch):
         fx = by_name("6-4")
         qs = validate_quotient(fx.a, fx.lam)
         fl = build_p(qs)
         bound = bounding_monomial(fx.lam, qs)
-        with pytest.raises(TermCapExceeded) as info:
-            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
-        cp = info.value.checkpoint
-        assert cp is not None and cp.k == fl.k
-        assert 0 <= cp.factor_index < fl.degree
-        resumed = multiply_factors(fl, bound=bound, target=fx.monomial, resume=cp)
-        assert resumed.coefficient(fx.monomial) == fx.coefficient
+        default = engine.TERM_CAP
+        for kernel in KERNELS:
+            use_kernel(monkeypatch, kernel)
+            term_cap_at(monkeypatch, 50)
+            with pytest.raises(TermCapExceeded) as info:
+                multiply_factors(fl, bound=bound, target=fx.monomial)
+            assert str(info.value) == "term count 87 exceeds cap 50 at factor 5"
+            cp = info.value.checkpoint
+            assert cp is not None and cp.k == fl.k
+            assert 0 <= cp.factor_index < fl.degree
+            path = tmp_path / f"capped-{kernel}.bin"
+            save_checkpoint(path, cp)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TERM_CAP_50_SHA256
+            term_cap_at(monkeypatch, default)
+            resumed = multiply_factors(fl, bound=bound, target=fx.monomial, resume=cp)
+            assert resumed.coefficient(fx.monomial) == fx.coefficient
+
+    def test_term_cap_is_a_fixed_guard(self):
+        assert engine.TERM_CAP == 200_000_000
+        with pytest.raises(TypeError, match="term_cap"):
+            multiply_factors(build_p(QS32), target=T32, term_cap=50)
 
     def test_op_cap_abort_and_resume(self):
         fx = by_name("6-4")
@@ -401,13 +455,15 @@ class TestCheckpoints:
         resumed = multiply_factors(fl, bound=bound, target=fx.monomial, resume=cp)
         assert resumed.coefficient(fx.monomial) == fx.coefficient
 
-    def test_checkpoint_file_round_trip_mid_run(self, tmp_path):
+    def test_checkpoint_file_round_trip_mid_run(self, tmp_path, monkeypatch):
         fx = by_name("6-4")
         qs = validate_quotient(fx.a, fx.lam)
         fl = build_p(qs)
         bound = bounding_monomial(fx.lam, qs)
+        term_cap_at(monkeypatch, 50)
         with pytest.raises(TermCapExceeded) as info:
-            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
+            multiply_factors(fl, bound=bound, target=fx.monomial)
+        monkeypatch.undo()
         path = tmp_path / "mid.bin"
         save_checkpoint(path, info.value.checkpoint)
         resumed = multiply_factors(
@@ -415,11 +471,13 @@ class TestCheckpoints:
         )
         assert resumed.coefficient(fx.monomial) == fx.coefficient
 
-    def test_resume_rejects_an_edited_factor_index(self, tmp_path):
+    def test_resume_rejects_an_edited_factor_index(self, tmp_path, monkeypatch):
         fx = by_name("6-4")
         fl, bound = fixture_product(fx)
+        term_cap_at(monkeypatch, 50)
         with pytest.raises(TermCapExceeded) as info:
-            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
+            multiply_factors(fl, bound=bound, target=fx.monomial)
+        monkeypatch.undo()
         assert info.value.checkpoint.factor_index == 5
         path = tmp_path / "edited.bin"
         save_checkpoint(path, info.value.checkpoint)
@@ -442,11 +500,12 @@ class TestCheckpoints:
                                    resume=load_checkpoint(path))
         assert resumed.coefficient(fx.monomial) == fx.coefficient == 10
 
-    def test_resume_rejects_a_digit_above_its_cap(self):
+    def test_resume_rejects_a_digit_above_its_cap(self, monkeypatch):
         fx = by_name("6-4")
         fl, bound = fixture_product(fx)
+        term_cap_at(monkeypatch, 50)
         with pytest.raises(TermCapExceeded) as info:
-            multiply_factors(fl, bound=bound, target=fx.monomial, term_cap=50)
+            multiply_factors(fl, bound=bound, target=fx.monomial)
         cp = info.value.checkpoint
         assert cp.factor_index == 5 and fx.monomial[3] == 3
         bad = pack((1, 0, 0, 4) + (0,) * 6)  # degree 5, but x4's cap is 3
@@ -458,55 +517,33 @@ class TestCheckpoints:
     def test_resume_validation(self):
         fl = build_p(QS32)
         with pytest.raises(ValueError):
-            multiply_factors(fl, resume=EngineCheckpoint(4, 0, {0: 1}))
+            multiply_factors(fl, target=T32, resume=EngineCheckpoint(4, 0, {0: 1}))
         with pytest.raises(ValueError):
-            multiply_factors(fl, resume=EngineCheckpoint(0, 0, {0: 1}))
+            multiply_factors(fl, target=T32, resume=EngineCheckpoint(0, 0, {0: 1}))
         with pytest.raises(ValueError):
-            multiply_factors(fl, resume=EngineCheckpoint(5, 99, {0: 1}))
+            multiply_factors(fl, target=T32, resume=EngineCheckpoint(5, 99, {0: 1}))
 
 
 class TestPruningProperties:
-    def test_with_and_without_target_agree(self):
-        for name in ("6-4", "7-3", "8-2"):
-            fx = by_name(name)
-            qs = validate_quotient(fx.a, fx.lam)
-            fl = build_p(qs)
-            bound = bounding_monomial(fx.lam, qs)
-            bounded = multiply_factors(fl, bound=bound)
-            targeted = multiply_factors(fl, bound=bound, target=fx.monomial)
-            assert (
-                bounded.coefficient(fx.monomial)
-                == targeted.coefficient(fx.monomial)
-                == fx.coefficient
-            )
-
-    def test_tightening_bound_never_grows_terms(self):
-        fl = build_p(QS32)
-        loose = multiply_factors(fl)
-        mid = multiply_factors(fl, bound=(3, 2, 3, 3, 2))
-        tight = multiply_factors(fl, bound=bounding_monomial((3, 2), QS32))
-        assert loose.num_terms() >= mid.num_terms() >= tight.num_terms()
-        # tightening never changes surviving coefficients
-        for exps, c in tuple_dict(tight).items():
-            assert mid.coefficient(exps) == c
-            assert loose.coefficient(exps) == c
-
     def test_on_step_callback(self):
         fl = build_p(QS32)
         seen = []
-        multiply_factors(fl, on_step=lambda f, n: seen.append((f, n)))
+        multiply_factors(fl, target=T32, on_step=lambda f, n: seen.append((f, n)))
         assert [f for f, _ in seen] == list(range(fl.degree))
         assert all(n >= 1 for _, n in seen)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_zero_coefficients_are_dropped_eagerly(self, monkeypatch, kernel):
-        # (x2-x1)(x2-x1) * ... keeps dicts free of zero entries
+        # (x2-x1)(x2-x1) * ... keeps dicts free of zero entries: a target
+        # whose coefficient cancels comes back with no term
         use_kernel(monkeypatch, kernel)
         rng = random.Random(77)
         for _ in range(20):
             fl, lam, qs = random_factor_list(rng)
-            poly = multiply_factors(fl)
-            assert all(c != 0 for c in poly.terms.values())
+            box = list(box_monomials(fl.occurrences[0], fl.degree))
+            for target in rng.sample(box, min(12, len(box))):
+                poly = multiply_factors(fl, target=target)
+                assert all(c != 0 for c in poly.terms.values())
 
 
 class TestVanishingProduct:
@@ -535,7 +572,7 @@ class TestVanishingProduct:
             while sum(target) > fl.degree:
                 v = rng.randrange(len(target))
                 target[v] -= target[v] > 0
-            full = digit_loop_live_counts(engine._factor_plan(fl, bound, target))
+            full = digit_loop_live_counts(engine._factor_plan(fl, target))
             if 0 not in full[:-1]:
                 continue
             seen, multiplied[:] = [], []
@@ -595,6 +632,36 @@ class TestFactorOrder:
                                    resume=load_checkpoint(path))
         assert resumed.coefficient(self.FX.monomial) == 2588
 
+    # sha256 of the op_cap 50 000 checkpoint above, pinned so that building
+    # it lazily from arrays cannot change the file a resume reads
+    OP_CAP_50K_SHA256 = "8ac066814c9eb0df42085874e44e89fb767310a2647150c1876b62c78e3a7633"
+
+    def test_array_checkpoint_is_built_once_when_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        built = []
+        to_dict = engine._to_dict
+
+        def spy(*args):
+            built.append(len(args[0]))
+            return to_dict(*args)
+
+        monkeypatch.setattr(engine, "_to_dict", spy)
+        with pytest.raises(OpCapExceeded) as info:
+            multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
+                             op_cap=50_000)
+        assert built == []  # nothing read the checkpoint yet
+        cp = info.value.checkpoint
+        assert info.value.checkpoint is cp
+        assert built == [len(cp.terms)] == [3919]
+        assert cp.factor_index == 21
+        path = tmp_path / "lazy.bin"
+        save_checkpoint(path, cp)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.OP_CAP_50K_SHA256
+        resumed = multiply_factors(self.fl, bound=self.bound,
+                                   target=self.FX.monomial,
+                                   resume=load_checkpoint(path))
+        assert resumed.coefficient(self.FX.monomial) == self.FX.coefficient == 2588
+
     def test_reordered_checkpoint_is_refused(self, tmp_path):
         # the plan hash covers the factor order, so a checkpoint saved from
         # one order never resumes on another
@@ -624,12 +691,11 @@ class TestSharedSetUp:
             fl = apply_fixes(fl, fixes)
             bound = tuple(rng.randint(0, 6) for _ in range(fl.k))
             target = tuple(rng.randint(0, b) for b in bound)
-            for tgt in (None, target):
-                got = engine._factor_plan(fl, bound, tgt)
-                want = plain_factor_plan(fl, bound, tgt)
-                assert got == want
-                # checkpoints hash the plan, so it keeps its type too
-                assert engine._plan_hash(fl.k, got) == engine._plan_hash(fl.k, want)
+            got = engine._factor_plan(fl, target)
+            want = plain_factor_plan(fl, target)
+            assert got == want
+            # checkpoints hash the plan, so it keeps its type too
+            assert engine._plan_hash(fl.k, got) == engine._plan_hash(fl.k, want)
 
     # QS52 with 3 and 6 fixed and unfixed share 8 factor shapes, among them
     # x4+x5 beside x5-x4 and x1+x2 beside x2-x1: tables keyed without signs
@@ -656,7 +722,7 @@ class TestSharedSetUp:
                 counts = []
                 got = multiply_factors(fl, bound=bound, target=target,
                                        on_step=lambda f, n: counts.append(n))
-                plans = engine._factor_plan(fl, bound, target)
+                plans = engine._factor_plan(fl, target)
                 assert counts == digit_loop_live_counts(plans), (fixes, target)
                 want = naive.coefficient(target)
                 assert tuple_dict(got) == ({target: want} if want else {})
@@ -781,14 +847,17 @@ class TestArrayKernel:
         cases = []
         for _ in range(12):
             fl = self.high_lane_factor_list(rng)
-            full = multiply_factors(fl).terms
-            target = unpack(sorted(full)[rng.randrange(len(full))], fl.k)
-            cases += [(fl, None, full), (fl, target, {pack(target): full[pack(target)]})]
+            full = naive_expand(fl, max_k=16).terms
+            for key in rng.sample(sorted(full), min(6, len(full))):
+                cases.append((fl, unpack(key, fl.k), {key: full[key]}))
         # (x12 + ... + x16)^12: coefficients up to 12! / (3!^2 2!^3) in the
         # top five lanes, past INT64_LIMIT below, so ranges merge objects too
         fl = FactorList(16, (Window((11, 16), (12, 13, 14, 15, 16)),) * 12,
                         frozenset(), "full")
-        cases.append((fl, None, multiply_factors(fl).terms))
+        for top in ((3, 3, 2, 2, 2), (2, 3, 2, 3, 2), (12, 0, 0, 0, 0), (0, 4, 0, 8, 0)):
+            target = (0,) * 11 + top
+            exact = math.factorial(12) // math.prod(map(math.factorial, top))
+            cases.append((fl, target, {pack(target): exact}))
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
         monkeypatch.setattr(engine, "MERGE_RANGE", merge_range)
         monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
@@ -797,11 +866,11 @@ class TestArrayKernel:
             counts = []
             got = multiply_factors(fl, target=target,
                                    on_step=lambda f, n: counts.append(n))
-            plans = engine._factor_plan(fl, (255,) * fl.k, target)
+            plans = engine._factor_plan(fl, target)
             assert counts == digit_loop_live_counts(plans)
             assert got.terms == want
         assert len(kinds) == sum(fl.degree for fl, _, _ in cases)
-        assert kinds[-1] == "O"
+        assert "O" in kinds[-4 * 12:]
 
     def test_wide_lanes_stay_on_dicts(self, monkeypatch):
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
@@ -813,15 +882,22 @@ class TestArrayKernel:
             return to_arrays(terms, k)
 
         monkeypatch.setattr(engine, "_to_arrays", spy)
-        for power in (15, 20):  # caps: 15 fits a 4-bit lane, 20 does not
+        # (x2 - x1)^power: every cap of power 15 fits a 4-bit lane; at power
+        # 20 a target with an exponent above 15 has a cap that does not
+        for power, exponents in ((15, range(16)), (20, (*range(5), *range(16, 21)))):
             fl = FactorList(2, (Difference(1, 2),) * power, frozenset(), "full")
-            assert tuple_dict(multiply_factors(fl)) == tuple_dict(naive_expand(fl))
-        assert switches == [2]
+            naive = naive_expand(fl)
+            for j in exponents:
+                target = (j, power - j)
+                got = multiply_factors(fl, target=target)
+                assert got.coefficient(target) == naive.coefficient(target)
+        assert switches == [2] * 16
         fl = FactorList(17, (Difference(16, 17),) * 3, frozenset(), "full")
-        got = tuple_dict(multiply_factors(fl))
-        assert switches == [2]  # k = 17 needs more than 64 bits
-        assert got == {(0,) * 15 + (3 - j, j): (-1) ** (3 - j) * c
-                       for j, c in enumerate((1, 3, 3, 1))}
+        for j, c in enumerate((1, 3, 3, 1)):
+            target = (0,) * 15 + (3 - j, j)
+            got = tuple_dict(multiply_factors(fl, target=target))
+            assert got == {target: (-1) ** (3 - j) * c}
+        assert switches == [2] * 16  # k = 17 needs more than 64 bits
 
 
 # Runs the 10-2-a product (417 093 peak live terms, on the array kernel)

@@ -1,9 +1,12 @@
+import functools
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nullseq import certify
+from nullseq import certify, reports
 from nullseq.applicability import applicability
 from nullseq.certify import (
     AttemptRecord,
@@ -17,7 +20,7 @@ from nullseq.certify import (
     certify_type,
     factorize,
 )
-from nullseq.factors import product
+from nullseq.factors import REDUCED, product
 from nullseq.oracle import (
     ROTATIONAL_ONLY,
     ScanReport,
@@ -436,9 +439,30 @@ class TestCaseRecordTamper:
         with pytest.raises(ValueError, match="not the types of k = 7"):
             case_from_records(kept)
 
+    @pytest.mark.parametrize("k, t, lam", [(5, 2, "5,0"), (6, 2, "6,0"), (6, 3, "6,0,0")])
+    def test_mixed_variants_rejected(self, k, t, lam):
+        # one prove run writes one variant; a reduced certificate holds only
+        # for subsets with no two mutually inverse elements
+        full = case_records(assemble_case(k, t))
+        reduced = case_records(assemble_case(k, t, CaseConfig(variant=REDUCED)))
+        (swap,) = [r for r in reduced if r.get("lam") == lam]
+        assert swap["kind"] == "certificate" and swap["variant"] == REDUCED
+        mixed = [swap if r.get("lam") == lam else r for r in full]
+        assert mixed != full
+        with pytest.raises(ValueError, match="variants"):
+            case_from_records(mixed)
+
     def test_type_records_of_another_case_rejected(self, records):
         with pytest.raises(ValueError, match="in a case with k = 5"):
             case_from_records(records[5][:1] + records[7][1:])
+
+    def test_summary_fields_keep_their_types(self, records):
+        # 0 == False and 1 == True in Python, but not in the record
+        summary = records[5][0]
+        assert (summary["complete"], summary["unresolved"]) == (True, 0)
+        for forged in (dict(summary, complete=1), dict(summary, unresolved=False)):
+            with pytest.raises(ValueError, match="case summary says"):
+                case_from_records([forged] + records[5][1:])
 
     def test_summary_counts_must_match(self, records):
         # every type of k = 7, t = 2 is certified; claim one is not
@@ -582,3 +606,95 @@ class TestCaseRecordTamper:
         with pytest.raises(ValueError, match="representative 4,1,0 transferred"):
             case_from_records(forged)
         assert case_from_records(records) == assemble_case(5, 3, config)
+
+
+# ---------------------------------------------------------------------------
+# property tests: a mutated case file is rejected or certifies the same
+
+
+@functools.cache
+def _property_case(k, t):
+    """(report, records) of a default prove run."""
+    report = assemble_case(k, t)
+    return report, tuple(case_records(report))
+
+
+def _certified_content(report, records):
+    """What a case file certifies: per type its lam, orbit, representative
+    and certificate (or none), as parsed, and the fields of its summary
+    record, as written."""
+    types = [(r.lam, r.orbit, r.derived_from, r.certificate) for r in report.results]
+    (summary,) = [r for r in records if r["kind"] == "case"]
+    fields = ("k", "t", *reports._summary(report))
+    # typed, so that 0 does not pass for false
+    return types, {name: (type(summary.get(name)), summary.get(name)) for name in fields}
+
+
+def _digit_positions(value):
+    if type(value) not in (int, str):
+        return []
+    return [i for i, ch in enumerate(str(value)) if ch.isdigit()]
+
+
+# values a replaced field may take besides those of the same field elsewhere
+_OTHER_VALUES = ("", "0", "1", "7", "2,1", "0,0,0", "full", "reduced", "zero",
+                 "nonzero", 0, 1, 2, -1, True, False)
+
+
+@st.composite
+def _mutations(draw, records):
+    """records with one mutation: a field's value replaced, one digit of a
+    number changed, the exceptional primes of a record forged, two records
+    swapped, or a record dropped or duplicated."""
+    records = [dict(r) for r in records]
+    kind = draw(st.sampled_from(
+        ["replace", "digit", "exceptional", "swap", "drop", "duplicate"]))
+    i = draw(st.integers(0, len(records) - 1))
+    if kind == "swap":
+        j = draw(st.integers(0, len(records) - 2))
+        j += j >= i
+        records[i], records[j] = records[j], records[i]
+    elif kind == "drop":
+        del records[i]
+    elif kind == "duplicate":
+        records.insert(draw(st.integers(0, len(records))), dict(records[i]))
+    elif kind == "exceptional":
+        # no small case has exceptional primes of its own
+        i = draw(st.sampled_from([n for n, r in enumerate(records) if "exceptional" in r]))
+        primes = draw(st.lists(st.sampled_from((5, 7, 11, 13, 157)),
+                               min_size=1, max_size=3, unique=True))
+        records[i]["exceptional"] = format_exponents(sorted(primes))
+    elif kind == "digit":
+        key = draw(st.sampled_from(
+            sorted(key for key, v in records[i].items() if _digit_positions(v))))
+        value = records[i][key]
+        text = str(value)
+        at = draw(st.sampled_from(_digit_positions(value)))
+        digit = draw(st.sampled_from([d for d in "0123456789" if d != text[at]]))
+        text = text[:at] + digit + text[at + 1:]
+        records[i][key] = int(text) if type(value) is int else text
+    else:
+        key = draw(st.sampled_from(sorted(records[i])))
+        value = records[i][key]
+        seen = {(type(r[key]), r[key]) for r in records if key in r}
+        pool = sorted(seen | {(type(v), v) for v in _OTHER_VALUES}, key=repr)
+        pool.remove((type(value), value))
+        records[i][key] = draw(st.sampled_from(pool))[1]
+    return records
+
+
+class TestCaseRecordProperties:
+    """(4, 3) has six derived orbit members; (9, 2) leaves (9,0) unresolved
+    with skipped-degree attempts."""
+
+    @pytest.mark.parametrize("case", [(4, 3), (9, 2)])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(data=st.data())
+    def test_a_mutation_is_rejected_or_certifies_the_same(self, case, data):
+        report, records = _property_case(*case)
+        mutated = data.draw(_mutations(records))
+        try:
+            parsed = case_from_records(mutated)
+        except ValueError:
+            return
+        assert _certified_content(parsed, mutated) == _certified_content(report, records)
