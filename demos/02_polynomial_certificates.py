@@ -49,8 +49,9 @@ def main():
     target = (2, 0, 2, 1, 1)
     live = []
     poly = multiply_factors(fl, bound=bound, target=target,
-                            on_step=lambda f, n: live.append(n))
-    print(f"   live terms after each factor: {live}")
+                            on_step=lambda f, n: live.append(f"{fl.labels()[f]}: {n}"))
+    print("   the head multiplies factors from the first, the tail from the last;")
+    print(f"   live terms after each step: {', '.join(live)}")
     coeff = poly.coefficient(target)
     print(f"   coefficient of x1^2 x3^2 x4 x5  =  {coeff}\n")
 

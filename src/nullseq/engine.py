@@ -4,19 +4,35 @@ Monomials are packed into a single integer, one byte per position (position 1
 is the lowest byte), so dictionary keys are small ints and successor keys are
 computed with shifts and adds.
 
-Factors are multiplied one at a time in the order fl.factors lists them,
-which factors._emit decides; on_step's f and a checkpoint's factor_index
-are positions in that list.
-
 Every call asks for one coefficient: that of a target monomial, which
-divides the bounding monomial when one is given.  Pruning while multiplying
-factor-by-factor:
+divides the bounding monomial when one is given.  It is found from two
+frontiers, both pruned towards the target:
+
+* the head multiplies fl.factors in list order, which factors._emit decides;
+* the tail starts from 1 and multiplies the same factors from the last one
+  backwards.
+
+Each step goes to the side with fewer live terms, to the head on a tie, and
+to the tail only while it holds at most MEET_TERMS (2**13) live terms: two
+big frontiers on the dict kernel cost more time and memory than one on
+arrays.  Once the head has taken factors [0, i) and the tail [i, n), the
+join Σ_m H[m] · T[target − m] is the coefficient, and nothing more is
+multiplied.  target − m cannot borrow, since no digit exceeds its cap and
+no cap its target digit; the smaller frontier is iterated and each
+complement looked up in the other, by np.searchsorted on arrays.
+on_step's f and a checkpoint's factor_index and tail_index are positions
+in fl.factors.
+
+Pruning while multiplying factor-by-factor:
 
 * divisor rule: a partial exponent may never exceed its cap, the target's;
-* capacity rule: each remaining factor raises the total degree by exactly 1,
-  so position v can gain at most as many units as there are remaining
-  factors containing x_v.  A partial term that cannot reach the target any
-  more is dropped.
+* capacity rule: each factor a side has not multiplied yet raises the total
+  degree by exactly 1, so position v can gain at most as many units as
+  there are such factors containing x_v: for the head those after the
+  step's factor, for the tail those before it (the tail's plan is that of
+  fl.mirror).  Both counts include the other side's factors, so the rule
+  stays a necessary condition.  A partial term that cannot reach the target
+  any more is dropped.
 
 The capacity rule is applied incrementally.  When a factor is multiplied in,
 the requirement tightens by one exactly for the variables of that factor, so
@@ -39,19 +55,22 @@ makes 987, most of a few thousand term-ops), so their fixed costs are shared:
 
 * the plan skeleton, each variable's occurrence count and each factor's
   entries with the occurrences left after it, depends on the factor list
-  alone: FactorList.occurrences computes it once per list, which serves
-  every monomial tried on it, and a call only applies its target;
+  alone: FactorList.occurrences computes it once per list, and that of
+  FactorList.mirror, cached on the list too, serves the tail; both serve
+  every monomial tried on the list, and a call only applies its target,
+  building a factor's plan tuple when a side takes its step;
 * a state's bits mean "reached threshold" and "reached cap" whatever the
   numeric thresholds and caps are, so a term's successors depend on the
   factor's shape ((variable, sign) per lane) and its state alone: the
-  tables are keyed by shape and shared by every step, call and product in
-  the process (_successors says what bounds them).
+  tables are keyed by shape and shared by every step, side, call and
+  product in the process (_successors says what bounds them).
 
-Array kernel.  A job whose term dict grows past BIG_STEP_TERMS (2**16) live
-terms moves, before its next step, to a pair of numpy arrays and stays there
-to the end: uint64 keys with 4-bit lanes (the digit of x_v at bits
-4(v - 1)), sorted, and a coefficient column.  It moves only when k <= 16 and
-every cap is at most 15, so each digit fits its lane.  A step marks, in a
+Array kernel.  A side whose term dict grows past BIG_STEP_TERMS (2**16) live
+terms moves, before its next step, to a pair of numpy arrays, and the other
+side with it; both stay there to the end: uint64 keys with 4-bit lanes (the
+digit of x_v at bits 4(v - 1)), sorted, and a coefficient column.  They
+move only when k <= 16 and every cap is at most 15, so each digit fits its
+lane.  A step marks, in a
 uint16 mask per term, the branches the term keeps: branch j keeps it when
 its digit j is below its cap and the number of the factor's digits below
 their thresholds equals [digit j below threshold], which is _successors'
@@ -64,15 +83,17 @@ are concatenated in order.  So no step copies a whole array once per branch,
 and its sort temporaries are bounded by a range.  The column starts as
 int64.  Each new coefficient sums at most len(factor) old ones, so before a
 step with max|c| * len(factor) >= 2**63 the column is converted once to
-object dtype, exact Python ints, which the same merge handles.  Results and
-checkpoints are always dicts of 8-bit-lane keys, so the arrays become a
-dict again only when the job ends or an abort's checkpoint is read.  numpy
-is imported on the array path only.
+object dtype, exact Python ints, which the same merge handles.  The join
+multiplies coefficients as Python ints.  Checkpoints are always dicts of
+8-bit-lane keys, so arrays become a dict again only when an abort's
+checkpoint is read.  numpy is imported on the array path only.  While
+BIG_STEP_TERMS exceeds MEET_TERMS the head moves first, and only once the
+tail is done, so the tail waits for the join at 16 bytes a term.
 
 Budget.  op_cap, the one budget a caller sets, bounds the term-ops of a
-call and so its memory too: a step never leaves more live terms than the
-term-ops it just spent.  TERM_CAP is a fixed guard on live terms, far above
-any known job.
+call, summed over both sides, and so its memory too: a step never leaves
+more live terms than the term-ops it just spent.  TERM_CAP is a fixed guard
+on each side's live terms, far above any known job.
 
 A deliberately naive expansion over tuple keys (no packing, no pruning) is
 provided as an independent cross-check for small instances.
@@ -82,17 +103,21 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
 
 from .factors import FactorList
 
-CHECKPOINT_MAGIC = b"NSEQCKP4"
+CHECKPOINT_MAGIC = b"NSEQCKP5"
 # refused on load: NSEQCKP1 has no plan_hash; NSEQCKP2 counts factor_index
 # in canonical order and hashes unclamped caps; NSEQCKP3 has no digest, so a
-# damaged coefficient in it would resume into a wrong number.
-_OLD_MAGICS = (b"NSEQCKP1", b"NSEQCKP2", b"NSEQCKP3")
+# damaged coefficient in it would resume into a wrong number; NSEQCKP4
+# holds the head alone.
+_OLD_MAGICS = (b"NSEQCKP1", b"NSEQCKP2", b"NSEQCKP3", b"NSEQCKP4")
+# k, factor_index, tail_index, the two term counts and the plan hash's length
+_HEADER = struct.Struct("<BIIQQB")
 
 
 def pack(exponents) -> int:
@@ -102,10 +127,6 @@ def pack(exponents) -> int:
             raise ValueError(f"exponent {e} does not fit in one byte")
         key |= e << (8 * idx)
     return key
-
-
-def unpack(key: int, k: int) -> tuple[int, ...]:
-    return tuple((key >> (8 * idx)) & 255 for idx in range(k))
 
 
 @dataclass
@@ -124,16 +145,22 @@ class SparsePolynomial:
 
 @dataclass
 class EngineCheckpoint:
-    """Resumable state: the accumulated terms before step factor_index.
+    """Resumable state: both frontiers and the factors left between them.
 
-    factor_index is a position in fl.factors.  plan_hash identifies the
-    computation (k and the per-step plan in list order: factor terms,
-    exponent caps, target thresholds); a resume must match it.
+    terms is the head, the product of fl.factors[:factor_index], and
+    tail_terms the tail, the product of fl.factors[tail_index:] (tail_index
+    is n, and tail_terms {0: 1}, while the tail has multiplied nothing);
+    the factors [factor_index, tail_index) are left to multiply.  plan_hash
+    identifies the computation (k and the per-step plan in list order:
+    factor terms, exponent caps, target thresholds; the tail's plan is
+    derived from the same inputs); a resume must match it.
     """
 
     k: int
     factor_index: int
     terms: dict[int, int] = field(repr=False)
+    tail_index: int
+    tail_terms: dict[int, int] = field(repr=False)
     plan_hash: bytes = b""
 
 
@@ -160,11 +187,11 @@ class OpCapExceeded(EngineAbort):
 def save_checkpoint(path, cp: EngineCheckpoint) -> None:
     """Binary, deterministic (keys sorted), round-trips bit-exactly.
 
-    The magic is followed by a header, the terms and a SHA-256 digest of
-    the header and the terms, which load_checkpoint checks.  The file is
-    written next to path, synced to disk and only then renamed into place,
-    so a crash, of the process or of the OS, leaves either the old file or
-    the complete new one.
+    The magic is followed by a header, the head's terms, the tail's terms
+    and a SHA-256 digest of the header and both term blocks, which
+    load_checkpoint checks.  The file is written next to path, synced to
+    disk and only then renamed into place, so a crash, of the process or of
+    the OS, leaves either the old file or the complete new one.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -176,15 +203,16 @@ def save_checkpoint(path, cp: EngineCheckpoint) -> None:
                 fh.write(data)
 
             fh.write(CHECKPOINT_MAGIC)
-            write(struct.pack("<BIQB", cp.k, cp.factor_index, len(cp.terms),
-                              len(cp.plan_hash)))
+            write(_HEADER.pack(cp.k, cp.factor_index, cp.tail_index, len(cp.terms),
+                               len(cp.tail_terms), len(cp.plan_hash)))
             write(cp.plan_hash)
-            for key in sorted(cp.terms):
-                coef = cp.terms[key]
-                mag = abs(coef)
-                mb = mag.to_bytes(max(1, (mag.bit_length() + 7) // 8), "little")
-                write(key.to_bytes(cp.k, "little")
-                      + struct.pack("<BI", 1 if coef < 0 else 0, len(mb)) + mb)
+            for terms in (cp.terms, cp.tail_terms):
+                for key in sorted(terms):
+                    coef = terms[key]
+                    mag = abs(coef)
+                    mb = mag.to_bytes(max(1, (mag.bit_length() + 7) // 8), "little")
+                    write(key.to_bytes(cp.k, "little")
+                          + struct.pack("<BI", 1 if coef < 0 else 0, len(mb)) + mb)
             fh.write(digest.digest())
             fh.flush()
             os.fsync(fh.fileno())
@@ -221,22 +249,29 @@ def load_checkpoint(path) -> EngineCheckpoint:
             digest.update(data)
             return data
 
-        k, factor_index, count, hash_len = struct.unpack("<BIQB", read(14))
+        def read_terms(count: int) -> dict[int, int]:
+            terms: dict[int, int] = {}
+            for _ in range(count):
+                key = int.from_bytes(read(k), "little")
+                neg, mlen = struct.unpack("<BI", read(5))
+                mag = int.from_bytes(read(mlen), "little")
+                terms[key] = -mag if neg else mag
+            return terms
+
+        k, factor_index, tail_index, count, tail_count, hash_len = _HEADER.unpack(
+            read(_HEADER.size))
         plan_hash = read(hash_len)
-        terms: dict[int, int] = {}
-        for _ in range(count):
-            key = int.from_bytes(read(k), "little")
-            neg, mlen = struct.unpack("<BI", read(5))
-            mag = int.from_bytes(read(mlen), "little")
-            terms[key] = -mag if neg else mag
+        terms = read_terms(count)
+        tail_terms = read_terms(tail_count)
         stored = fh.read(digest.digest_size)
         if len(stored) != digest.digest_size:
             raise ValueError(f"{path} is truncated")
         if fh.read(1):
-            raise ValueError(f"{path} has trailing bytes after {count} terms")
+            raise ValueError(
+                f"{path} has trailing bytes after {count} + {tail_count} terms")
         if stored != digest.digest():
             raise ValueError(f"{path} is damaged: its SHA-256 digest does not match")
-        return EngineCheckpoint(k, factor_index, terms, plan_hash)
+        return EngineCheckpoint(k, factor_index, terms, tail_index, tail_terms, plan_hash)
 
 
 def _plan_hash(k: int, plans) -> bytes:
@@ -244,17 +279,11 @@ def _plan_hash(k: int, plans) -> bytes:
     return hashlib.sha256(repr((k, plans)).encode()).digest()
 
 
-def _factor_plan(fl: FactorList, target):
-    """Per-step tuples (shift, sign, threshold, cap), one per factor in list order.
-
-    plans[f] describes fl.factors[f].  cap is the target's exponent,
-    clamped to the number of factors containing the variable, so it never
-    changes which terms live; it must be at most 127 for the lane test.
-    threshold is the minimum exponent the variable must hold *after* this
-    step for the target to stay reachable, clamped to cap + 1.  The counts
-    come from fl.occurrences, computed once per factor list.
-    """
-    counts, steps = fl.occurrences
+def _caps(fl: FactorList, target) -> list[int]:
+    """Each variable's exponent cap: the target's exponent, clamped to the
+    number of factors containing the variable, so it never changes which
+    terms live; it must be at most 127 for the lane test."""
+    counts = fl.occurrences[0]
     caps = [min(e, c) for e, c in zip(target, counts)]
     for v, cap in enumerate(caps, 1):
         if cap > 127:
@@ -262,14 +291,33 @@ def _factor_plan(fl: FactorList, target):
                 f"x{v} occurs in {counts[v - 1]} factors with exponent cap "
                 f"{target[v - 1]}; the engine allows caps of at most 127"
             )
-    return [
-        tuple(
-            (8 * (v - 1), sign, min(max(target[v - 1] - left, 0), caps[v - 1] + 1),
-             caps[v - 1])
-            for (v, sign), left in zip(terms, lefts)
-        )
-        for terms, lefts in steps
-    ]
+    return caps
+
+
+def _step_plan(target, caps, terms, lefts) -> tuple:
+    """One step's tuple of (shift, sign, threshold, cap), one per factor term.
+
+    terms and lefts are an entry of FactorList.occurrences' steps: the
+    factor's (variable, sign) pairs and, per pair, how many factors beyond
+    it contain the variable (after it for the head, before it for the tail,
+    whose steps come from fl.mirror).  threshold is the minimum exponent
+    the variable must hold *after* this step for the target to stay
+    reachable, clamped to cap + 1.
+    """
+    return tuple(
+        (8 * (v - 1), sign, min(max(target[v - 1] - left, 0), caps[v - 1] + 1),
+         caps[v - 1])
+        for (v, sign), left in zip(terms, lefts)
+    )
+
+
+def _factor_plan(fl: FactorList, target):
+    """The head's step tuples, one per factor in list order: plans[f]
+    describes fl.factors[f].  _factor_plan(fl.mirror, target) gives the
+    tail's, last factor first.  A call builds each tuple when a side takes
+    its step; the whole plan is built for a checkpoint's plan_hash."""
+    caps = _caps(fl, target)
+    return [_step_plan(target, caps, *step) for step in fl.occurrences[1]]
 
 
 # A dict of more than 2**16 terms (about 18 MB with its keys and values)
@@ -279,6 +327,10 @@ BIG_STEP_TERMS = 1 << 16
 # an array step merges its branches per range of output keys, cut at every
 # MERGE_RANGE-th input key, so its sort temporaries are bounded by a range
 MERGE_RANGE = 1 << 13
+# the tail steps only while it holds at most this many live terms: uncapped,
+# the tail of 10-2-a grows to 311 624 terms beside the head's 358 993, and
+# the job takes about 1.4 times the time and 30 % more memory
+MEET_TERMS = 1 << 13
 # the array coefficient column is int64 while max|c| * len(factor) is below this
 INT64_LIMIT = 1 << 63
 # a step that leaves more live terms than this raises TermCapExceeded; the
@@ -451,73 +503,133 @@ def _as_dict(terms, k: int) -> dict[int, int]:
     return terms if isinstance(terms, dict) else _to_dict(*terms, k)
 
 
-def _run_factors(plans, shapes, terms, start, k, op_cap, on_step):
-    """Multiply in plans[start:]; terms is a dict or, past the switch, arrays.
+def _size(terms) -> int:
+    return len(terms) if isinstance(terms, dict) else len(terms[0])
 
-    shapes[f] is fl.factors[f].terms(), the key of its successor table."""
+
+def _step(fac, shape, terms, k: int, lanes_fit: bool):
+    """Multiply one side's terms, a dict or arrays, by one factor.
+
+    Returns the terms as the step read them (moved to arrays past
+    BIG_STEP_TERMS when every digit fits a 4-bit lane, their column widened
+    before it could overflow), their count and the new terms.  shape is the
+    factor's terms(), the key of its successor table.
+    """
+    if isinstance(terms, dict):
+        if len(terms) <= BIG_STEP_TERMS or not lanes_fit:
+            return terms, len(terms), _dict_step(fac, shape, terms)
+        terms = _to_arrays(terms, k)
+    keys, coefs = terms
+    # each new coefficient sums at most len(fac) old ones
+    if coefs.dtype != object and int(abs(coefs).max(initial=0)) * len(fac) >= INT64_LIMIT:
+        terms = keys, coefs.astype(object)
+    return terms, len(keys), _array_step(fac, *terms)
+
+
+def _join(head, tail, target, k: int) -> int:
+    """Σ_m H[m] · T[target − m]: the target's coefficient from the frontiers.
+
+    The complement target − m cannot borrow, since no digit exceeds its
+    cap and no cap its target digit.  The smaller frontier is iterated:
+    on dicts each complement is looked up in the other dict, on arrays all
+    are found in the other side's sorted 4-bit-lane keys by
+    np.searchsorted (a target digit above 15 exceeds its cap there, so no
+    term reaches it).  Coefficients are multiplied as Python ints.
+    """
+    small, big = (tail, head) if _size(tail) <= _size(head) else (head, tail)
+    if isinstance(big, dict):
+        key = pack(target)
+        get = big.get
+        return sum(c * get(key - m, 0) for m, c in small.items())
+    keys, coefs = big
+    if max(target) > 15 or not len(keys):
+        return 0
+    import numpy as np
+
+    wanted = np.uint64(sum(e << 4 * v for v, e in enumerate(target))) - small[0]
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    hit = keys[at] == wanted
+    return sum(map(operator.mul, small[1][hit].tolist(), coefs[at[hit]].tolist()))
+
+
+def _checkpoint(fl: FactorList, target, lo, head, hi, tail) -> EngineCheckpoint:
+    k = fl.k
+    return EngineCheckpoint(k, lo, _as_dict(head, k), hi, _as_dict(tail, k),
+                            _plan_hash(k, _factor_plan(fl, target)))
+
+
+def _meet(fl: FactorList, target, caps, lo, head, hi, tail, op_cap, on_step) -> int:
+    """Multiply fl.factors[lo:hi] into the head (from lo up) and the tail
+    (from hi - 1 down) until they meet, then join them.
+
+    head and tail are dicts or, past the switch, arrays.  Returns the
+    target's coefficient: 0 as soon as either side empties.
+    """
+    k = fl.k
+    n = len(fl.factors)
+    forward, backward = fl.occurrences[1], fl.mirror.occurrences[1]
+    lanes_fit = k <= 16 and max(caps, default=0) <= 15
     ops = 0
-    for f in range(start, len(plans)):
-        fac = plans[f]
-        # every digit must fit a 4-bit lane; small jobs never pay for the test
-        if (isinstance(terms, dict) and len(terms) > BIG_STEP_TERMS
-                and k <= 16 and all(e[3] <= 15 for p in plans for e in p)):
-            terms = _to_arrays(terms, k)
-        if isinstance(terms, dict):
-            size = len(terms)
-            new = _dict_step(fac, shapes[f], terms)
-            live = len(new)
+    while lo < hi:
+        tail_live = _size(tail)
+        on_tail = tail_live < _size(head) and tail_live <= MEET_TERMS
+        f = hi - 1 if on_tail else lo
+        shape, lefts = backward[n - 1 - f] if on_tail else forward[f]
+        fac = _step_plan(target, caps, shape, lefts)
+        if on_tail:
+            tail, size, new = _step(fac, shape, tail, k, lanes_fit)
+            after = lo, head, f, new
         else:
-            keys, coefs = terms
-            # each new coefficient sums at most len(fac) old ones
-            if (coefs.dtype != object
-                    and int(abs(coefs).max(initial=0)) * len(fac) >= INT64_LIMIT):
-                terms = keys, coefs.astype(object)
-            size = len(keys)
-            new = _array_step(fac, *terms)
-            live = len(new[0])
+            head, size, new = _step(fac, shape, head, k, lanes_fit)
+            after = f + 1, new, hi, tail
+        live = _size(new)
         ops += size * len(fac)
-        # a checkpoint is built only when read, after the raise: f, terms
-        # and new are final by then
+        # a checkpoint is built only when read, from the state before the
+        # step (term cap) or after it (op cap)
         if live > TERM_CAP:
             raise TermCapExceeded(
                 f"term count {live} exceeds cap {TERM_CAP} at factor {f}",
-                lambda: EngineCheckpoint(k, f, _as_dict(terms, k), _plan_hash(k, plans)),
+                functools.partial(_checkpoint, fl, target, lo, head, hi, tail),
             )
         if op_cap is not None and ops > op_cap:
             raise OpCapExceeded(
                 f"operation budget {op_cap} exhausted at factor {f}",
-                lambda: EngineCheckpoint(k, f + 1, _as_dict(new, k), _plan_hash(k, plans)),
+                functools.partial(_checkpoint, fl, target, *after),
             )
-        terms = new
+        lo, head, hi, tail = after
+        # the sides share a kernel: when one moves to arrays, the other
+        # follows.  With the module's constants the head moves first, and
+        # only once the tail holds more than MEET_TERMS terms and so never
+        # steps again; the tail then waits for the join at 16 bytes a term
+        if isinstance(head, dict) != isinstance(tail, dict):
+            head, tail = (_to_arrays(t, k) if isinstance(t, dict) else t
+                          for t in (head, tail))
         if on_step is not None:
             on_step(f, live)
         if not live:
             # the product is 0; the steps left would each see no term
             if on_step is not None:
-                for g in range(f + 1, len(plans)):
+                for g in range(lo, hi):
                     on_step(g, 0)
-            return {}
-    return _as_dict(terms, k)
+            return 0
+    return _join(head, tail, target, k)
 
 
-def _check_resume_terms(terms, k: int, start: int, plans) -> None:
-    """Reject resumed terms that start steps of this plan cannot have made.
+def _check_resume_terms(terms, k: int, degree: int, caps, where: str) -> None:
+    """Reject resumed terms that this plan's steps cannot have made.
 
-    The product is homogeneous, so every live term after start steps has
-    total degree start, and no digit exceeds its planned cap.
+    The product is homogeneous, so every live term of a side that has
+    multiplied degree factors has total degree degree, and no digit exceeds
+    its planned cap.
     """
-    caps = [0] * k
-    for fac in plans:
-        for shift, _, _, cap in fac:
-            caps[shift // 8] = cap
     for key in terms:
         if 0 <= key < 1 << (8 * k):
             digits = key.to_bytes(k, "little")
-            if sum(digits) == start and not any(map(int.__gt__, digits, caps)):
+            if sum(digits) == degree and not any(map(int.__gt__, digits, caps)):
                 continue
         raise ValueError(
-            f"checkpoint term {key:#x} does not fit factor index {start}: "
-            f"each term has degree {start} and exponents within their caps"
+            f"checkpoint term {key:#x} does not fit {where}: each term has "
+            f"degree {degree} and exponents within their caps"
         )
 
 
@@ -537,18 +649,23 @@ def multiply_factors(
     terms that can no longer reach it.  bound, when given, is checked: the
     product's degree must not exceed it and the target must divide it.
 
-    Factors are multiplied in one at a time, in list order, and
-    on_step(f, live_terms) is called after each for f = 0, 1, ..., n - 1.
-    Once no term is live the product is 0: the factors left are not
-    multiplied in, and on_step sees each of them with 0 live terms.
-    Exceeding op_cap (None: no cap) or TERM_CAP raises OpCapExceeded /
-    TermCapExceeded carrying a resumable checkpoint for this factor list
-    (pass it back via resume); the checkpoint holds the engine's term dict
-    itself, not a copy, or past the switch to arrays a dict rebuilt from
+    The head multiplies factors in list order and the tail from the last
+    one backwards, one factor per step, until they meet.  on_step(f,
+    live_terms) is called once per factor, f its position in fl.factors
+    and live_terms the count of the side that multiplied it: head positions
+    rise from 0, tail positions fall from n - 1.  Once a side holds no
+    term the product is 0: the factors left are not multiplied in, and
+    on_step sees each of them, in list order, with 0 live terms.
+    Exceeding op_cap (None: no cap; it counts both sides' term-ops) or
+    TERM_CAP on either side raises OpCapExceeded / TermCapExceeded carrying
+    a resumable checkpoint of both sides for this factor list (pass it back
+    via resume); the checkpoint holds the engine's term dicts themselves,
+    not copies, or for a side past the switch to arrays a dict rebuilt from
     them when it is first read.  A resume is rejected unless the
     checkpoint's plan_hash matches this call's k, factors in their order,
-    caps and target, and unless every resumed term has total degree
-    factor_index and each exponent within its cap.
+    caps and target, and unless every resumed head term has total degree
+    factor_index, every tail term n - tail_index, and each exponent is
+    within its cap.
     """
     k = fl.k
     n = len(fl.factors)
@@ -562,8 +679,8 @@ def multiply_factors(
                 f"no surviving term is possible"
             )
     target = tuple(target)
-    if len(target) != k or any(g < 0 for g in target):
-        raise ValueError(f"target must be {k} nonnegative exponents")
+    if len(target) != k or any(not 0 <= g <= 255 for g in target):
+        raise ValueError(f"target must be {k} exponents in 0 .. 255")
     if bound is not None and any(g > b for g, b in zip(target, bound)):
         raise ValueError("target must divide the bound")
     if sum(target) != n:
@@ -572,27 +689,29 @@ def multiply_factors(
             f"target degree {sum(target)} does not match product degree {n}"
         )
 
-    plans = _factor_plan(fl, target)
+    caps = _caps(fl, target)
     if resume is not None:
         if resume.k != k:
             raise ValueError(f"checkpoint is for k={resume.k}, factor list has k={k}")
-        start = resume.factor_index
-        if not 0 <= start <= n:
-            raise ValueError(f"checkpoint factor index {start} out of range 0 .. {n}")
-        if resume.plan_hash != _plan_hash(k, plans):
+        lo, hi = resume.factor_index, resume.tail_index
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(
+                f"checkpoint factor index {lo} and tail index {hi} are not in "
+                f"order within 0 .. {n}"
+            )
+        if resume.plan_hash != _plan_hash(k, _factor_plan(fl, target)):
             raise ValueError(
                 "checkpoint was saved from a different computation (factors, "
                 "factor order, bound or target monomial differ)"
             )
-        _check_resume_terms(resume.terms, k, start, plans)
-        terms = dict(resume.terms)
+        _check_resume_terms(resume.terms, k, lo, caps, f"factor index {lo}")
+        _check_resume_terms(resume.tail_terms, k, n - hi, caps, f"tail index {hi}")
+        head, tail = dict(resume.terms), dict(resume.tail_terms)
     else:
-        start = 0
-        terms = {0: 1}
+        lo, head, hi, tail = 0, {0: 1}, n, {0: 1}
 
-    shapes = [shape for shape, _ in fl.occurrences[1]]
-    terms = _run_factors(plans, shapes, terms, start, k, op_cap, on_step)
-    return SparsePolynomial(k, terms)
+    coef = _meet(fl, target, caps, lo, head, hi, tail, op_cap, on_step)
+    return SparsePolynomial(k, {pack(target): coef} if coef else {})
 
 
 def naive_expand(fl: FactorList, max_k: int = 8, max_degree: int = 25) -> SparsePolynomial:

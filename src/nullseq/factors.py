@@ -112,6 +112,16 @@ class FactorList:
                 left[v - 1] += 1
         return tuple(left), tuple(reversed(steps))
 
+    @cached_property
+    def mirror(self) -> FactorList:
+        """The same factors in reverse order, built once per list.
+
+        The engine's tail multiplies fl.factors from the last one backwards
+        by the plan of this list, so its occurrences count, for each
+        factor, the factors before it in fl.factors.
+        """
+        return FactorList(self.k, self.factors[::-1], self.fixed, self.variant)
+
 
 def validate_fixes(fixes, k) -> frozenset[int]:
     out = sorted(set(fixes))

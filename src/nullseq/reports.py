@@ -176,8 +176,18 @@ def _field(record: dict, key: str, kind: type = str):
 
 
 def _get_attempts(record: dict) -> tuple[AttemptRecord, ...]:
+    """The attempt log: `attempts` entries, none when it is absent.  A
+    negative count, or an attempt key at or past the count, is a
+    ValueError naming the record."""
+    count = _field(record, "attempts", int) if "attempts" in record else 0
+    if count < 0:
+        raise ValueError(f"{_label(record)}: attempts must be at least 0, got {count}")
+    for key in record:
+        match = re.fullmatch(r"attempt(\d+)_\w+", key)
+        if match and int(match[1]) >= count:
+            raise ValueError(f"{_label(record)}: {key} is past its {count} attempts")
     out = []
-    for i in range(_field(record, "attempts", int) if "attempts" in record else 0):
+    for i in range(count):
         a, fixes, monomial, outcome, coefficient, note = (
             _field(record, f"attempt{i}_{name}")
             for name in ("a", "fixes", "monomial", "outcome", "coefficient", "note")

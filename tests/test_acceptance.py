@@ -25,7 +25,6 @@ from nullseq.engine import (
     multiply_factors,
     naive_expand,
     save_checkpoint,
-    unpack,
 )
 from nullseq.factors import bounding_monomial, build_p, build_q
 from nullseq.groups import enumerate_types
@@ -130,7 +129,7 @@ def test_criterion_4_engine_oracle_equivalence():
         expected = {
             key: c
             for key, c in naive.terms.items()
-            if all(e <= b for e, b in zip(unpack(key, fl.k), bound))
+            if all(e <= b for e, b in zip(key.to_bytes(fl.k, "little"), bound))
         }
         assert pruned == expected
         compared += 1

@@ -331,8 +331,10 @@ class TestCertifyType:
         assert (result.outcome, result.checkpoint, built) == ("aborted", None, [])
         config = CaseConfig(op_cap=50_000, checkpoint_dir=str(tmp_path))
         result = compute_coefficient(qs, fl, bound, fx.monomial, config)
-        assert result.outcome == "aborted" and built == [3919]
-        assert len(load_checkpoint(result.checkpoint).terms) == 3919
+        # the head's and the tail's arrays, each turned into a dict once
+        assert result.outcome == "aborted" and built == [2909, 2572]
+        cp = load_checkpoint(result.checkpoint)
+        assert (len(cp.terms), len(cp.tail_terms)) == (2909, 2572)
         result = compute_coefficient(qs, fl, bound, fx.monomial, CaseConfig(),
                                      resume=load_checkpoint(result.checkpoint))
         assert result.coefficient == fx.coefficient

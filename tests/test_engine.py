@@ -22,7 +22,6 @@ from nullseq.engine import (
     naive_expand,
     pack,
     save_checkpoint,
-    unpack,
 )
 from nullseq.factors import (
     Difference,
@@ -71,6 +70,12 @@ def random_factor_list(rng, max_k=6, max_degree=12):
             return fl, lam, qs
 
 
+def unpack(key, k):
+    """The exponents of a packed monomial, one byte per position: the
+    inverse of engine.pack."""
+    return tuple((key >> (8 * idx)) & 255 for idx in range(k))
+
+
 def digit_loop_live_counts(plans):
     """Live terms after each step, classifying terms digit by digit.
 
@@ -93,6 +98,37 @@ def digit_loop_live_counts(plans):
         terms = {key: c for key, c in new.items() if c}
         counts.append(len(terms))
     return counts
+
+
+def meet_walk(fl, target):
+    """The engine's steps as (side, f, live), rebuilt from the digit loop.
+
+    The head's live counts are those of fl's plan and the tail's those of
+    fl.mirror's.  Each step goes to the side with fewer live terms, to the
+    head on a tie, and to the tail only while it holds at most MEET_TERMS.
+    Once a side empties, each factor left follows with 0, in list order.
+    """
+    n = fl.degree
+    head = digit_loop_live_counts(engine._factor_plan(fl, target))
+    tail = digit_loop_live_counts(engine._factor_plan(fl.mirror, target))
+    walk, lo, hi, h, t = [], 0, n, 1, 1
+    while lo < hi:
+        if t < h and t <= engine.MEET_TERMS:
+            hi -= 1
+            t = live = tail[n - 1 - hi]
+            walk.append(("tail", hi, live))
+        else:
+            h = live = head[lo]
+            walk.append(("head", lo, live))
+            lo += 1
+        if not live:
+            return walk + [(None, g, 0) for g in range(lo, hi)]
+    return walk
+
+
+def meet_steps(fl, target):
+    """The engine's on_step calls, (f, live) per factor."""
+    return [(f, live) for _, f, live in meet_walk(fl, target)]
 
 
 def tuple_dict(poly):
@@ -183,6 +219,18 @@ class TestAgainstNaive:
             fl, lam, qs = random_factor_list(rng)
             assert targeted_expansion(fl) == tuple_dict(naive_expand(fl))
 
+    # (BIG_STEP_TERMS, MEET_TERMS): arrays from step 0, both sides moving
+    # to arrays mid-run, and a tail that stops once it holds 3 terms
+    SETTINGS = {"array": (0, engine.MEET_TERMS), "switch": (4, engine.MEET_TERMS),
+                "early-meet": (engine.BIG_STEP_TERMS, 2)}
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_full_expansion_matches_in_other_settings(self, monkeypatch, setting):
+        big_step, meet = self.SETTINGS[setting]
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", big_step)
+        monkeypatch.setattr(engine, "MEET_TERMS", meet)
+        self.test_full_expansion_matches()
+
     def test_bounded_expansion_matches_filtered_naive(self):
         rng = random.Random(43)
         for _ in range(30):
@@ -251,20 +299,18 @@ class TestAgainstNaive:
             if not full:
                 continue
             target = sorted(full)[rng.randrange(len(full))]
-            plans = engine._factor_plan(fl, target)
-            counts = []
+            seen = []
             multiply_factors(fl, bound=bound, target=target,
-                             on_step=lambda f, n: counts.append(n))
-            assert counts == digit_loop_live_counts(plans)
+                             on_step=lambda f, n: seen.append((f, n)))
+            assert seen == meet_steps(fl, target)
             checked += 1
         for fx in [f for f in TABLE1 if f.tier == LIGHT] + list(WORKED):
             fl, bound = fixture_product(fx)
-            plans = engine._factor_plan(fl, fx.monomial)
-            counts = []
+            seen = []
             got = multiply_factors(fl, bound=bound, target=fx.monomial,
-                                   on_step=lambda f, n: counts.append(n))
+                                   on_step=lambda f, n: seen.append((f, n)))
             assert got.coefficient(fx.monomial) == fx.coefficient, fx.name
-            assert counts == digit_loop_live_counts(plans), fx.name
+            assert seen == meet_steps(fl, fx.monomial), fx.name
 
     def test_naive_guards(self):
         fl = build_p(validate_quotient((0,) * 9, (9,)))
@@ -332,15 +378,16 @@ class TestCheckpoints:
             pack((0, 0, 7)): -(2**200 + 17),
             pack((4, 4, 4)): 2**64,
         }
-        cp = EngineCheckpoint(3, 9, terms)
+        tail_terms = {pack((0, 5, 1)): -(2**70), pack((2, 2, 2)): 3}
+        cp = EngineCheckpoint(3, 9, terms, 12, tail_terms)
         path1 = tmp_path / "a.bin"
         path2 = tmp_path / "b.bin"
         save_checkpoint(path1, cp)
         save_checkpoint(path2, cp)
         assert path1.read_bytes() == path2.read_bytes()
         back = load_checkpoint(path1)
-        assert back.k == 3 and back.factor_index == 9
-        assert back.terms == terms
+        assert back.k == 3 and back.factor_index == 9 and back.tail_index == 12
+        assert back.terms == terms and back.tail_terms == tail_terms
 
     def test_synced_before_renamed(self, tmp_path, monkeypatch):
         # without the sync an OS crash can leave the renamed file empty
@@ -358,7 +405,7 @@ class TestCheckpoints:
         monkeypatch.setattr(os, "fsync", synced)
         monkeypatch.setattr(os, "replace", renamed)
         path = tmp_path / "a.bin"
-        save_checkpoint(path, EngineCheckpoint(3, 9, {pack((1, 2, 3)): 5}))
+        save_checkpoint(path, EngineCheckpoint(3, 9, {pack((1, 2, 3)): 5}, 9, {0: 1}))
         final = os.stat(path)
         assert calls == [("fsync", final.st_ino, final.st_size),
                          ("replace", final.st_ino, final.st_size)]
@@ -369,7 +416,7 @@ class TestCheckpoints:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
-        for old in (b"NSEQCKP1", b"NSEQCKP2", b"NSEQCKP3"):
+        for old in (b"NSEQCKP1", b"NSEQCKP2", b"NSEQCKP3", b"NSEQCKP4"):
             path.write_bytes(old + bytes(14))
             with pytest.raises(ValueError, match="earlier engine"):
                 load_checkpoint(path)
@@ -401,8 +448,12 @@ class TestCheckpoints:
         term_cap_at(monkeypatch, 50)
         with pytest.raises(TermCapExceeded) as info:
             multiply_factors(fl, bound=bound, target=fx.monomial)
+        cp = info.value.checkpoint
+        # both term blocks hold terms the tail and the head multiplied
+        assert 0 < cp.factor_index < cp.tail_index < fl.degree
+        assert len(cp.terms) > 1 and len(cp.tail_terms) > 1
         path = tmp_path / "full.bin"
-        save_checkpoint(path, info.value.checkpoint)
+        save_checkpoint(path, cp)
         data = path.read_bytes()
         flipped = tmp_path / "flipped.bin"
         for at in range(len(data)):
@@ -413,8 +464,9 @@ class TestCheckpoints:
                     load_checkpoint(flipped)
 
     # sha256 of the 6-4 checkpoint saved at a live-term cap of 50, pinned so
-    # that no change to the abort path changes the file a resume reads
-    TERM_CAP_50_SHA256 = "fbdff7a27f8c8e06ace59a351818e52861f5ee9ea31f76de5c26b4e2be355863"
+    # that no change to the abort path changes the file a resume reads; it
+    # holds the head after factors 0 .. 4 and the tail after factors 31 .. 38
+    TERM_CAP_50_SHA256 = "ce374a6924061df02ca886d38c042b08cdd26692154cc334594ffd003dc7fc2b"
 
     def test_term_cap_abort_and_resume(self, tmp_path, monkeypatch):
         fx = by_name("6-4")
@@ -430,7 +482,7 @@ class TestCheckpoints:
             assert str(info.value) == "term count 87 exceeds cap 50 at factor 5"
             cp = info.value.checkpoint
             assert cp is not None and cp.k == fl.k
-            assert 0 <= cp.factor_index < fl.degree
+            assert (cp.factor_index, cp.tail_index) == (5, 31)
             path = tmp_path / f"capped-{kernel}.bin"
             save_checkpoint(path, cp)
             assert hashlib.sha256(path.read_bytes()).hexdigest() == self.TERM_CAP_50_SHA256
@@ -509,19 +561,31 @@ class TestCheckpoints:
         cp = info.value.checkpoint
         assert cp.factor_index == 5 and fx.monomial[3] == 3
         bad = pack((1, 0, 0, 4) + (0,) * 6)  # degree 5, but x4's cap is 3
-        with pytest.raises(ValueError, match="factor index"):
+        with pytest.raises(ValueError, match="factor index 5"):
             multiply_factors(fl, bound=bound, target=fx.monomial,
-                             resume=EngineCheckpoint(cp.k, 5, {**cp.terms, bad: 1},
-                                                     cp.plan_hash))
+                             resume=dataclasses.replace(cp, terms={**cp.terms, bad: 1}))
+        # the tail has multiplied factors 31 .. 38, so its terms have degree 8
+        assert cp.tail_index == 31
+        bad = pack((0, 0, 0, 4, 4) + (0,) * 5)  # degree 8, but x4's cap is 3
+        with pytest.raises(ValueError, match="tail index 31"):
+            multiply_factors(fl, bound=bound, target=fx.monomial,
+                             resume=dataclasses.replace(
+                                 cp, tail_terms={**cp.tail_terms, bad: 1}))
+        with pytest.raises(ValueError, match="tail index 30"):
+            multiply_factors(fl, bound=bound, target=fx.monomial,
+                             resume=dataclasses.replace(cp, tail_index=30))
 
     def test_resume_validation(self):
         fl = build_p(QS32)
+        n = fl.degree
         with pytest.raises(ValueError):
-            multiply_factors(fl, target=T32, resume=EngineCheckpoint(4, 0, {0: 1}))
+            multiply_factors(fl, target=T32, resume=EngineCheckpoint(4, 0, {0: 1}, n, {0: 1}))
         with pytest.raises(ValueError):
-            multiply_factors(fl, target=T32, resume=EngineCheckpoint(0, 0, {0: 1}))
-        with pytest.raises(ValueError):
-            multiply_factors(fl, target=T32, resume=EngineCheckpoint(5, 99, {0: 1}))
+            multiply_factors(fl, target=T32, resume=EngineCheckpoint(0, 0, {0: 1}, n, {0: 1}))
+        for lo, hi in ((99, n), (0, n + 1), (3, 2), (-1, n)):
+            with pytest.raises(ValueError, match="not in order"):
+                multiply_factors(fl, target=T32,
+                                 resume=EngineCheckpoint(5, lo, {0: 1}, hi, {0: 1}))
 
 
 class TestPruningProperties:
@@ -529,7 +593,10 @@ class TestPruningProperties:
         fl = build_p(QS32)
         seen = []
         multiply_factors(fl, target=T32, on_step=lambda f, n: seen.append((f, n)))
-        assert [f for f, _ in seen] == list(range(fl.degree))
+        # once per factor: the head's positions rise from 0, the tail's fall
+        # from n - 1
+        assert sorted(f for f, _ in seen) == list(range(fl.degree))
+        assert [f for f, _ in seen] == [0, 1, 5, 4, 3, 2]
         assert all(n >= 1 for _, n in seen)
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -549,8 +616,10 @@ class TestPruningProperties:
 class TestVanishingProduct:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_steps_after_the_last_term_are_not_multiplied(self, monkeypatch, kernel):
-        # targets whose term dict empties before the last factor: on_step
-        # and the result must match the full walk, and no empty step runs
+        # targets whose head or tail empties before the sides meet: on_step
+        # and the result must match the walk rebuilt from the digit loop,
+        # with the factors left reported as 0 in list order, and no empty
+        # step runs
         use_kernel(monkeypatch, kernel)
         multiplied = []
         for name in ("_dict_step", "_array_step"):
@@ -562,7 +631,7 @@ class TestVanishingProduct:
 
             monkeypatch.setattr(engine, name, counted)
         rng = random.Random(91)
-        checked = 0
+        checked, sides = 0, set()
         while checked < 15:
             fl, lam, qs = random_factor_list(rng, max_k=7, max_degree=16)
             bound = bounding_monomial(lam, qs)
@@ -572,20 +641,25 @@ class TestVanishingProduct:
             while sum(target) > fl.degree:
                 v = rng.randrange(len(target))
                 target[v] -= target[v] > 0
-            full = digit_loop_live_counts(engine._factor_plan(fl, target))
-            if 0 not in full[:-1]:
+            walk = meet_walk(fl, target)
+            steps = [side for side, _, _ in walk if side is not None]
+            if len(steps) == len(walk):
                 continue
             seen, multiplied[:] = [], []
             got = multiply_factors(fl, bound=bound, target=target,
                                    on_step=lambda f, n: seen.append((f, n)))
             assert got.terms == {}
-            assert seen == list(enumerate(full))
-            assert len(multiplied) == full.index(0) + 1
+            assert seen == [(f, live) for _, f, live in walk]
+            assert len(multiplied) == len(steps)
+            sides.update(steps[-1:])
             checked += 1
+        # products vanish on either side
+        assert sides == {"head", "tail"}
 
 
 class TestFactorOrder:
-    """The engine multiplies 1-9-b's factors in the order build_p lists them."""
+    """The engine multiplies 1-9-b's factors in the order build_p lists them,
+    the head from the first and the tail from the last."""
 
     FX = by_name("1-9-b")
 
@@ -599,17 +673,20 @@ class TestFactorOrder:
         got = multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
                                on_step=lambda f, n: seen.append((f, n)))
         assert got.coefficient(self.FX.monomial) == self.FX.coefficient
-        assert [f for f, _ in seen] == list(range(self.fl.degree))
-        # 26 812 when the factors over the lowest positions come first
-        assert max(n for _, n in seen) == 5056
+        assert sorted(f for f, _ in seen) == list(range(self.fl.degree))
+        # the head alone peaks at 5056 terms, and at 26 812 when the factors
+        # over the lowest positions come first; the head stops at factor 27
+        # and the tail at 28, before either reaches its peak
+        assert max(n for _, n in seen) == 4285
 
     def test_op_cap_checkpoint_resume(self, tmp_path, monkeypatch):
         with pytest.raises(OpCapExceeded) as info:
             multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
                              op_cap=50_000)
         cp = info.value.checkpoint
-        # factor_index is the position in fl.factors of the next factor
-        assert 0 < cp.factor_index < self.fl.degree
+        # factor_index is the position in fl.factors of the head's next
+        # factor, tail_index that of the tail's last; a head step aborted
+        assert 0 < cp.factor_index < cp.tail_index < self.fl.degree
         assert str(info.value).endswith(f"at factor {cp.factor_index - 1}")
         path = tmp_path / "aborted.bin"
         save_checkpoint(path, cp)
@@ -633,8 +710,9 @@ class TestFactorOrder:
         assert resumed.coefficient(self.FX.monomial) == 2588
 
     # sha256 of the op_cap 50 000 checkpoint above, pinned so that building
-    # it lazily from arrays cannot change the file a resume reads
-    OP_CAP_50K_SHA256 = "8ac066814c9eb0df42085874e44e89fb767310a2647150c1876b62c78e3a7633"
+    # it lazily from arrays cannot change the file a resume reads; it holds
+    # both sides, the head after factors 0 .. 17 and the tail after 32 .. 59
+    OP_CAP_50K_SHA256 = "4aeacfea703219cc60dd412eb5cfa420b3889781896063cfcb1b4e16ff043ed4"
 
     def test_array_checkpoint_is_built_once_when_read(self, tmp_path, monkeypatch):
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
@@ -652,8 +730,9 @@ class TestFactorOrder:
         assert built == []  # nothing read the checkpoint yet
         cp = info.value.checkpoint
         assert info.value.checkpoint is cp
-        assert built == [len(cp.terms)] == [3919]
-        assert cp.factor_index == 21
+        # both sides are on arrays; each becomes a dict once
+        assert built == [len(cp.terms), len(cp.tail_terms)] == [2909, 2572]
+        assert (cp.factor_index, cp.tail_index) == (18, 32)
         path = tmp_path / "lazy.bin"
         save_checkpoint(path, cp)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.OP_CAP_50K_SHA256
@@ -661,6 +740,29 @@ class TestFactorOrder:
                                    target=self.FX.monomial,
                                    resume=load_checkpoint(path))
         assert resumed.coefficient(self.FX.monomial) == self.FX.coefficient == 2588
+
+    def test_capped_legs_resume(self):
+        # legs under one cap, each resumed from the last one's checkpoint,
+        # reach the coefficient, and every leg moves a side (every cap from
+        # 1 000 to 250 000 in steps of 1 000 was checked once; this samples
+        # them)
+        for op_cap in range(1_000, 250_001, 27_000):
+            resume = None
+            while True:
+                try:
+                    got = multiply_factors(self.fl, bound=self.bound,
+                                           target=self.FX.monomial, op_cap=op_cap,
+                                           resume=resume)
+                    break
+                except OpCapExceeded as abort:
+                    cp = abort.checkpoint
+                    if resume is not None:
+                        assert ((cp.factor_index, cp.tail_index)
+                                != (resume.factor_index, resume.tail_index))
+                        assert cp.factor_index >= resume.factor_index
+                        assert cp.tail_index <= resume.tail_index
+                    resume = cp
+            assert got.coefficient(self.FX.monomial) == 2588, op_cap
 
     def test_reordered_checkpoint_is_refused(self, tmp_path):
         # the plan hash covers the factor order, so a checkpoint saved from
@@ -674,6 +776,43 @@ class TestFactorOrder:
         with pytest.raises(ValueError, match="different computation"):
             multiply_factors(reversed_fl, bound=self.bound, target=self.FX.monomial,
                              resume=load_checkpoint(path))
+
+
+class TestMeet:
+    """The two frontiers meet where the term-ops are fewest."""
+
+    LIGHT = [fx for fx in TABLE1 if fx.tier == LIGHT] + list(WORKED)
+
+    def test_light_tier_term_ops(self):
+        # each step costs its input's live terms times the factor's size; a
+        # head alone spends 2 557 746 term-ops on these 17 products
+        assert len(self.LIGHT) == 17
+        total, tail_steps = 0, 0
+        for fx in self.LIGHT:
+            fl, bound = fixture_product(fx)
+            live = {"head": 1, "tail": 1}
+            bounds = [0, fl.degree]  # the factors [lo, hi) left
+
+            def on_step(f, n):
+                nonlocal total, tail_steps
+                lo, hi = bounds
+                # only the meeting factor could be either side's
+                if f == lo and (lo < hi - 1 or not (
+                        live["tail"] < live["head"] and live["tail"] <= engine.MEET_TERMS)):
+                    side, bounds[0] = "head", lo + 1
+                else:
+                    assert f == hi - 1, fx.name
+                    side, bounds[1] = "tail", hi - 1
+                    assert live["tail"] <= engine.MEET_TERMS, fx.name
+                    tail_steps += 1
+                total += live[side] * len(fl.factors[f].terms())
+                live[side] = n
+
+            got = multiply_factors(fl, bound=bound, target=fx.monomial, on_step=on_step)
+            assert got.coefficient(fx.monomial) == fx.coefficient, fx.name
+            assert bounds[0] == bounds[1], fx.name
+        assert total == 1_750_661
+        assert tail_steps > 100
 
 
 class TestSharedSetUp:
@@ -719,11 +858,10 @@ class TestSharedSetUp:
                        if all(e <= b for e, b in zip(m, bound))][:4]
             targets += sample_monomials(bound, fl.degree, 8, f"shared:{fixes}")
             for target in targets:
-                counts = []
+                seen = []
                 got = multiply_factors(fl, bound=bound, target=target,
-                                       on_step=lambda f, n: counts.append(n))
-                plans = engine._factor_plan(fl, target)
-                assert counts == digit_loop_live_counts(plans), (fixes, target)
+                                       on_step=lambda f, n: seen.append((f, n)))
+                assert seen == meet_steps(fl, target), (fixes, target)
                 want = naive.coefficient(target)
                 assert tuple_dict(got) == ({target: want} if want else {})
                 nonzero += want != 0
@@ -768,11 +906,16 @@ class TestArrayKernel:
         monkeypatch.setattr(engine, "_to_dict", spy)
         got = multiply_factors(fl, bound=bound, target=target,
                                on_step=lambda f, n: counts.append(n))
-        # the column widens once, mid-run, and the arrays stay to the end
-        widened = kinds.index("O")
-        assert 0 < widened < fl.degree
-        assert kinds == ["i"] * widened + ["O"] * (fl.degree - widened)
-        assert to_dict_calls == [fl.degree]
+        # each side's column widens once, mid-run, and the arrays stay to
+        # the end, where the join reads them as they are
+        sides = [side for side, _, _ in meet_walk(fl, target)]
+        assert len(kinds) == len(sides) == fl.degree
+        for side in ("head", "tail"):
+            mine = [kind for kind, s in zip(kinds, sides) if s == side]
+            widened = mine.index("O")
+            assert 0 < widened < len(mine)
+            assert mine == ["i"] * widened + ["O"] * (len(mine) - widened)
+        assert to_dict_calls == []
         assert got.terms == expect.terms == {pack(target): 2588}
         assert counts == expect_counts
 
@@ -807,7 +950,9 @@ class TestArrayKernel:
     )
     def test_switch_keeps_large_coefficients_exact(self, monkeypatch, start,
                                                    kinds_at_switch):
-        # (x1 + x2 + x3)^45 at x1^15 x2^15 x3^15 is 45! / 15!^3, above 2**65
+        # (x1 + x2 + x3)^45 at x1^15 x2^15 x3^15 is 45! / 15!^3, above 2**65.
+        # With no tail the head alone carries coefficients that large.
+        monkeypatch.setattr(engine, "MEET_TERMS", 0)
         fl = FactorList(3, (Window((0, 3), (1, 2, 3)),) * 45, frozenset(), "full")
         target = (15, 15, 15)
         exact = math.factorial(45) // math.factorial(15) ** 3
@@ -817,7 +962,7 @@ class TestArrayKernel:
         with pytest.raises(OpCapExceeded) as info:
             multiply_factors(fl, target=target, op_cap=3 * sum(live[:start]) - 1)
         cp = info.value.checkpoint
-        assert cp.factor_index == start
+        assert (cp.factor_index, cp.tail_index, cp.tail_terms) == (start, 45, {0: 1})
         too_large = max(map(abs, cp.terms.values())) >= engine.INT64_LIMIT
         assert too_large == (start == 44)
         monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
@@ -825,6 +970,22 @@ class TestArrayKernel:
         got = multiply_factors(fl, target=target, resume=cp)
         assert kinds == list(kinds_at_switch)
         assert got.terms == {pack(target): exact}
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_join_multiplies_exactly(self, monkeypatch, kernel):
+        # (x1 + ... + x4)^60 at x1^15 ... x4^15: each side's coefficients
+        # stay below 2**63, but their products, and the sum, do not
+        use_kernel(monkeypatch, kernel)
+        kinds = self.spy_on_dtypes(monkeypatch)
+        fl = FactorList(4, (Window((0, 4), (1, 2, 3, 4)),) * 60, frozenset(), "full")
+        target = (15, 15, 15, 15)
+        seen = []
+        got = multiply_factors(fl, target=target, on_step=lambda f, n: seen.append((f, n)))
+        assert got.terms == {pack(target): math.factorial(60) // math.factorial(15) ** 4}
+        assert got.coefficient(target) >= engine.INT64_LIMIT
+        assert seen == meet_steps(fl, target)
+        assert {side for side, _, _ in meet_walk(fl, target)} == {"head", "tail"}
+        assert kinds == (["i"] * 60 if kernel == "array" else [])
 
     @staticmethod
     def high_lane_factor_list(rng):
@@ -863,11 +1024,10 @@ class TestArrayKernel:
         monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
         kinds = self.spy_on_dtypes(monkeypatch)
         for fl, target, want in cases:
-            counts = []
+            seen = []
             got = multiply_factors(fl, target=target,
-                                   on_step=lambda f, n: counts.append(n))
-            plans = engine._factor_plan(fl, target)
-            assert counts == digit_loop_live_counts(plans)
+                                   on_step=lambda f, n: seen.append((f, n)))
+            assert seen == meet_steps(fl, target)
             assert got.terms == want
         assert len(kinds) == sum(fl.degree for fl, _, _ in cases)
         assert "O" in kinds[-4 * 12:]
@@ -891,13 +1051,14 @@ class TestArrayKernel:
                 target = (j, power - j)
                 got = multiply_factors(fl, target=target)
                 assert got.coefficient(target) == naive.coefficient(target)
-        assert switches == [2] * 16
+        # the head and then the tail move to arrays once per power-15 call
+        assert switches == [2] * 32
         fl = FactorList(17, (Difference(16, 17),) * 3, frozenset(), "full")
         for j, c in enumerate((1, 3, 3, 1)):
             target = (0,) * 15 + (3 - j, j)
             got = tuple_dict(multiply_factors(fl, target=target))
             assert got == {target: (-1) ** (3 - j) * c}
-        assert switches == [2] * 16  # k = 17 needs more than 64 bits
+        assert switches == [2] * 32  # k = 17 needs more than 64 bits
 
 
 # Runs the 10-2-a product (417 093 peak live terms, on the array kernel)

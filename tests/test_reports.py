@@ -519,21 +519,44 @@ class TestCaseRecordTamper:
         assert rec["attempt0_monomial"] == rec["entry0_monomial"]
         second = {f"attempt1_{key[9:]}": value
                   for key, value in rec.items() if key.startswith("attempt0_")}
+        bare = {key: value for key, value in rec.items() if not key.startswith("attempt")}
         forgeries = {
-            "other coefficient": dict(attempt0_coefficient="7"),
-            "other monomial": dict(attempt0_monomial="3,3,3,2"),
-            "zero outcome": dict(attempt0_outcome="zero", attempt0_coefficient="0"),
-            "no attempts": dict(attempts=0),
-            "attempted twice": dict(second, attempts=2),
+            "other coefficient": dict(rec, attempt0_coefficient="7"),
+            "other monomial": dict(rec, attempt0_monomial="3,3,3,2"),
+            "zero outcome": dict(rec, attempt0_outcome="zero", attempt0_coefficient="0"),
+            "no attempts": dict(bare, attempts=0),
+            "attempted twice": dict(rec, **second, attempts=2),
         }
         for name, forgery in forgeries.items():
             forged = list(records)
-            forged[1] = dict(rec, **forgery)
+            forged[1] = forgery
             with pytest.raises(ValueError, match="record lam='4,0': entry 0"):
                 case_from_records(forged)
             # the certificate alone carries no attempts to check
             certificate_from_record(forged[1])
         assert case_from_records(records) == assemble_case(4, 2)
+
+    @pytest.fixture(scope="class")
+    def unresolved(self):
+        # k = 9, t = 2 leaves (9,0) unresolved with a one-attempt log
+        records = case_records(assemble_case(9, 2))
+        (at,) = [i for i, r in enumerate(records) if r.get("lam") == "9,0"]
+        assert records[at]["kind"] == "unresolved" and records[at]["attempts"] == 1
+        return records, at
+
+    @pytest.mark.parametrize("count, match", [
+        (-1, "attempts must be at least 0, got -1"),
+        (0, "attempt0_a is past its 0 attempts"),
+    ])
+    def test_attempt_count_is_checked(self, unresolved, count, match):
+        # a negative count used to parse with an empty log, and attempt keys
+        # at or past the count were ignored
+        records, at = unresolved
+        forged = list(records)
+        forged[at] = dict(records[at], attempts=count)
+        with pytest.raises(ValueError, match=f"record lam='9,0': {match}"):
+            case_from_records(forged)
+        assert case_from_records(records).results[at - 1].attempts
 
     def test_summary_with_a_string_k_rejected(self, records):
         summary = dict(records[5][0], k="5")
