@@ -987,6 +987,22 @@ class TestArrayKernel:
         assert {side for side, _, _ in meet_walk(fl, target)} == {"head", "tail"}
         assert kinds == (["i"] * 60 if kernel == "array" else [])
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_target_digit_past_its_count(self, monkeypatch, kernel):
+        # x16 occurs in 15 factors, so no term holds x16^16.  Every cap fits
+        # a 4-bit lane, but that target digit does not: the array join must
+        # not pack it
+        use_kernel(monkeypatch, kernel)
+        fl = FactorList(16, (Window((0, 3), (1, 2, 3)),) * 5
+                        + (Window((14, 16), (15, 16)),) * 15, frozenset(), "full")
+        target = (2, 1, 1) + (0,) * 12 + (16,)
+        seen = []
+        got = multiply_factors(fl, target=target, on_step=lambda f, n: seen.append((f, n)))
+        assert got.terms == {}
+        # both sides still hold terms where they meet
+        assert sorted(f for f, _ in seen) == list(range(fl.degree))
+        assert all(n for _, n in seen)
+
     @staticmethod
     def high_lane_factor_list(rng):
         """Differences and windows over up to 16 variables, so the increments
