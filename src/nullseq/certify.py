@@ -345,7 +345,6 @@ class CoefficientResult:
     None).  factorization is given exactly when the coefficient is nonzero."""
 
     coefficient: int | None
-    terms: int | None = None
     note: str = ""
     checkpoint: str | None = None
     factorization: Factorization | None = None
@@ -389,7 +388,7 @@ def compute_coefficient(
         return CoefficientResult(None, note=str(abort), checkpoint=path)
     value = poly.coefficient(monomial)
     factorization = factorize(value) if value else None
-    return CoefficientResult(value, poly.num_terms(), factorization=factorization)
+    return CoefficientResult(value, factorization=factorization)
 
 
 def _attempt(lam, a, fixes, config, attempts):

@@ -29,10 +29,9 @@ Pruning while multiplying factor-by-factor:
 * capacity rule: each factor a side has not multiplied yet raises the total
   degree by exactly 1, so position v can gain at most as many units as
   there are such factors containing x_v: for the head those after the
-  step's factor, for the tail those before it (the tail's plan is that of
-  fl.mirror).  Both counts include the other side's factors, so the rule
-  stays a necessary condition.  A partial term that cannot reach the target
-  any more is dropped.
+  step's factor, for the tail those before it.  Both counts include the
+  other side's factors, so the rule stays a necessary condition.  A
+  partial term that cannot reach the target any more is dropped.
 
 The capacity rule is applied incrementally.  When a factor is multiplied in,
 the requirement tightens by one exactly for the variables of that factor, so
@@ -40,12 +39,19 @@ a term only needs checking against those variables: if two of them are
 already below their post-factor thresholds the term has no valid successor at
 all, and if one is, the only valid successor is the one that increments it.
 
+Domain.  Every request has k <= 16 and every target exponent at most 15;
+multiply_factors raises ValueError for any other before its first step.
+The program's requests lie inside: a bounding monomial's exponents are
+lambda_v - 1 less the positions fixed in coset v, so at most k - 1, and
+assemble_case stops at k = 15.  So every digit fits a 4-bit lane, and the
+array kernel below serves every request.
+
 Lane test.  Each term is classified against a factor with one packed test
-instead of a loop over the factor's variables.  Every cap is clamped to the
-number of factors containing its variable, which changes no live term, and
-must then be at most 127 (k <= 15 needs at most 76; more is a ValueError).
-So a digit d plus 128 - x sets its byte's bit 7 exactly when d >= x, with no
-carry into the next byte.  With a = sum of (128 - threshold) and
+instead of a loop over the factor's variables.  Every cap is the target's
+exponent clamped to the number of factors containing its variable, which
+changes no live term, so caps are at most 15 and thresholds at most 16.
+So a digit d plus 128 - x sets its byte's bit 7 exactly when d >= x, with
+no carry into the next byte.  With a = sum of (128 - threshold) and
 b = sum of (128 - cap) over the factor's bytes and m their bit-7 mask,
 (((key + a) & m) << 1) | ((key + b) & m) is a state that selects the term's
 successors from a table filled lazily by the rule above.
@@ -54,32 +60,32 @@ Set-up paid once.  Calls are many and small (prove --k 9 --t 3
 makes 987, most of a few thousand term-ops), so their fixed costs are shared:
 
 * the plan skeleton, each variable's occurrence count and each factor's
-  entries with the occurrences left after it, depends on the factor list
-  alone: FactorList.occurrences computes it once per list, and that of
-  FactorList.mirror, cached on the list too, serves the tail; both serve
-  every monomial tried on the list, and a call only applies its target,
-  building a factor's plan tuple when a side takes its step;
+  entries with the occurrences after it (the head's) and before it (the
+  tail's), depends on the factor list alone: FactorList.occurrences
+  computes it once per list for every monomial tried on it, and a call
+  only applies its target, building a factor's plan tuple when a side
+  takes its step;
 * a state's bits mean "reached threshold" and "reached cap" whatever the
   numeric thresholds and caps are, so a term's successors depend on the
   factor's shape ((variable, sign) per lane) and its state alone: the
   tables are keyed by shape and shared by every step, side, call and
   product in the process (_successors says what bounds them).
 
-Array kernel.  A side whose term dict grows past BIG_STEP_TERMS (2**16) live
-terms moves, before its next step, to a pair of numpy arrays, and the other
-side with it; both stay there to the end: uint64 keys with 4-bit lanes (the
-digit of x_v at bits 4(v - 1)), sorted, and a coefficient column.  They
-move only when k <= 16 and every cap is at most 15, so each digit fits its
-lane.  A step marks, in a
-uint16 mask per term, the branches the term keeps: branch j keeps it when
-its digit j is below its cap and the number of the factor's digits below
-their thresholds equals [digit j below threshold], which is _successors'
-rule, so both kernels keep the same live terms.  Each branch's keys are the
-sorted keys plus one increment, so they stay sorted and distinct.  The
-output keys are cut into ranges at every MERGE_RANGE-th input key (2**13);
-per range, the branches' slices are concatenated and stably sorted, equal
-keys are summed with np.add.reduceat and zeros are dropped, and the ranges
-are concatenated in order.  So no step copies a whole array once per branch,
+Array kernel.  Before a step whose side is a term dict of more than
+BIG_STEP_TERMS (2**16) live terms, both sides move together to numpy
+arrays, and they stay there to the end, so head and tail are always the
+same kind: uint64 keys with 4-bit lanes (the digit of x_v at bits
+4(v - 1)), sorted, and a coefficient column.  The domain makes each digit
+fit its lane.  A step marks, in a uint16 mask per term, the branches the
+term keeps: branch j keeps it when its digit j is below its cap and the
+number of the factor's digits below their thresholds equals [digit j
+below threshold], which is _successors' rule, so both kernels keep the
+same live terms.  Each branch's keys are the sorted keys plus one
+increment, so they stay sorted and distinct.  The output keys are cut
+into ranges at every MERGE_RANGE-th input key (2**13); per range, the
+branches' slices are concatenated and stably sorted, equal keys are
+summed with np.add.reduceat and zeros are dropped, and the ranges are
+concatenated in order.  So no step copies a whole array once per branch,
 and its sort temporaries are bounded by a range.  The column starts as
 int64.  Each new coefficient sums at most len(factor) old ones, so before a
 step with max|c| * len(factor) >= 2**63 the column is converted once to
@@ -87,8 +93,8 @@ object dtype, exact Python ints, which the same merge handles.  The join
 multiplies coefficients as Python ints.  Checkpoints are always dicts of
 8-bit-lane keys, so arrays become a dict again only when an abort's
 checkpoint is read.  numpy is imported on the array path only.  While
-BIG_STEP_TERMS exceeds MEET_TERMS the head moves first, and only once the
-tail is done, so the tail waits for the join at 16 bytes a term.
+BIG_STEP_TERMS exceeds MEET_TERMS a head step is the one that moves them,
+once the tail is done, so the tail waits for the join at 16 bytes a term.
 
 Budget.  op_cap, the one budget a caller sets, bounds the term-ops of a
 call, summed over both sides, and so its memory too: a step never leaves
@@ -138,9 +144,6 @@ class SparsePolynomial:
 
     def coefficient(self, exponents) -> int:
         return self.terms.get(pack(exponents), 0)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
 
 @dataclass
@@ -282,27 +285,19 @@ def _plan_hash(k: int, plans) -> bytes:
 def _caps(fl: FactorList, target) -> list[int]:
     """Each variable's exponent cap: the target's exponent, clamped to the
     number of factors containing the variable, so it never changes which
-    terms live; it must be at most 127 for the lane test."""
-    counts = fl.occurrences[0]
-    caps = [min(e, c) for e, c in zip(target, counts)]
-    for v, cap in enumerate(caps, 1):
-        if cap > 127:
-            raise ValueError(
-                f"x{v} occurs in {counts[v - 1]} factors with exponent cap "
-                f"{target[v - 1]}; the engine allows caps of at most 127"
-            )
-    return caps
+    terms live."""
+    return [min(e, c) for e, c in zip(target, fl.occurrences[0])]
 
 
 def _step_plan(target, caps, terms, lefts) -> tuple:
     """One step's tuple of (shift, sign, threshold, cap), one per factor term.
 
-    terms and lefts are an entry of FactorList.occurrences' steps: the
-    factor's (variable, sign) pairs and, per pair, how many factors beyond
-    it contain the variable (after it for the head, before it for the tail,
-    whose steps come from fl.mirror).  threshold is the minimum exponent
-    the variable must hold *after* this step for the target to stay
-    reachable, clamped to cap + 1.
+    terms are a factor's (variable, sign) pairs and lefts, per pair, how
+    many factors the side has yet to multiply contain the variable: those
+    after the factor for the head, those before it for the tail, as
+    FactorList.occurrences' steps give them.  threshold is the minimum
+    exponent the variable must hold *after* this step for the target to
+    stay reachable, clamped to cap + 1.
     """
     return tuple(
         (8 * (v - 1), sign, min(max(target[v - 1] - left, 0), caps[v - 1] + 1),
@@ -313,11 +308,11 @@ def _step_plan(target, caps, terms, lefts) -> tuple:
 
 def _factor_plan(fl: FactorList, target):
     """The head's step tuples, one per factor in list order: plans[f]
-    describes fl.factors[f].  _factor_plan(fl.mirror, target) gives the
-    tail's, last factor first.  A call builds each tuple when a side takes
+    describes fl.factors[f].  A call builds each tuple when a side takes
     its step; the whole plan is built for a checkpoint's plan_hash."""
     caps = _caps(fl, target)
-    return [_step_plan(target, caps, *step) for step in fl.occurrences[1]]
+    return [_step_plan(target, caps, terms, after)
+            for terms, after, _ in fl.occurrences[1]]
 
 
 # A dict of more than 2**16 terms (about 18 MB with its keys and values)
@@ -374,8 +369,7 @@ def _successors(shape, state: int) -> tuple[tuple[int, int], ...]:
 def _dict_step(fac, shape, terms: dict[int, int]) -> dict[int, int]:
     """Multiply the terms by one factor, classifying each by the lane test."""
     # lane constants: a digit d plus 128 - x sets its lane's bit 7 iff
-    # d >= x, with no carry out of the lane since d, x <= 127 (x <= 128
-    # for thresholds)
+    # d >= x, with no carry out of the lane since d <= 15 and x <= 16
     a = b = m = 0
     for shift, _, thr, cap in fac:
         a |= (128 - thr) << shift
@@ -507,34 +501,30 @@ def _size(terms) -> int:
     return len(terms) if isinstance(terms, dict) else len(terms[0])
 
 
-def _step(fac, shape, terms, k: int, lanes_fit: bool):
-    """Multiply one side's terms, a dict or arrays, by one factor.
+def _step(fac, shape, terms):
+    """Multiply one side's terms, a dict or arrays, by one factor, and
+    return the new terms.
 
-    Returns the terms as the step read them (moved to arrays past
-    BIG_STEP_TERMS when every digit fits a 4-bit lane, their column widened
-    before it could overflow), their count and the new terms.  shape is the
-    factor's terms(), the key of its successor table.
+    An array column is widened first when the step could overflow it.
+    shape is the factor's terms(), the key of its successor table.
     """
     if isinstance(terms, dict):
-        if len(terms) <= BIG_STEP_TERMS or not lanes_fit:
-            return terms, len(terms), _dict_step(fac, shape, terms)
-        terms = _to_arrays(terms, k)
+        return _dict_step(fac, shape, terms)
     keys, coefs = terms
     # each new coefficient sums at most len(fac) old ones
     if coefs.dtype != object and int(abs(coefs).max(initial=0)) * len(fac) >= INT64_LIMIT:
-        terms = keys, coefs.astype(object)
-    return terms, len(keys), _array_step(fac, *terms)
+        coefs = coefs.astype(object)
+    return _array_step(fac, keys, coefs)
 
 
-def _join(head, tail, target, k: int) -> int:
+def _join(head, tail, target) -> int:
     """Σ_m H[m] · T[target − m]: the target's coefficient from the frontiers.
 
     The complement target − m cannot borrow, since no digit exceeds its
     cap and no cap its target digit.  The smaller frontier is iterated:
     on dicts each complement is looked up in the other dict, on arrays all
     are found in the other side's sorted 4-bit-lane keys by
-    np.searchsorted (a target digit above 15 exceeds its cap there, so no
-    term reaches it).  Coefficients are multiplied as Python ints.
+    np.searchsorted.  Coefficients are multiplied as Python ints.
     """
     small, big = (tail, head) if _size(tail) <= _size(head) else (head, tail)
     if isinstance(big, dict):
@@ -542,8 +532,6 @@ def _join(head, tail, target, k: int) -> int:
         get = big.get
         return sum(c * get(key - m, 0) for m, c in small.items())
     keys, coefs = big
-    if max(target) > 15 or not len(keys):
-        return 0
     import numpy as np
 
     wanted = np.uint64(sum(e << 4 * v for v, e in enumerate(target))) - small[0]
@@ -562,28 +550,29 @@ def _meet(fl: FactorList, target, caps, lo, head, hi, tail, op_cap, on_step) -> 
     """Multiply fl.factors[lo:hi] into the head (from lo up) and the tail
     (from hi - 1 down) until they meet, then join them.
 
-    head and tail are dicts or, past the switch, arrays.  Returns the
-    target's coefficient: 0 as soon as either side empties.
+    head and tail are both dicts or, past the move, both arrays.  Returns
+    the target's coefficient: 0 as soon as either side empties.
     """
     k = fl.k
-    n = len(fl.factors)
-    forward, backward = fl.occurrences[1], fl.mirror.occurrences[1]
-    lanes_fit = k <= 16 and max(caps, default=0) <= 15
+    steps = fl.occurrences[1]
     ops = 0
     while lo < hi:
         tail_live = _size(tail)
         on_tail = tail_live < _size(head) and tail_live <= MEET_TERMS
+        if isinstance(head, dict) and _size(tail if on_tail else head) > BIG_STEP_TERMS:
+            # the one move point: both sides move, so they are always one
+            # kind.  The tail goes first: moved after the head, its arrays
+            # pinned the heap, and a third repeated 10-2-a job peaked 2 MB
+            # above the second in 13 of 45 runs against 0 of 45
+            tail = _to_arrays(tail, k)
+            head = _to_arrays(head, k)
+        side = tail if on_tail else head
         f = hi - 1 if on_tail else lo
-        shape, lefts = backward[n - 1 - f] if on_tail else forward[f]
-        fac = _step_plan(target, caps, shape, lefts)
-        if on_tail:
-            tail, size, new = _step(fac, shape, tail, k, lanes_fit)
-            after = lo, head, f, new
-        else:
-            head, size, new = _step(fac, shape, head, k, lanes_fit)
-            after = f + 1, new, hi, tail
+        shape, after, before = steps[f]
+        fac = _step_plan(target, caps, shape, before if on_tail else after)
+        new = _step(fac, shape, side)
         live = _size(new)
-        ops += size * len(fac)
+        ops += _size(side) * len(fac)
         # a checkpoint is built only when read, from the state before the
         # step (term cap) or after it (op cap)
         if live > TERM_CAP:
@@ -591,19 +580,15 @@ def _meet(fl: FactorList, target, caps, lo, head, hi, tail, op_cap, on_step) -> 
                 f"term count {live} exceeds cap {TERM_CAP} at factor {f}",
                 functools.partial(_checkpoint, fl, target, lo, head, hi, tail),
             )
+        if on_tail:
+            hi, tail = f, new
+        else:
+            lo, head = f + 1, new
         if op_cap is not None and ops > op_cap:
             raise OpCapExceeded(
                 f"operation budget {op_cap} exhausted at factor {f}",
-                functools.partial(_checkpoint, fl, target, *after),
+                functools.partial(_checkpoint, fl, target, lo, head, hi, tail),
             )
-        lo, head, hi, tail = after
-        # the sides share a kernel: when one moves to arrays, the other
-        # follows.  With the module's constants the head moves first, and
-        # only once the tail holds more than MEET_TERMS terms and so never
-        # steps again; the tail then waits for the join at 16 bytes a term
-        if isinstance(head, dict) != isinstance(tail, dict):
-            head, tail = (_to_arrays(t, k) if isinstance(t, dict) else t
-                          for t in (head, tail))
         if on_step is not None:
             on_step(f, live)
         if not live:
@@ -612,7 +597,7 @@ def _meet(fl: FactorList, target, caps, lo, head, hi, tail, op_cap, on_step) -> 
                 for g in range(lo, hi):
                     on_step(g, 0)
             return 0
-    return _join(head, tail, target, k)
+    return _join(head, tail, target)
 
 
 def _check_resume_terms(terms, k: int, degree: int, caps, where: str) -> None:
@@ -620,17 +605,21 @@ def _check_resume_terms(terms, k: int, degree: int, caps, where: str) -> None:
 
     The product is homogeneous, so every live term of a side that has
     multiplied degree factors has total degree degree, and no digit exceeds
-    its planned cap.
+    its planned cap.  Each key is tested with packed lanes: no byte may
+    reach 128 (bit 7, mask m), and then adding 127 - cap to each byte sets
+    bit 7 exactly when its digit exceeds its cap.  Digits within caps of at
+    most 15 sum to below 255, and 256 is 1 modulo 255, so key % 255 is then
+    the total degree.
     """
+    m = sum(128 << 8 * v for v in range(k))
+    over = sum((127 - cap) << 8 * v for v, cap in enumerate(caps))
     for key in terms:
-        if 0 <= key < 1 << (8 * k):
-            digits = key.to_bytes(k, "little")
-            if sum(digits) == degree and not any(map(int.__gt__, digits, caps)):
-                continue
-        raise ValueError(
-            f"checkpoint term {key:#x} does not fit {where}: each term has "
-            f"degree {degree} and exponents within their caps"
-        )
+        if (not 0 <= key < 1 << (8 * k) or key & m or (key + over) & m
+                or key % 255 != degree):
+            raise ValueError(
+                f"checkpoint term {key:#x} does not fit {where}: each term has "
+                f"degree {degree} and exponents within their caps"
+            )
 
 
 def multiply_factors(
@@ -646,8 +635,10 @@ def multiply_factors(
     polynomial with that one term, or none when the coefficient is 0.
 
     The target's entries cap the exponents and the capacity rule prunes the
-    terms that can no longer reach it.  bound, when given, is checked: the
-    product's degree must not exceed it and the target must divide it.
+    terms that can no longer reach it.  The request must lie in the
+    engine's domain, k <= 16 and every target exponent at most 15, or a
+    ValueError is raised before any step.  bound, when given, is checked:
+    the product's degree must not exceed it and the target must divide it.
 
     The head multiplies factors in list order and the tail from the last
     one backwards, one factor per step, until they meet.  on_step(f,
@@ -660,7 +651,7 @@ def multiply_factors(
     TERM_CAP on either side raises OpCapExceeded / TermCapExceeded carrying
     a resumable checkpoint of both sides for this factor list (pass it back
     via resume); the checkpoint holds the engine's term dicts themselves,
-    not copies, or for a side past the switch to arrays a dict rebuilt from
+    not copies, or once the sides have moved to arrays dicts rebuilt from
     them when it is first read.  A resume is rejected unless the
     checkpoint's plan_hash matches this call's k, factors in their order,
     caps and target, and unless every resumed head term has total degree
@@ -679,8 +670,14 @@ def multiply_factors(
                 f"no surviving term is possible"
             )
     target = tuple(target)
-    if len(target) != k or any(not 0 <= g <= 255 for g in target):
-        raise ValueError(f"target must be {k} exponents in 0 .. 255")
+    if len(target) != k or min(target, default=0) < 0:
+        raise ValueError(f"target must be {k} non-negative exponents")
+    if k > 16 or max(target, default=0) > 15:
+        raise ValueError(
+            f"k={k} and target {','.join(map(str, target))} are outside the "
+            f"engine's domain: k <= 16 and every target exponent at most 15, "
+            f"one 4-bit lane each"
+        )
     if bound is not None and any(g > b for g, b in zip(target, bound)):
         raise ValueError("target must divide the bound")
     if sum(target) != n:

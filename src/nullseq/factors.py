@@ -101,26 +101,23 @@ class FactorList:
 
         counts[v - 1] is the number of factors containing x_v.  steps[f]
         holds factors[f].terms() and, per term, how many later factors
-        contain its variable.
+        contain its variable (the head's plan) and how many earlier ones do
+        (the tail's, which multiplies the list from its end).  A factor
+        holds each variable once, so the two add up to counts[v - 1] - 1.
         """
-        left = [0] * self.k
-        steps = []
-        for factor in reversed(self.factors):
+        seen = [0] * self.k
+        before = []
+        for factor in self.factors:
             terms = factor.terms()
-            steps.append((terms, tuple(left[v - 1] for v, _ in terms)))
+            before.append((terms, tuple(seen[v - 1] for v, _ in terms)))
             for v, _ in terms:
-                left[v - 1] += 1
-        return tuple(left), tuple(reversed(steps))
-
-    @cached_property
-    def mirror(self) -> FactorList:
-        """The same factors in reverse order, built once per list.
-
-        The engine's tail multiplies fl.factors from the last one backwards
-        by the plan of this list, so its occurrences count, for each
-        factor, the factors before it in fl.factors.
-        """
-        return FactorList(self.k, self.factors[::-1], self.fixed, self.variant)
+                seen[v - 1] += 1
+        steps = tuple(
+            (terms, tuple(seen[v - 1] - 1 - b for (v, _), b in zip(terms, earlier)),
+             earlier)
+            for terms, earlier in before
+        )
+        return tuple(seen), steps
 
 
 def validate_fixes(fixes, k) -> frozenset[int]:

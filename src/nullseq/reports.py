@@ -31,6 +31,7 @@ import math
 import re
 from typing import IO, Iterable, Iterator
 
+from . import __version__
 from .applicability import ApplicabilityResult
 from .certify import (
     AttemptRecord,
@@ -47,7 +48,7 @@ from .groups import canonical_type, enumerate_types, type_orbit
 from .oracle import ScanReport, VerificationReport
 from .quotient import QuotientSequencing, bounding_degree
 
-ENGINE_VERSION = "nullseq 0.1.0"
+ENGINE_VERSION = f"nullseq {__version__}"
 
 _FACTOR_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
@@ -425,8 +426,6 @@ def coefficient_record(
         record["coefficient"] = str(result.coefficient)
     if result.factorization is not None:
         record["factorization"] = format_factorization(result.factorization)
-    if result.terms is not None:
-        record["terms"] = result.terms
     return record
 
 
@@ -469,7 +468,6 @@ def scan_record(report: ScanReport, *, elapsed: float | None = None) -> dict:
         scan_kind=report.kind,
         scanned=report.scanned,
         sequenceable=report.sequenceable,
-        reduced=not report.sampled,  # an exhaustive scan searches class minima
         sampled=report.sampled,
         seed="" if report.seed is None else str(report.seed),
         all_sequenceable=report.all_sequenceable,

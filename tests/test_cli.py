@@ -81,6 +81,18 @@ class TestCoeff:
         assert code == 2 and not recs
         assert "monomial" in err
 
+    def test_outside_the_engine_domain_exits_two(self):
+        # k = 17 at t = 1: 271 factors under the bounding monomial 16^17, so
+        # the monomial below is a valid request, but not one of the engine's
+        code, recs, err = run_cli(
+            ["coeff", "--k", "17", "--monomial", ",".join(["15"] + ["16"] * 16)]
+        )
+        assert (code, recs) == (2, [])
+        (line,) = err.splitlines()
+        assert line.startswith("nullseq: error: k=17 and target 15,16,")
+        assert line.endswith("outside the engine's domain: k <= 16 and every "
+                             "target exponent at most 15, one 4-bit lane each")
+
     def test_k_and_t_must_match_lambda(self):
         vectors = ["--lambda", "3,2", "--a", "0,1,0,0,1", "--monomial", "2,0,2,1,1"]
         for kt in (["--k", "6", "--t", "2"], ["--k", "5", "--t", "3"]):
@@ -379,7 +391,7 @@ class TestScan:
         # per class; no flag selects a search of every subset
         code, recs, _ = run_cli(["scan", "--n", "9", "--k", "3"])
         assert code == 0
-        assert (recs[0]["reduced"], recs[0]["scanned"]) == (True, 10)
+        assert (recs[0]["sampled"], recs[0]["scanned"]) == (False, 10)
         with pytest.raises(SystemExit) as info:
             run_cli(["scan", "--n", "9", "--k", "3", "--no-reduce"])
         assert info.value.code == 2

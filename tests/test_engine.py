@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from nullseq import engine
-from nullseq.catalog import LIGHT, TABLE1, WORKED, by_name
+from nullseq.catalog import ALL_FIXTURES, LIGHT, TABLE1, WORKED, by_name
 from nullseq.certify import sample_monomials
 from nullseq.engine import (
     EngineCheckpoint,
@@ -104,13 +104,15 @@ def meet_walk(fl, target):
     """The engine's steps as (side, f, live), rebuilt from the digit loop.
 
     The head's live counts are those of fl's plan and the tail's those of
-    fl.mirror's.  Each step goes to the side with fewer live terms, to the
-    head on a tie, and to the tail only while it holds at most MEET_TERMS.
-    Once a side empties, each factor left follows with 0, in list order.
+    the plan of the same factors in reverse order.  Each step goes to the
+    side with fewer live terms, to the head on a tie, and to the tail only
+    while it holds at most MEET_TERMS.  Once a side empties, each factor
+    left follows with 0, in list order.
     """
     n = fl.degree
+    reversed_fl = dataclasses.replace(fl, factors=fl.factors[::-1])
     head = digit_loop_live_counts(engine._factor_plan(fl, target))
-    tail = digit_loop_live_counts(engine._factor_plan(fl.mirror, target))
+    tail = digit_loop_live_counts(engine._factor_plan(reversed_fl, target))
     walk, lo, hi, h, t = [], 0, n, 1, 1
     while lo < hi:
         if t < h and t <= engine.MEET_TERMS:
@@ -207,7 +209,6 @@ class TestSparsePolynomial:
         poly = SparsePolynomial(2, {pack((1, 0)): 4, pack((0, 2)): -7})
         assert poly.coefficient((1, 0)) == 4
         assert poly.coefficient((2, 0)) == 0
-        assert poly.num_terms() == 2
         assert tuple_dict(poly) == {(1, 0): 4, (0, 2): -7}
         assert poly.coefficient((0, 2)) == -7
 
@@ -355,20 +356,52 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="divide the bound"):
             multiply_factors(fl, bound=bound, target=bad)
 
-    def test_exponent_cap_above_127_rejected(self):
-        fl = FactorList(2, (Difference(1, 2),) * 128, frozenset(), "full")
-        with pytest.raises(ValueError, match="at most 127"):
-            multiply_factors(fl, target=(0, 128))
-        fl = FactorList(2, (Difference(1, 2),) * 127, frozenset(), "full")
-        # (x2 - x1)^127: x1^j x2^(127-j) has coefficient (-1)^j C(127, j)
-        for j in (0, 63, 127):
-            got = multiply_factors(fl, target=(j, 127 - j))
-            assert got.coefficient((j, 127 - j)) == (-1) ** j * math.comb(127, j)
-
     def test_target_degree_must_match(self):
         fl = build_p(QS32)
         with pytest.raises(ValueError, match="does not match product degree"):
             multiply_factors(fl, target=(1, 0, 1, 1, 1))
+
+
+class TestDomain:
+    """Every request has k <= 16 and target exponents of at most 15, so each
+    exponent fits a 4-bit lane of the array kernel."""
+
+    REQUESTS = {
+        # k = 17 needs more than 64 bits of 4-bit lanes
+        "k17": (FactorList(17, (Difference(16, 17),) * 3, frozenset(), "full"),
+                (0,) * 15 + (1, 2)),
+        # every cap fits a lane (x16 occurs in 15 factors), the target does not
+        "x16^16": (FactorList(16, (Window((0, 3), (1, 2, 3)),) * 5
+                              + (Window((14, 16), (15, 16)),) * 15, frozenset(), "full"),
+                   (2, 1, 1) + (0,) * 12 + (16,)),
+    }
+
+    @pytest.mark.parametrize("request_", REQUESTS)
+    def test_outside_requests_raise_before_any_step(self, request_):
+        fl, target = self.REQUESTS[request_]
+        seen = []
+        with pytest.raises(ValueError, match="outside the engine's domain"):
+            multiply_factors(fl, target=target, on_step=lambda f, n: seen.append(f))
+        assert seen == []
+
+    def test_binomial_at_the_edge(self):
+        fl = FactorList(2, (Difference(1, 2),) * 30, frozenset(), "full")
+        # (x2 - x1)^30: x1^15 x2^15 has coefficient (-1)^15 C(30, 15)
+        got = multiply_factors(fl, target=(15, 15))
+        assert got.coefficient((15, 15)) == -math.comb(30, 15)
+        with pytest.raises(ValueError, match="outside the engine's domain"):
+            multiply_factors(fl, target=(16, 14))
+
+    def test_the_program_requests_fit(self):
+        # what prove, coeff, table1 and the benchmark's re-check ask: every
+        # catalog fixture, and the largest bounding monomial of the k <= 15
+        # envelope, (15,) at t = 1, whose exponents are all 14.  The engine
+        # does not run.
+        for fx in ALL_FIXTURES:
+            fl, bound = fixture_product(fx)
+            assert fl.k <= 16 and max(fx.monomial) <= 15 and max(bound) <= 15, fx.name
+        qs = validate_quotient((0,) * 15, (15,))
+        assert bounding_monomial((15,), qs) == (14,) * 15
 
 
 class TestCheckpoints:
@@ -835,6 +868,10 @@ class TestSharedSetUp:
             assert got == want
             # checkpoints hash the plan, so it keeps its type too
             assert engine._plan_hash(fl.k, got) == engine._plan_hash(fl.k, want)
+            # the tail's counts: the factors before each one holding its variable
+            for f, (terms, _, before) in enumerate(fl.occurrences[1]):
+                assert before == tuple(sum(v in g.variables() for g in fl.factors[:f])
+                                       for v, _ in terms)
 
     # QS52 with 3 and 6 fixed and unfixed share 8 factor shapes, among them
     # x4+x5 beside x5-x4 and x1+x2 beside x2-x1: tables keyed without signs
@@ -987,22 +1024,6 @@ class TestArrayKernel:
         assert {side for side, _, _ in meet_walk(fl, target)} == {"head", "tail"}
         assert kinds == (["i"] * 60 if kernel == "array" else [])
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_target_digit_past_its_count(self, monkeypatch, kernel):
-        # x16 occurs in 15 factors, so no term holds x16^16.  Every cap fits
-        # a 4-bit lane, but that target digit does not: the array join must
-        # not pack it
-        use_kernel(monkeypatch, kernel)
-        fl = FactorList(16, (Window((0, 3), (1, 2, 3)),) * 5
-                        + (Window((14, 16), (15, 16)),) * 15, frozenset(), "full")
-        target = (2, 1, 1) + (0,) * 12 + (16,)
-        seen = []
-        got = multiply_factors(fl, target=target, on_step=lambda f, n: seen.append((f, n)))
-        assert got.terms == {}
-        # both sides still hold terms where they meet
-        assert sorted(f for f, _ in seen) == list(range(fl.degree))
-        assert all(n for _, n in seen)
-
     @staticmethod
     def high_lane_factor_list(rng):
         """Differences and windows over up to 16 variables, so the increments
@@ -1048,38 +1069,53 @@ class TestArrayKernel:
         assert len(kinds) == sum(fl.degree for fl, _, _ in cases)
         assert "O" in kinds[-4 * 12:]
 
-    def test_wide_lanes_stay_on_dicts(self, monkeypatch):
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
-        switches = []
+    # (BIG_STEP_TERMS, MEET_TERMS, the side whose step first reads more than
+    # BIG_STEP_TERMS terms).  The tail can be that side only while it steps
+    # past BIG_STEP_TERMS, so MEET_TERMS is raised for it
+    MOVES = {"from-the-start": (0, engine.MEET_TERMS, "head"),
+             "head-first": (2000, engine.MEET_TERMS, "head"),
+             "tail-first": (3000, 10**9, "tail")}
+
+    @pytest.mark.parametrize("case", MOVES)
+    def test_both_sides_move_before_the_same_step(self, monkeypatch, case):
+        big, meet, first = self.MOVES[case]
+        monkeypatch.setattr(engine, "BIG_STEP_TERMS", big)
+        monkeypatch.setattr(engine, "MEET_TERMS", meet)
+        seen, moves = [], []
         to_arrays = engine._to_arrays
 
         def spy(terms, k):
-            switches.append(k)
+            moves.append(len(seen))
             return to_arrays(terms, k)
 
         monkeypatch.setattr(engine, "_to_arrays", spy)
-        # (x2 - x1)^power: every cap of power 15 fits a 4-bit lane; at power
-        # 20 a target with an exponent above 15 has a cap that does not
-        for power, exponents in ((15, range(16)), (20, (*range(5), *range(16, 21)))):
-            fl = FactorList(2, (Difference(1, 2),) * power, frozenset(), "full")
+        if case == "from-the-start":
+            # (x2 - x1)^15: every target's caps fit a 4-bit lane
+            fl = FactorList(2, (Difference(1, 2),) * 15, frozenset(), "full")
             naive = naive_expand(fl)
-            for j in exponents:
-                target = (j, power - j)
-                got = multiply_factors(fl, target=target)
-                assert got.coefficient(target) == naive.coefficient(target)
-        # the head and then the tail move to arrays once per power-15 call
-        assert switches == [2] * 32
-        fl = FactorList(17, (Difference(16, 17),) * 3, frozenset(), "full")
-        for j, c in enumerate((1, 3, 3, 1)):
-            target = (0,) * 15 + (3 - j, j)
-            got = tuple_dict(multiply_factors(fl, target=target))
-            assert got == {target: (-1) ** (3 - j) * c}
-        assert switches == [2] * 32  # k = 17 needs more than 64 bits
+            jobs = [(fl, (j, 15 - j), naive.coefficient((j, 15 - j))) for j in range(16)]
+        else:
+            fl, _ = fixture_product(self.FX)
+            jobs = [(fl, self.FX.monomial, 2588)]
+        for fl, target, want in jobs:
+            live = {"head": 1, "tail": 1}
+            for at, (side, _, n) in enumerate(meet_walk(fl, target)):
+                if live[side] > big:
+                    break
+                live[side] = n
+            assert side == first
+            seen[:], moves[:] = [], []
+            got = multiply_factors(fl, target=target,
+                                   on_step=lambda f, n: seen.append((f, n)))
+            assert got.coefficient(target) == want
+            assert seen == meet_steps(fl, target)
+            # the head and the tail move once each, before the same step
+            assert moves == [at, at]
 
 
-# Runs the 10-2-a product (417 093 peak live terms, on the array kernel)
-# three times in one process and prints the process's peak RSS in KiB after
-# each job.
+# Runs the 10-2-a product (the head peaks at 356 021 live terms, on the
+# array kernel) three times in one process and prints the process's peak RSS
+# in KiB after each job.
 _REPEAT = """
 import resource
 from nullseq.catalog import by_name

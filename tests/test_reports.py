@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nullseq
 from nullseq import certify, reports
 from nullseq.applicability import applicability
 from nullseq.certify import (
@@ -123,7 +124,8 @@ class TestRecordStream:
 
     def test_base_fields(self):
         rec = scan_record(scan_group(9, 3), elapsed=1.23456)
-        assert rec["engine"] == ENGINE_VERSION
+        assert rec["engine"] == ENGINE_VERSION == f"nullseq {nullseq.__version__}"
+        assert ENGINE_VERSION == "nullseq 0.1.0"
         assert rec["elapsed"] == 1.235
         assert rec["kind"] == "scan"
 
@@ -248,7 +250,7 @@ class TestCaseRecords:
 class TestCoefficientAndQuotientRecords:
     def test_coefficient_record_shape(self):
         rec = coefficient_record(
-            CoefficientResult(-2, terms=17, factorization=factorize(-2)),
+            CoefficientResult(-2, factorization=factorize(-2)),
             *product((5, 2), (0, 0, 1, 0, 0, 0, 1), (6, 3)),
             (3, 3, 0, 3, 3, 0, 0),
             elapsed=None,
@@ -258,11 +260,10 @@ class TestCoefficientAndQuotientRecords:
             "lam": "5,2", "a": "0,0,1,0,0,0,1", "fixes": "3,6", "variant": "full",
             "monomial": "3,3,0,3,3,0,0", "degree": 12, "bound": "3,3,0,3,3,0,0",
             "outcome": "nonzero", "coefficient": "-2", "factorization": "-2",
-            "terms": 17,
         }
         json.loads(dumps_record(rec))
         rec = coefficient_record(
-            CoefficientResult(0, terms=3), *product((3,), (0, 0, 0), (), "reduced"),
+            CoefficientResult(0), *product((3,), (0, 0, 0), (), "reduced"),
             (0, 1, 2), elapsed=None,
         )
         assert (rec["variant"], rec["degree"], rec["fixes"]) == ("reduced", 3, "")
@@ -270,8 +271,8 @@ class TestCoefficientAndQuotientRecords:
     def test_coefficient_record_outcomes(self):
         job = dict(elapsed=None)
         args = (*product((2,), (0, 0)), (0, 1))
-        rec = coefficient_record(CoefficientResult(0, terms=0), *args, **job)
-        assert (rec["coefficient"], rec["outcome"], rec["terms"]) == ("0", "zero", 0)
+        rec = coefficient_record(CoefficientResult(0), *args, **job)
+        assert (rec["coefficient"], rec["outcome"]) == ("0", "zero")
         assert "factorization" not in rec
         aborted = CoefficientResult(None, note="term count 8 exceeds cap 5",
                                     checkpoint="ckpt.bin")
@@ -312,8 +313,9 @@ class TestScanVerificationApplicability:
             assert (rec["scanned"], rec["sequenceable"]) == (
                 report.scanned, report.sequenceable
             )
-            # an exhaustive scan searches one subset per unit-multiple class
-            assert (rec["reduced"], rec["sampled"]) == (not report.sampled, report.sampled)
+            # no field restates another: an exhaustive scan always searches
+            # one subset per unit-multiple class
+            assert rec["sampled"] == report.sampled and "reduced" not in rec
             assert rec["seed"] == ("" if report.seed is None else str(report.seed))
             assert rec["all_sequenceable"] is report.all_sequenceable
             assert rec["failures"] == len(report.failures)
