@@ -378,6 +378,10 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # what a shell reports for a process killed by SIGPIPE
+    except Exception as exc:
+        # a crash, out of memory included, is not a result: exit 1 is one
+        print(f"nullseq: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

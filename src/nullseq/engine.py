@@ -71,11 +71,15 @@ makes 987, most of a few thousand term-ops), so their fixed costs are shared:
   tables are keyed by shape and shared by every step, side, call and
   product in the process (_successors says what bounds them).
 
-Array kernel.  Before a step whose side is a term dict of more than
-BIG_STEP_TERMS (2**16) live terms, both sides move together to numpy
-arrays, and they stay there to the end, so head and tail are always the
-same kind: uint64 keys with 4-bit lanes (the digit of x_v at bits
-4(v - 1)), sorted, and a coefficient column.  The domain makes each digit
+Array kernel.  A call picks its kernel before its first step, from the
+product's degree n = len(fl.factors): from ARRAY_DEGREE (70) on, both
+sides, fresh or resumed, become numpy arrays before step 0; below it the
+call stays on dicts.  Peak live terms grow with the degree: the k <= 9
+sweep (degree <= 56) peaks at 5 469, the light tier (<= 69) at 10 268,
+(9,0)'s degree-71 products at 39 355, 10-2-a (89) at 356 021 and 11-a
+(109) at 3.13M.  So numpy stays off the light and sweep paths.  A side
+on arrays is uint64 keys with 4-bit lanes (the digit of x_v at bits
+4(v - 1)), sorted, and a coefficient column; the domain makes each digit
 fit its lane.  A step marks, in a uint16 mask per term, the branches the
 term keeps: branch j keeps it when its digit j is below its cap and the
 number of the factor's digits below their thresholds equals [digit j
@@ -92,9 +96,7 @@ step with max|c| * len(factor) >= 2**63 the column is converted once to
 object dtype, exact Python ints, which the same merge handles.  The join
 multiplies coefficients as Python ints.  Checkpoints are always dicts of
 8-bit-lane keys, so arrays become a dict again only when an abort's
-checkpoint is read.  numpy is imported on the array path only.  While
-BIG_STEP_TERMS exceeds MEET_TERMS a head step is the one that moves them,
-once the tail is done, so the tail waits for the join at 16 bytes a term.
+checkpoint is read.  numpy is imported on the array path only.
 
 Budget.  op_cap, the one budget a caller sets, bounds the term-ops of a
 call, summed over both sides, and so its memory too: a step never leaves
@@ -315,10 +317,9 @@ def _factor_plan(fl: FactorList, target):
             for terms, after, _ in fl.occurrences[1]]
 
 
-# A dict of more than 2**16 terms (about 18 MB with its keys and values)
-# outweighs importing numpy (about 12 MB), so it is where a job moves to the
-# array kernel.
-BIG_STEP_TERMS = 1 << 16
+# a product of this many factors or more runs on the array kernel from step
+# 0, any other on dicts; the module docstring gives the peaks behind 70
+ARRAY_DEGREE = 70
 # an array step merges its branches per range of output keys, cut at every
 # MERGE_RANGE-th input key, so its sort temporaries are bounded by a range
 MERGE_RANGE = 1 << 13
@@ -423,7 +424,7 @@ def _to_arrays(terms: dict[int, int], k: int):
         high = np.fromiter((key >> 64 for key in ordered), np.uint64, n)
         keys |= _nibbles(high) << 32
     coefs = [terms[key] for key in ordered]
-    wide = max(map(abs, coefs)) >= INT64_LIMIT
+    wide = max(map(abs, coefs), default=0) >= INT64_LIMIT  # a resumed side may be empty
     return keys, np.array(coefs, object if wide else np.int64)
 
 
@@ -550,22 +551,14 @@ def _meet(fl: FactorList, target, caps, lo, head, hi, tail, op_cap, on_step) -> 
     """Multiply fl.factors[lo:hi] into the head (from lo up) and the tail
     (from hi - 1 down) until they meet, then join them.
 
-    head and tail are both dicts or, past the move, both arrays.  Returns
-    the target's coefficient: 0 as soon as either side empties.
+    head and tail are both dicts or both arrays.  Returns the target's
+    coefficient: 0 as soon as either side empties.
     """
-    k = fl.k
     steps = fl.occurrences[1]
     ops = 0
     while lo < hi:
         tail_live = _size(tail)
         on_tail = tail_live < _size(head) and tail_live <= MEET_TERMS
-        if isinstance(head, dict) and _size(tail if on_tail else head) > BIG_STEP_TERMS:
-            # the one move point: both sides move, so they are always one
-            # kind.  The tail goes first: moved after the head, its arrays
-            # pinned the heap, and a third repeated 10-2-a job peaked 2 MB
-            # above the second in 13 of 45 runs against 0 of 45
-            tail = _to_arrays(tail, k)
-            head = _to_arrays(head, k)
         side = tail if on_tail else head
         f = hi - 1 if on_tail else lo
         shape, after, before = steps[f]
@@ -651,8 +644,9 @@ def multiply_factors(
     TERM_CAP on either side raises OpCapExceeded / TermCapExceeded carrying
     a resumable checkpoint of both sides for this factor list (pass it back
     via resume); the checkpoint holds the engine's term dicts themselves,
-    not copies, or once the sides have moved to arrays dicts rebuilt from
-    them when it is first read.  A resume is rejected unless the
+    not copies, or, on arrays (a product of ARRAY_DEGREE factors or more
+    runs on them from its first step), dicts rebuilt from them when it is
+    first read.  A resume is rejected unless the
     checkpoint's plan_hash matches this call's k, factors in their order,
     caps and target, and unless every resumed head term has total degree
     factor_index, every tail term n - tail_index, and each exponent is
@@ -706,6 +700,8 @@ def multiply_factors(
         head, tail = dict(resume.terms), dict(resume.tail_terms)
     else:
         lo, head, hi, tail = 0, {0: 1}, n, {0: 1}
+    if n >= ARRAY_DEGREE:
+        head, tail = _to_arrays(head, k), _to_arrays(tail, k)
 
     coef = _meet(fl, target, caps, lo, head, hi, tail, op_cap, on_step)
     return SparsePolynomial(k, {pack(target): coef} if coef else {})

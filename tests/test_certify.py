@@ -316,7 +316,7 @@ class TestCertifyType:
     def test_checkpoint_built_only_when_saved(self, tmp_path, monkeypatch):
         # an abort on arrays turns them into a dict only for a checkpoint
         # that is saved
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
         built = []
         to_dict = engine._to_dict
 

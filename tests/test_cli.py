@@ -566,8 +566,9 @@ class TestTable1:
         assert load_checkpoint(rec["checkpoint"]).k == rec["k"]
 
     def test_light_job_leaves_numpy_unimported(self):
-        # numpy is the engine's big-step kernel; light jobs never need it.
-        # 5-5-b peaks at 10 091 live terms, the most of any light row
+        # numpy is the engine's array kernel, for products of degree
+        # engine.ARRAY_DEGREE or more; light jobs never need it.  5-5-b
+        # peaks at 10 268 live terms, the most of any light row
         code = (
             "import contextlib, io, sys\n"
             "from nullseq.cli import main\n"
@@ -733,6 +734,25 @@ class TestClosedOutput:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+
+class TestCrash:
+    @pytest.mark.parametrize("argv", [
+        ["prove", "--k", "4", "--t", "2"],
+        ["coeff", "--k", "5", "--t", "2", "--lambda", "3,2", "--a", "0,1,0,0,1",
+         "--monomial", "2,0,2,1,1"],
+        ["table1", "--name", "worked-3-2"],
+    ])
+    def test_out_of_memory_is_not_a_result(self, monkeypatch, argv):
+        # exit 1 means "some types unresolved", "zero" or "mismatch", so a
+        # crash in the engine has its own code and one line on stderr
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr(certify, "multiply_factors", exhausted)
+        code, recs, err = run_cli(argv)
+        assert (code, recs) == (3, [])
+        assert err == "nullseq: internal error: MemoryError: Unable to allocate 2.00 GiB\n"
 
 
 class TestOutputFile:

@@ -8,10 +8,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nullseq import engine
 from nullseq.catalog import ALL_FIXTURES, LIGHT, TABLE1, WORKED, by_name
-from nullseq.certify import sample_monomials
+from nullseq.certify import CaseConfig, sample_monomials
 from nullseq.engine import (
     EngineCheckpoint,
     OpCapExceeded,
@@ -24,13 +26,17 @@ from nullseq.engine import (
     save_checkpoint,
 )
 from nullseq.factors import (
+    FULL,
+    REDUCED,
     Difference,
     FactorList,
+    InfeasibleFixing,
     Window,
     apply_fixes,
     bounding_monomial,
     build_p,
     build_q,
+    product,
 )
 from nullseq.quotient import validate_quotient
 
@@ -41,9 +47,9 @@ KERNELS = ("dict", "array")
 
 
 def use_kernel(monkeypatch, kernel):
-    """The array kernel runs every step once its live-term threshold is 0."""
+    """The array kernel runs every call once its degree threshold is 0."""
     if kernel == "array":
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
 
 
 def term_cap_at(monkeypatch, cap):
@@ -220,15 +226,14 @@ class TestAgainstNaive:
             fl, lam, qs = random_factor_list(rng)
             assert targeted_expansion(fl) == tuple_dict(naive_expand(fl))
 
-    # (BIG_STEP_TERMS, MEET_TERMS): arrays from step 0, both sides moving
-    # to arrays mid-run, and a tail that stops once it holds 3 terms
-    SETTINGS = {"array": (0, engine.MEET_TERMS), "switch": (4, engine.MEET_TERMS),
-                "early-meet": (engine.BIG_STEP_TERMS, 2)}
+    # (ARRAY_DEGREE, MEET_TERMS): arrays from step 0, and a tail that stops
+    # once it holds 3 terms
+    SETTINGS = {"array": (0, engine.MEET_TERMS), "early-meet": (engine.ARRAY_DEGREE, 2)}
 
     @pytest.mark.parametrize("setting", SETTINGS)
     def test_full_expansion_matches_in_other_settings(self, monkeypatch, setting):
-        big_step, meet = self.SETTINGS[setting]
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", big_step)
+        array_degree, meet = self.SETTINGS[setting]
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", array_degree)
         monkeypatch.setattr(engine, "MEET_TERMS", meet)
         self.test_full_expansion_matches()
 
@@ -402,6 +407,16 @@ class TestDomain:
             assert fl.k <= 16 and max(fx.monomial) <= 15 and max(bound) <= 15, fx.name
         qs = validate_quotient((0,) * 15, (15,))
         assert bounding_monomial((15,), qs) == (14,) * 15
+
+    def test_the_kernel_rule_falls_between_the_tiers(self):
+        # light rows and every prove call at the default degree budget stay
+        # on dicts, so they never import numpy; heavy and massive rows run
+        # on arrays from step 0.  The engine does not run.
+        assert CaseConfig().max_degree < engine.ARRAY_DEGREE
+        for fx in ALL_FIXTURES:
+            degree = len(fixture_product(fx)[0].factors)
+            assert degree == fx.degree, fx.name
+            assert (degree >= engine.ARRAY_DEGREE) == (fx.tier != LIGHT), fx.name
 
 
 class TestCheckpoints:
@@ -729,7 +744,7 @@ class TestFactorOrder:
         assert resumed.coefficient(self.FX.monomial) == 2588
         # the same abort inside an array step saves the same bytes, and the
         # dict-made checkpoint resumes on arrays
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
         with pytest.raises(OpCapExceeded) as again:
             multiply_factors(self.fl, bound=self.bound, target=self.FX.monomial,
                              op_cap=50_000)
@@ -748,7 +763,7 @@ class TestFactorOrder:
     OP_CAP_50K_SHA256 = "4aeacfea703219cc60dd412eb5cfa420b3889781896063cfcb1b4e16ff043ed4"
 
     def test_array_checkpoint_is_built_once_when_read(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
         built = []
         to_dict = engine._to_dict
 
@@ -930,7 +945,7 @@ class TestArrayKernel:
         expect_counts = []
         expect = multiply_factors(fl, bound=bound, target=target,
                                   on_step=lambda f, n: expect_counts.append(n))
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
         monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
         kinds = self.spy_on_dtypes(monkeypatch)
         counts, to_dict_calls = [], []
@@ -963,7 +978,7 @@ class TestArrayKernel:
             multiply_factors(fl, bound=bound, target=target, op_cap=100_000)
         dict_path = tmp_path / "dicts.bin"
         save_checkpoint(dict_path, on_dicts.value.checkpoint)
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
         monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
         kinds = self.spy_on_dtypes(monkeypatch)
         with pytest.raises(OpCapExceeded) as on_arrays:
@@ -978,17 +993,19 @@ class TestArrayKernel:
         assert resumed.terms == {pack(target): 2588}
 
     @pytest.mark.parametrize(
-        "start, kinds_at_switch",
+        "start, kinds_on_resume",
         [
-            (40, "iiiOO"),  # widens two steps after the switch
+            (40, "iiiOO"),  # widens two steps after the resume
             (43, "OO"),  # max|c| * 3 reaches 2**63 at the first array step
-            (44, "O"),  # a coefficient is past 2**63 when the job switches
+            (44, "O"),  # a coefficient is past 2**63 when the job resumes
         ],
     )
     def test_switch_keeps_large_coefficients_exact(self, monkeypatch, start,
-                                                   kinds_at_switch):
+                                                   kinds_on_resume):
         # (x1 + x2 + x3)^45 at x1^15 x2^15 x3^15 is 45! / 15!^3, above 2**65.
-        # With no tail the head alone carries coefficients that large.
+        # With no tail the head alone carries coefficients that large.  The
+        # dict call's checkpoint resumes on an array call, whose degree is
+        # ARRAY_DEGREE.
         monkeypatch.setattr(engine, "MEET_TERMS", 0)
         fl = FactorList(3, (Window((0, 3), (1, 2, 3)),) * 45, frozenset(), "full")
         target = (15, 15, 15)
@@ -1002,10 +1019,11 @@ class TestArrayKernel:
         assert (cp.factor_index, cp.tail_index, cp.tail_terms) == (start, 45, {0: 1})
         too_large = max(map(abs, cp.terms.values())) >= engine.INT64_LIMIT
         assert too_large == (start == 44)
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        assert fl.degree < engine.ARRAY_DEGREE
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", fl.degree)
         kinds = self.spy_on_dtypes(monkeypatch)
         got = multiply_factors(fl, target=target, resume=cp)
-        assert kinds == list(kinds_at_switch)
+        assert kinds == list(kinds_on_resume)
         assert got.terms == {pack(target): exact}
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -1056,7 +1074,7 @@ class TestArrayKernel:
             target = (0,) * 11 + top
             exact = math.factorial(12) // math.prod(map(math.factorial, top))
             cases.append((fl, target, {pack(target): exact}))
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", 0)
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
         monkeypatch.setattr(engine, "MERGE_RANGE", merge_range)
         monkeypatch.setattr(engine, "INT64_LIMIT", 2**8)
         kinds = self.spy_on_dtypes(monkeypatch)
@@ -1069,48 +1087,100 @@ class TestArrayKernel:
         assert len(kinds) == sum(fl.degree for fl, _, _ in cases)
         assert "O" in kinds[-4 * 12:]
 
-    # (BIG_STEP_TERMS, MEET_TERMS, the side whose step first reads more than
-    # BIG_STEP_TERMS terms).  The tail can be that side only while it steps
-    # past BIG_STEP_TERMS, so MEET_TERMS is raised for it
-    MOVES = {"from-the-start": (0, engine.MEET_TERMS, "head"),
-             "head-first": (2000, engine.MEET_TERMS, "head"),
-             "tail-first": (3000, 10**9, "tail")}
-
-    @pytest.mark.parametrize("case", MOVES)
-    def test_both_sides_move_before_the_same_step(self, monkeypatch, case):
-        big, meet, first = self.MOVES[case]
-        monkeypatch.setattr(engine, "BIG_STEP_TERMS", big)
-        monkeypatch.setattr(engine, "MEET_TERMS", meet)
-        seen, moves = [], []
+    @pytest.mark.parametrize("array_degree", [15, 16, 60, 61])
+    def test_kernel_is_chosen_before_step_0(self, monkeypatch, array_degree):
+        # (x2 - x1)^15 and 1-9-b (degree 60) run on arrays exactly when their
+        # degree reaches ARRAY_DEGREE, both sides converted before the first
+        # step and never again
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", array_degree)
+        seen, converted = [], []
         to_arrays = engine._to_arrays
 
         def spy(terms, k):
-            moves.append(len(seen))
+            converted.append(len(seen))
             return to_arrays(terms, k)
 
         monkeypatch.setattr(engine, "_to_arrays", spy)
-        if case == "from-the-start":
-            # (x2 - x1)^15: every target's caps fit a 4-bit lane
-            fl = FactorList(2, (Difference(1, 2),) * 15, frozenset(), "full")
-            naive = naive_expand(fl)
-            jobs = [(fl, (j, 15 - j), naive.coefficient((j, 15 - j))) for j in range(16)]
-        else:
-            fl, _ = fixture_product(self.FX)
-            jobs = [(fl, self.FX.monomial, 2588)]
+        kinds = self.spy_on_dtypes(monkeypatch)
+        fl = FactorList(2, (Difference(1, 2),) * 15, frozenset(), "full")
+        naive = naive_expand(fl)
+        jobs = [(fl, (j, 15 - j), naive.coefficient((j, 15 - j))) for j in range(16)]
+        jobs.append((fixture_product(self.FX)[0], self.FX.monomial, 2588))
         for fl, target, want in jobs:
-            live = {"head": 1, "tail": 1}
-            for at, (side, _, n) in enumerate(meet_walk(fl, target)):
-                if live[side] > big:
-                    break
-                live[side] = n
-            assert side == first
-            seen[:], moves[:] = [], []
+            seen[:], converted[:], kinds[:] = [], [], []
             got = multiply_factors(fl, target=target,
                                    on_step=lambda f, n: seen.append((f, n)))
             assert got.coefficient(target) == want
             assert seen == meet_steps(fl, target)
-            # the head and the tail move once each, before the same step
-            assert moves == [at, at]
+            steps = sum(1 for side, _, _ in meet_walk(fl, target) if side is not None)
+            if fl.degree >= array_degree:
+                assert converted == [0, 0] and len(kinds) == steps
+            else:
+                assert converted == kinds == []
+
+
+@st.composite
+def engine_requests(draw):
+    """A small factor list (k <= 6, fixes and variant drawn too, degree 1 ..
+    14), a bound and a target of the product's degree dividing it.  When
+    no monomial of that degree divides the bounding monomial, the bound is
+    the box of occurrence counts, which every term of the product divides."""
+    t = draw(st.integers(1, 3))
+    a = tuple(draw(st.lists(st.integers(0, t - 1), min_size=2, max_size=6)))
+    fixes = draw(st.sets(st.integers(1, len(a)), max_size=3))
+    variant = draw(st.sampled_from([FULL, REDUCED]))
+    try:
+        _, fl, bound = product(tuple(a.count(v) for v in range(t)), a, fixes, variant)
+    except InfeasibleFixing:
+        assume(False)
+    assume(1 <= fl.degree <= 14)
+    targets = list(box_monomials(bound, fl.degree))
+    if not targets:
+        bound = fl.occurrences[0]
+        targets = list(box_monomials(bound, fl.degree))
+    return fl, bound, draw(st.sampled_from(targets))
+
+
+class TestEngineSettings:
+    """Every kernel and setting gives the naive coefficient, in one call and
+    in a chain of capped legs, each resumed from the last one's checkpoint
+    file."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(request_=engine_requests(),
+           array_degree=st.sampled_from([0, 10**9]),
+           meet=st.integers(0, engine.MEET_TERMS),
+           merge_range=st.integers(1, engine.MERGE_RANGE),
+           int64_limit=st.integers(1, engine.INT64_LIMIT),
+           op_cap=st.integers(0, 1_000))
+    def test_every_setting_gives_the_naive_coefficient(
+            self, tmp_path_factory, request_, array_degree, meet, merge_range,
+            int64_limit, op_cap):
+        fl, bound, target = request_
+        want = naive_expand(fl).coefficient(target)
+        path = tmp_path_factory.mktemp("legs") / "leg.bin"
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in (("ARRAY_DEGREE", array_degree), ("MEET_TERMS", meet),
+                                ("MERGE_RANGE", merge_range), ("INT64_LIMIT", int64_limit)):
+                mp.setattr(engine, name, value)
+            seen = []
+            got = multiply_factors(fl, bound=bound, target=target,
+                                   on_step=lambda f, n: seen.append((f, n)))
+            assert got.coefficient(target) == want
+            assert seen == meet_steps(fl, target)
+            resume, legs = None, 0
+            while True:
+                try:
+                    got = multiply_factors(fl, bound=bound, target=target,
+                                           op_cap=op_cap, resume=resume)
+                    break
+                except OpCapExceeded as abort:
+                    save_checkpoint(path, abort.checkpoint)
+                    resume = load_checkpoint(path)
+                    legs += 1
+                    # every leg multiplies at least one factor
+                    assert legs <= fl.degree
+            assert got.coefficient(target) == want
 
 
 # Runs the 10-2-a product (the head peaks at 356 021 live terms, on the
