@@ -19,6 +19,8 @@ Layers, bottom up:
   reduced variant, and zero-fixing;
 * :mod:`nullseq.engine` — one target coefficient of a factor product, by
   sparse expansion with divisor pruning, target thresholds and checkpoints;
+* :mod:`nullseq.primes` — primality tests and factorization of
+  coefficients;
 * :mod:`nullseq.certify` — coefficient certificates, exceptional primes,
   and the per-(k, t) case runner;
 * :mod:`nullseq.oracle` — independent brute-force cross-checks;

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import sympy
-
 # side conditions on lam0 = number of subset elements in the order-m subgroup
 NO_CAVEAT = "none"
 NEEDS_OUTSIDE = "needs-element-outside-subgroup"  # lam0 <= k-1
@@ -85,8 +83,12 @@ def prime_factors_exceed(m: int, threshold: int):
     finding one at or below the threshold settles the answer negatively.
     What remains either is certified prime (compare directly) or must be
     fully factored; composites larger than EFFORT_BITS bits are left
-    undecided rather than risking an open-ended factorization.
+    undecided rather than risking an open-ended factorization.  It is the
+    one place that factors numbers a user types, so it alone uses sympy,
+    imported here: no other command loads it.
     """
+    import sympy
+
     if m < 1:
         raise ValueError("m must be positive")
     if m == 1:

@@ -44,11 +44,10 @@ import random
 import re
 from dataclasses import dataclass, replace
 
-import sympy
-
 from .engine import EngineAbort, multiply_factors, save_checkpoint
 from .factors import FULL, REDUCED, InfeasibleFixing, choose_fixes, product
 from .groups import canonical_type, enumerate_types, rescale_type, type_orbit
+from .primes import factorint, isprime
 from .quotient import QuotientSequencing, search_quotient
 
 
@@ -68,7 +67,7 @@ class Factorization:
         if any(e < 1 for _, e in self.primes):
             raise ValueError("prime exponents must be positive")
         for p in ps:
-            if not sympy.isprime(p):
+            if not isprime(p):
                 raise ValueError(f"{p} is listed as prime but is not")
 
     @property
@@ -83,7 +82,7 @@ def factorize(n: int) -> Factorization:
     """The full factorization of the nonzero integer n."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    return Factorization(-1 if n < 0 else 1, tuple(sorted(sympy.factorint(abs(n)).items())))
+    return Factorization(-1 if n < 0 else 1, tuple(sorted(factorint(abs(n)).items())))
 
 
 def exceptional_primes(coefficients, k: int, t: int) -> tuple[int, ...]:
@@ -102,7 +101,7 @@ def exceptional_primes(coefficients, k: int, t: int) -> tuple[int, ...]:
     if g == 1:
         return ()
     return tuple(
-        q for q in sorted(sympy.factorint(g)) if q > k and math.gcd(q, t) == 1
+        q for q in sorted(factorint(g)) if q > k and math.gcd(q, t) == 1
     )
 
 
@@ -192,7 +191,7 @@ class Certificate:
     def is_valid_for(self, p: int) -> bool:
         """Does this certificate prove the conclusion in Z_p x Z_t?"""
         return (
-            sympy.isprime(p)
+            isprime(p)
             and p > self.k
             and math.gcd(p, self.t) == 1
             and p not in self.exceptional
@@ -498,14 +497,19 @@ def certify_type(lam, t: int, config: CaseConfig | None = None) -> TypeResult:
         rank += 1
     if best is not None:
         return TypeResult(lam, type_orbit(lam), best, None, tuple(attempts))
-    outcomes = {rec.outcome for rec in attempts}
-    if "aborted" in outcomes or "skipped-degree" in outcomes:
-        reason = "work budget exhausted before a nonzero coefficient was found"
-    elif "zero" in outcomes:
-        reason = "every candidate monomial tried had coefficient zero"
-    else:
-        reason = "no arrangement satisfied the degree condition"
+    reason = unresolved_reason(rec.outcome for rec in attempts)
     return TypeResult(lam, type_orbit(lam), None, reason, tuple(attempts))
+
+
+def unresolved_reason(outcomes) -> str:
+    """Why a type whose attempts had these outcomes has no certificate.
+    certify_type writes it and reports.case_from_records checks it."""
+    outcomes = set(outcomes)
+    if "aborted" in outcomes or "skipped-degree" in outcomes:
+        return "work budget exhausted before a nonzero coefficient was found"
+    if "zero" in outcomes:
+        return "every candidate monomial tried had coefficient zero"
+    return "no arrangement satisfied the degree condition"
 
 
 def transfer_certificate(cert: Certificate, u: int) -> Certificate:

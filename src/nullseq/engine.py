@@ -72,13 +72,19 @@ makes 987, most of a few thousand term-ops), so their fixed costs are shared:
   product in the process (_successors says what bounds them).
 
 Array kernel.  A call picks its kernel before its first step, from the
-product's degree n = len(fl.factors): from ARRAY_DEGREE (70) on, both
+product's degree n = len(fl.factors): from ARRAY_DEGREE (40) on, both
 sides, fresh or resumed, become numpy arrays before step 0; below it the
-call stays on dicts.  Peak live terms grow with the degree: the k <= 9
-sweep (degree <= 56) peaks at 5 469, the light tier (<= 69) at 10 268,
-(9,0)'s degree-71 products at 39 355, 10-2-a (89) at 356 021 and 11-a
-(109) at 3.13M.  So numpy stays off the light and sweep paths.  A side
-on arrays is uint64 keys with 4-bit lanes (the digit of x_v at bits
+call stays on dicts.  Peak live terms grow with the degree: below 40, the
+k <= 9 sweep's calls peak at 1 101 live terms and the light tier's at
+821; from 40 on, the sweep's calls peak at 5 469, the light tier's at
+10 268, (9,0)'s degree-71 products at 39 355, 10-2-a (89) at 356 021 and
+11-a (109) at 3.13M.  A dict step costs about 250 ns per term-op, so from
+a few thousand live terms on arrays are faster, numpy's import included:
+table1 --tier light and prove --k 1..9 --t 2,3 run fastest with the rule
+at 40.  The import adds about 14 MB of resident memory; no compute path
+loads sympy (nullseq.primes factors coefficients), which saves about 36
+MB, so those runs peak lower than on dicts with sympy loaded.  A side on
+arrays is uint64 keys with 4-bit lanes (the digit of x_v at bits
 4(v - 1)), sorted, and a coefficient column; the domain makes each digit
 fit its lane.  A step marks, in a uint16 mask per term, the branches the
 term keeps: branch j keeps it when its digit j is below its cap and the
@@ -318,8 +324,8 @@ def _factor_plan(fl: FactorList, target):
 
 
 # a product of this many factors or more runs on the array kernel from step
-# 0, any other on dicts; the module docstring gives the peaks behind 70
-ARRAY_DEGREE = 70
+# 0, any other on dicts; the module docstring gives the peaks behind 40
+ARRAY_DEGREE = 40
 # an array step merges its branches per range of output keys, cut at every
 # MERGE_RANGE-th input key, so its sort temporaries are bounded by a range
 MERGE_RANGE = 1 << 13
@@ -512,8 +518,10 @@ def _step(fac, shape, terms):
     if isinstance(terms, dict):
         return _dict_step(fac, shape, terms)
     keys, coefs = terms
-    # each new coefficient sums at most len(fac) old ones
-    if coefs.dtype != object and int(abs(coefs).max(initial=0)) * len(fac) >= INT64_LIMIT:
+    # each new coefficient sums at most len(fac) old ones; the column's
+    # extremes give max|c| without an abs copy of the column
+    if coefs.dtype != object and len(fac) * max(
+            int(coefs.max(initial=0)), -int(coefs.min(initial=0))) >= INT64_LIMIT:
         coefs = coefs.astype(object)
     return _array_step(fac, keys, coefs)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy import isprime
+from .primes import isprime
 
 LINEAR = "linear"
 ROTATIONAL = "rotational"

@@ -33,8 +33,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
-from sympy.utilities.iterables import multiset_permutations
-
 
 @dataclass(frozen=True)
 class QuotientSequencing:
@@ -118,18 +116,6 @@ def arrangement_count(lam) -> int:
             seen += 1
             total = total * seen // i
     return total
-
-
-def enumerate_arrangements(lam):
-    """Yield all distinct arrangements of the type multiset, lexicographically."""
-    pool = []
-    for v, c in enumerate(lam):
-        pool.extend([v] * c)
-    if not pool:
-        yield ()
-        return
-    for perm in multiset_permutations(pool):
-        yield tuple(perm)
 
 
 @dataclass(frozen=True)

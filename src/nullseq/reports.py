@@ -42,6 +42,7 @@ from .certify import (
     Factorization,
     TypeResult,
     derived_result,
+    unresolved_reason,
 )
 from .factors import FactorList
 from .groups import canonical_type, enumerate_types, type_orbit
@@ -316,10 +317,12 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
     record's orbit must be its type's, and derived_from must name the
     orbit's representative, or be absent on the representative itself.  A
     derived record must hold its representative's result as
-    certify.derived_result transfers it, and a certificate that is not
-    derived must carry the attempt behind each entry.  Every certificate of
-    the case must have the same variant, as one prove run writes: a reduced
-    one holds only for subsets with no two mutually inverse elements.
+    certify.derived_result transfers it.  A certificate that is not derived
+    must carry the attempt behind each entry, and an unresolved record that
+    is not derived the reason certify.unresolved_reason gives its attempts.
+    Every certificate of the case must have the same variant, as one prove
+    run writes: a reduced one holds only for subsets with no two mutually
+    inverse elements.
     """
     records = list(records)
     summaries = [r for r in records if _field(r, "kind") == "case"]
@@ -358,9 +361,13 @@ def case_from_records(records: Iterable[dict]) -> CaseReport:
                 _check_entries_attempted(record, cert, common["attempts"])
             results.append(TypeResult(lam=cert.lam, certificate=cert, reason=None, **common))
         else:
-            results.append(
-                TypeResult(lam=lam, certificate=None, reason=_field(record, "reason"), **common)
-            )
+            reason = _field(record, "reason")
+            given = unresolved_reason(at.outcome for at in common["attempts"])
+            if derived is None and reason != given:
+                raise ValueError(
+                    f"{_label(record)}: reason {reason!r}, but its attempts give {given!r}"
+                )
+            results.append(TypeResult(lam=lam, certificate=None, reason=reason, **common))
     lams = [r.lam for r in results]
     # count first, so that a forged k or t starts no huge enumeration
     if len(lams) != math.comb(k + t - 1, t - 1) or lams != enumerate_types(k, t):

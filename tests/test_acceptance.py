@@ -32,10 +32,11 @@ from nullseq.oracle import scan_group, verify_nonvanishing_conclusion
 from nullseq.quotient import (
     QuotientSequencing,
     bounding_degree,
-    enumerate_arrangements,
     induced_degree,
     validate_quotient,
 )
+
+from reference import enumerate_arrangements
 
 
 def _fixture_coefficient(fx, **engine_kwargs):

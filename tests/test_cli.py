@@ -565,21 +565,33 @@ class TestTable1:
         assert rec["checkpoint"].startswith(str(tmp_path))
         assert load_checkpoint(rec["checkpoint"]).k == rec["k"]
 
-    def test_light_job_leaves_numpy_unimported(self):
-        # numpy is the engine's array kernel, for products of degree
-        # engine.ARRAY_DEGREE or more; light jobs never need it.  5-5-b
-        # peaks at 10 268 live terms, the most of any light row
+
+class TestImports:
+    def test_compute_jobs_leave_sympy_unimported(self):
+        # nullseq.primes factors every coefficient, so only applicable's
+        # factoring of a user's modulus loads sympy; 5-5-b runs on arrays
+        import sympy
+
+        n = 2 * sympy.nextprime(3628800 // 2)  # t = 2 leaves a prime above 10!/2
         code = (
-            "import contextlib, io, sys\n"
+            "import contextlib, io, json, sys\n"
             "from nullseq.cli import main\n"
+            "jobs = [['table1', '--name', '5-5-b'], ['table1', '--name', 'worked-3-2'],\n"
+            "        ['coeff', '--k', '4', '--monomial', '2,3,3,3'],\n"
+            "        ['prove', '--k', '5', '--t', '2'], ['scan', '--n', '9', '--k', '3'],\n"
+            "        ['verify', '--p', '11', '--t', '2', '--lambda', '3,2', '--a', '0,1,0,0,1']]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    rc = [main(['table1', '--name', n]) for n in ('1-9-b', '5-5-b')]\n"
-            "print(*rc, 'numpy' in sys.modules)\n"
+            "    rc = [main(argv) for argv in jobs]\n"
+            "print(*rc, 'sympy' in sys.modules)\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    rc = main(['applicable', '--n', '{n}', '--k', '10'])\n"
+            "print(rc, json.loads(out.getvalue())['verdict'], 'sympy' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0", "0", "False"]
+        assert proc.stdout.splitlines() == ["0 0 0 0 0 0 False", "0 yes True"]
 
 
 class TestUsageAndSettings:

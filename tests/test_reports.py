@@ -20,6 +20,7 @@ from nullseq.certify import (
     assemble_case,
     certify_type,
     factorize,
+    unresolved_reason,
 )
 from nullseq.factors import REDUCED, product
 from nullseq.oracle import (
@@ -559,6 +560,19 @@ class TestCaseRecordTamper:
         with pytest.raises(ValueError, match=f"record lam='9,0': {match}"):
             case_from_records(forged)
         assert case_from_records(records).results[at - 1].attempts
+
+    def test_unresolved_reason_is_checked(self, unresolved):
+        # (9,0)'s one attempt was skipped at the degree budget; any other
+        # reason used to parse
+        records, at = unresolved
+        assert records[at]["reason"] == unresolved_reason(["skipped-degree"])
+        for reason in ("every candidate monomial tried had coefficient zero",
+                       "no arrangement satisfied the degree condition", ""):
+            forged = list(records)
+            forged[at] = dict(records[at], reason=reason)
+            with pytest.raises(ValueError, match="record lam='9,0': reason .* its attempts give"):
+                case_from_records(forged)
+        assert case_from_records(records).results[at - 1].reason == records[at]["reason"]
 
     def test_summary_with_a_string_k_rejected(self, records):
         summary = dict(records[5][0], k="5")
